@@ -2,7 +2,10 @@
 
 The studentized-range CDF is evaluated by numerical integration (outer
 integral over the scale variable, inner over the range of k standard
-normals) and inverted by bracketing plus bisection.
+normals) and inverted by bracketing plus bisection. One CDF evaluation is a
+few numpy passes over the whole (scale, z) Gauss-Legendre grid: Phi comes
+from the rational `special.erfc` and the (k-1)th power from repeated
+squaring, with no Python call per grid point.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ConvergenceFailure
-from .special import betainc, gammainc_upper, normal_cdf, normal_pdf
+from .special import betainc, erfc, gammainc_upper, normal_cdf
 
 
 def chi2_sf(x: float, df: float) -> float:
@@ -20,12 +23,6 @@ def chi2_sf(x: float, df: float) -> float:
     if x <= 0:
         return 1.0
     return gammainc_upper(df / 2.0, x / 2.0)
-
-
-def t_sf(t: float, df: float) -> float:
-    """One-sided upper tail of Student's t."""
-    p = 0.5 * betainc(df / 2.0, 0.5, df / (df + t * t))
-    return p if t >= 0 else 1.0 - p
 
 
 def t_two_tailed(t: float, df: float) -> float:
@@ -55,15 +52,24 @@ _CDF_Z = np.array([normal_cdf(z) for z in _Z])
 _S_NODES, _S_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n for an integer n >= 1 by binary exponentiation."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 def _range_cdf(w: np.ndarray | float, k: int) -> np.ndarray | float:
     """P(range of k standard normals <= w), vectorized over w."""
-    w = np.asarray(w, dtype=float)
+    w = np.atleast_1d(np.asarray(w, dtype=float))
     # P = k * int phi(z) * [Phi(z) - Phi(z - w)]^(k-1) dz
-    z = _Z[None, :]
-    lower = np.array(
-        [[normal_cdf(zi - wi) for zi in _Z] for wi in np.atleast_1d(w)]
-    )
-    inner = np.clip(_CDF_Z[None, :] - lower, 0.0, 1.0) ** (k - 1)
+    lower = 0.5 * erfc(-(_Z[None, :] - w[:, None]) / math.sqrt(2.0))
+    inner = _int_power(np.clip(_CDF_Z[None, :] - lower, 0.0, 1.0), k - 1)
     out = k * np.sum(_PHI_Z[None, :] * inner * _ZW[None, :], axis=1)
     return out if out.size > 1 else float(out[0])
 

@@ -1,13 +1,18 @@
 """Shared test utilities: random corpora, brute-force counting oracle,
-random query ASTs."""
+random query ASTs, scalar studentized-range oracle."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from citefrac.corpus import Corpus, PublicationRecord, build_corpus
 from citefrac.counting import PaperImpact, Window
 from citefrac import unitquery as uq
+from citefrac.errors import ConvergenceFailure
+from citefrac.stats.distributions import _PHI_Z, _Z, _ZW, _chi_scale_grid
 
 DOCTYPES = ["Article", "Review", "Proceedings Paper", "Editorial", "Letter"]
 
@@ -117,4 +122,66 @@ def random_record(rng: random.Random) -> PublicationRecord:
         id=f"R{rng.randint(0, 10**9)}",
         year=rng.randint(1990, 2020),
         addresses=addresses,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scalar studentized-range oracle: one math.erfc call per (w, z) grid point
+# and a per-element float power, on the same quadrature grids as the kernel.
+# ---------------------------------------------------------------------------
+
+
+def _ref_normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+_REF_CDF_Z = np.array([_ref_normal_cdf(z) for z in _Z])
+
+
+def reference_range_cdf(w, k: int):
+    """P(range of k standard normals <= w), one scalar Phi per grid point."""
+    w = np.asarray(w, dtype=float)
+    lower = np.array(
+        [[_ref_normal_cdf(zi - wi) for zi in _Z] for wi in np.atleast_1d(w)]
+    )
+    inner = np.clip(_REF_CDF_Z[None, :] - lower, 0.0, 1.0) ** (k - 1)
+    out = k * np.sum(_PHI_Z[None, :] * inner * _ZW[None, :], axis=1)
+    return out if out.size > 1 else float(out[0])
+
+
+def reference_studentized_range_cdf(q: float, k: int, df: float) -> float:
+    if q <= 0:
+        return 0.0
+    if math.isinf(df) or df > 1e6:
+        return float(reference_range_cdf(q, k))
+    s, w = _chi_scale_grid(float(df))
+    inner = reference_range_cdf(q * s, k)
+    return float(min(1.0, max(0.0, np.sum(w * inner))))
+
+
+def reference_studentized_range_quantile(
+    alpha: float, k: int, df: float, rel_tol: float = 1e-6, max_iter: int = 200
+) -> float:
+    """Bracketing plus bisection on the scalar oracle CDF."""
+    target = 1.0 - alpha
+    lo, hi = 1e-8, 4.0
+    it = 0
+    while reference_studentized_range_cdf(hi, k, df) < target:
+        lo, hi = hi, hi * 2.0
+        it += 1
+        if it > 60:
+            raise ConvergenceFailure(
+                "could not bracket studentized-range quantile", hi
+            )
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if reference_studentized_range_cdf(mid, k, df) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * mid:
+            return 0.5 * (lo + hi)
+    achieved = (hi - lo) / max(lo, 1e-300)
+    raise ConvergenceFailure(
+        "studentized-range quantile did not converge", achieved
     )

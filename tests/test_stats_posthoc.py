@@ -7,11 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from citefrac.errors import TooFewGroups
+from citefrac.errors import ConvergenceFailure, TooFewGroups
 from citefrac.stats import (
     dunnett_c,
     studentized_range_cdf,
     studentized_range_quantile,
+)
+from helpers import (
+    reference_studentized_range_cdf,
+    reference_studentized_range_quantile,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -67,6 +71,39 @@ class TestStudentizedRange:
             studentized_range_quantile(1.5, 3, 10)
         with pytest.raises(ValueError):
             studentized_range_quantile(0.05, 1, 10)
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(ConvergenceFailure):
+            studentized_range_quantile(0.05, 3, 10, max_iter=1)
+
+    @pytest.mark.parametrize(
+        "alpha,k,df",
+        [
+            (0.05, 2, math.inf),
+            (0.05, 3, 1),
+            (0.05, 27, 10),
+            (0.05, 27, 49),
+            (0.01, 40, 20),
+            (0.10, 5, 7),
+        ],
+    )
+    def test_quantile_bit_identical_to_scalar_oracle(self, alpha, k, df):
+        # Bisection only compares CDF values with 1 - alpha, so a kernel a
+        # few ulps from the oracle takes the same branches and returns the
+        # same float, which keeps every critical_diff byte-identical.
+        assert studentized_range_quantile(alpha, k, df) == (
+            reference_studentized_range_quantile(alpha, k, df)
+        )
+
+    def test_cdf_matches_scalar_oracle(self):
+        rng = random.Random(20100103)
+        for _ in range(12):
+            q = rng.uniform(0.05, 9.0)
+            k = rng.randint(2, 40)
+            df = rng.choice([math.inf, rng.uniform(1.0, 120.0)])
+            got = studentized_range_cdf(q, k, df)
+            want = reference_studentized_range_cdf(q, k, df)
+            assert abs(got - want) <= 1e-14, (q, k, df)
 
 
 class TestDunnettC:

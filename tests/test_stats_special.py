@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from citefrac.stats.distributions import chi2_sf, f_sf, t_two_tailed
-from citefrac.stats.special import betainc, gammainc_lower, normal_cdf
+from citefrac.stats.special import betainc, erfc, gammainc_lower, normal_cdf
 
 # High-precision reference values (30-digit arithmetic), frozen.
 GAMMA_CASES = [
@@ -65,6 +66,28 @@ def test_normal_cdf():
     assert abs(normal_cdf(0.0) - 0.5) < 1e-15
     assert abs(normal_cdf(1.959963984540054) - 0.975) < 1e-12
     assert abs(normal_cdf(-1.0) + normal_cdf(1.0) - 1.0) < 1e-15
+
+
+def test_erfc_matches_math_erfc():
+    # Absolute error only: relative error is no gate in the far tail, where
+    # erfc(x) is denormal and both sides carry only a few significant bits.
+    edges = [-8.0, -1.0, 0.0, -0.0, 1.0, 8.0]
+    x = np.concatenate([
+        np.linspace(-40.0, 40.0, 160_001),
+        edges,
+        np.nextafter(edges, np.inf),
+        np.nextafter(edges, -np.inf),
+    ])
+    want = np.array([math.erfc(v) for v in x])
+    assert np.max(np.abs(erfc(x) - want)) <= 1e-15
+    got_edges = erfc(np.array(edges))
+    assert got_edges[2] == 1.0 and got_edges[3] == 1.0
+
+
+def test_erfc_tails_and_nan():
+    got = erfc(np.array([np.inf, -np.inf, 30.0, -30.0, 1e200, -1e200, np.nan]))
+    assert got[:6].tolist() == [0.0, 2.0, 0.0, 2.0, 0.0, 2.0]
+    assert math.isnan(got[6])
 
 
 def test_cdfs_monotone_and_bounded():
