@@ -7,9 +7,9 @@ tested for significance (Kruskal-Wallis, Levene, ANOVA, Dunnett's C), with
 the pairwise outcomes summarized as a homogeneity graph.
 """
 from .corpus import (
-    AggregateRow,
     Corpus,
     PublicationRecord,
+    UnitRow,
     build_corpus,
     load_aggregate_table,
     load_canonical,
@@ -19,7 +19,6 @@ from .corpus import (
 from .counting import (
     PaperImpact,
     ScoreSet,
-    UnitAggregate,
     Window,
     aggregate_units,
     fractional_weight,
@@ -46,15 +45,14 @@ from .unitquery import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateRow",
     "Corpus",
     "HomogeneityGraph",
     "PaperImpact",
     "PublicationRecord",
     "Ranking",
     "ScoreSet",
-    "UnitAggregate",
     "UnitDefinition",
+    "UnitRow",
     "Window",
     "aggregate_units",
     "assign_units",

@@ -10,14 +10,12 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import counting, report
 from .corpus import (
-    EVALUATED_DOCTYPES,
     Corpus,
+    UnitRow,
     load_aggregate_table,
     load_canonical,
     parse_tagged,
@@ -48,7 +46,6 @@ class RunConfig:
     alpha: float = 0.05
     out: Path = Path("out")
     strict: bool = False
-    doctypes: frozenset[str] = EVALUATED_DOCTYPES
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -106,9 +103,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--input is required")
     windows = [_parse_window(w) for w in (m["window"] or [])]
     py = None
-    if m["py"]:
-        py = frozenset(int(y.strip()) for y in str(m["py"]).split(",") if y.strip())
     try:
+        if m["py"]:
+            py = frozenset(int(y) for y in str(m["py"]).split(",") if y.strip())
         alpha = float(m["alpha"]) if m["alpha"] is not None else 0.05
         min_pubs = int(m["min_pubs"]) if m["min_pubs"] is not None else 5
     except ValueError as exc:
@@ -211,11 +208,24 @@ def cmd_assign(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _window_key(label: str, prefix: str) -> str:
-    return f"{prefix}_{label.replace('-', '_')}"
+def _label(window: Window) -> str:
+    """A window as it appears in column and file names: 2005_2009."""
+    return window.label().replace("-", "_")
+
+
+def _aggregate_keys(suffixes: list[str]) -> list[tuple[str, bool]]:
+    """aggregates.csv columns, (name, is_integer): IC, IC/P, FC and FC/P
+    for each window suffix in turn."""
+    return [
+        (f"{prefix}{suffix}", prefix == "ic")
+        for suffix in suffixes
+        for prefix in ("ic", "icp", "fc", "fcp")
+    ]
 
 
 def _count_pipeline(config: RunConfig, corpus: Corpus):
+    """Assign, count every window, and write aggregates.csv: one row per
+    kept unit with its ic_<window> and fc_<window> totals."""
     if config.units is None or not config.units.is_file():
         raise UsageError("--units file is required and must exist")
     if not config.windows:
@@ -225,55 +235,33 @@ def _count_pipeline(config: RunConfig, corpus: Corpus):
 
     per_window = {}
     for window in config.windows:
-        scores = paper_scores(
-            corpus, window, eligible_doctypes=config.doctypes, pub_years=config.py
-        )
+        scores = paper_scores(corpus, window, pub_years=config.py)
         agg = aggregate_units(assignment, scores, min_pubs=config.min_pubs)
         per_window[window] = (scores, agg)
 
-    # Combined per-unit rows across windows, restricted to units kept in
-    # every window (P is window-independent, so the kept set is identical).
-    kept_units = sorted(
-        set.intersection(
-            *(set(a.unit for a in agg.aggregates) for _, agg in per_window.values())
-        )
-        if per_window
-        else set()
+    # P does not depend on the window, so every window keeps the same
+    # units in the same (sorted) order.
+    rows = []
+    for per_unit in zip(*(agg.aggregates for _, agg in per_window.values())):
+        counts = {
+            f"{key}_{_label(window)}": total
+            for window, row in zip(per_window, per_unit)
+            for key, total in row.counts.items()
+        }
+        rows.append(UnitRow(per_unit[0].unit, per_unit[0].p, counts))
+    keys = _aggregate_keys([f"_{_label(window)}" for window in config.windows])
+    report.write_text(
+        config.out / "aggregates.csv", report.format_aggregates_csv(rows, keys)
     )
-    combined = []
-    for unit in kept_units:
-        row = SimpleNamespace(unit=unit)
-        for window, (_, agg) in per_window.items():
-            by_unit = {a.unit: a for a in agg.aggregates}
-            a = by_unit[unit]
-            label = window.label()
-            row.p = a.p
-            setattr(row, _window_key(label, "ic"), a.ic)
-            setattr(row, _window_key(label, "fc"), a.fc)
-            setattr(row, _window_key(label, "icp"), a.icp)
-            setattr(row, _window_key(label, "fcp"), a.fcp)
-        combined.append(row)
-    return assignment, per_window, combined
+    return assignment, per_window, rows
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     config = _build_config(args)
     corpus = _load_corpus(config)
-    assignment, per_window, combined = _count_pipeline(config, corpus)
-    keys: list[tuple[str, bool]] = []
-    for window in config.windows:
-        label = window.label()
-        keys += [
-            (_window_key(label, "ic"), True),
-            (_window_key(label, "icp"), False),
-            (_window_key(label, "fc"), False),
-            (_window_key(label, "fcp"), False),
-        ]
-    report.write_text(
-        config.out / "aggregates.csv", report.format_aggregates_csv(combined, keys)
-    )
+    assignment, per_window, _ = _count_pipeline(config, corpus)
     for window, (scores, agg) in per_window.items():
-        label = window.label().replace("-", "_")
+        label = _label(window)
         report.write_text(
             config.out / f"scores_{label}.csv",
             counting.export_scores_csv(scores, assignment),
@@ -283,8 +271,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             report.write_text(
                 config.out / f"skipped_units_{label}.csv", "\n".join(lines) + "\n"
             )
-    inputs = [config.input] + ([config.units] if config.units else [])
-    _write_manifest(config, inputs)
+    _write_manifest(config, [config.input, config.units])
     return EXIT_OK
 
 
@@ -332,50 +319,71 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _aggregate_table_reports(config: RunConfig, rows) -> None:
-    keys = [
-        ("ic3", True), ("icp3", False), ("fc3", False), ("fcp3", False),
-        ("ic5", True), ("icp5", False), ("fc5", False), ("fcp5", False),
-    ]
+def _write_unit_reports(
+    out: Path,
+    rows: list[UnitRow],
+    ranked: list[str],
+    changes: dict[str, tuple[str, str, str, str]],
+    correlations: dict[str, str],
+) -> None:
+    """Rankings, rank changes and correlations of one unit table.
+
+    `ranked` names the columns to rank; `changes` maps a rank-change file
+    name to (from column, to column, from label, to label); `correlations`
+    maps a correlation label to its column. Fewer than three units give no
+    correlations.
+    """
+    rankings = {key: report.rank_units(rows, key) for key in ranked}
+    for key, ranking in rankings.items():
+        text = report.format_ranking_csv(ranking)
+        report.write_text(out / f"ranking_{key}.csv", text)
+    for name, (from_key, to_key, from_label, to_label) in changes.items():
+        deltas = report.rank_change(rankings[from_key], rankings[to_key])
+        report.write_text(
+            out / name, report.format_rank_changes_csv(deltas, from_label, to_label)
+        )
+    if len(rows) >= 3:
+        matrix = correlation_matrix(
+            {
+                label: [float(getattr(row, key)) for row in rows]
+                for label, key in correlations.items()
+            }
+        )
+        text = report.format_correlation_csv(matrix)
+        report.write_text(out / "correlations.csv", text)
+
+
+def _table_reports(config: RunConfig, table_path: Path) -> None:
+    """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
+    rows = load_aggregate_table(table_path.read_text(encoding="utf-8"))
+    keys = _aggregate_keys(["3", "5"])
     report.write_text(
         config.out / "aggregates.csv", report.format_aggregates_csv(rows, keys)
     )
-    rankings = {key: report.rank_units(rows, key) for key, _ in keys}
-    rankings["p"] = report.rank_units(rows, "p")
-    for key, ranking in rankings.items():
-        report.write_text(
-            config.out / f"ranking_{key}.csv", report.format_ranking_csv(ranking)
-        )
-    for from_key, to_key in (("ic5", "fc5"), ("icp5", "fcp5")):
-        changes = report.rank_change(rankings[from_key], rankings[to_key])
-        report.write_text(
-            config.out / f"rank_changes_{from_key}_to_{to_key}.csv",
-            report.format_rank_changes_csv(changes, from_key, to_key),
-        )
-    columns = {
-        "P": [row.p for row in rows],
-        "IC/P (3y)": [float(row.icp3) for row in rows],
-        "IC/P (5y)": [float(row.icp5) for row in rows],
-        "FC/P (3y)": [float(row.fcp3) for row in rows],
-        "FC/P (5y)": [float(row.fcp5) for row in rows],
-        "IC (3y)": [float(row.ic3) for row in rows],
-        "IC (5y)": [float(row.ic5) for row in rows],
-        "FC (3y)": [float(row.fc3) for row in rows],
-        "FC (5y)": [float(row.fc5) for row in rows],
-    }
-    matrix = correlation_matrix(columns)
-    report.write_text(
-        config.out / "correlations.csv", report.format_correlation_csv(matrix)
+    _write_unit_reports(
+        config.out,
+        rows,
+        ranked=[key for key, _ in keys] + ["p"],
+        changes={
+            f"rank_changes_{a}_to_{b}.csv": (a, b, a, b)
+            for a, b in (("ic5", "fc5"), ("icp5", "fcp5"))
+        },
+        correlations={
+            "P": "p",
+            "IC/P (3y)": "icp3", "IC/P (5y)": "icp5",
+            "FC/P (3y)": "fcp3", "FC/P (5y)": "fcp5",
+            "IC (3y)": "ic3", "IC (5y)": "ic5",
+            "FC (3y)": "fc3", "FC (5y)": "fc5",
+        },
     )
+    _write_manifest(config, [table_path])
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if not config.input.is_file():
         raise UsageError(f"input file not found: {config.input}")
-    rows = load_aggregate_table(config.input.read_text(encoding="utf-8"))
-    _aggregate_table_reports(config, rows)
-    _write_manifest(config, [config.input])
+    _table_reports(config, config.input)
     return EXIT_OK
 
 
@@ -386,58 +394,35 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         table_path = Path(aggregate_table) if aggregate_table else config.input
         if not table_path.is_file():
             raise UsageError(f"aggregate table not found: {table_path}")
-        rows = load_aggregate_table(table_path.read_text(encoding="utf-8"))
-        _aggregate_table_reports(config, rows)
-        _write_manifest(config, [table_path])
+        _table_reports(config, table_path)
         return EXIT_OK
 
     corpus = _load_corpus(config)
-    assignment, per_window, combined = _count_pipeline(config, corpus)
-    keys: list[tuple[str, bool]] = []
-    for window in config.windows:
-        label = window.label()
-        keys += [
-            (_window_key(label, "ic"), True),
-            (_window_key(label, "icp"), False),
-            (_window_key(label, "fc"), False),
-            (_window_key(label, "fcp"), False),
-        ]
-    report.write_text(
-        config.out / "aggregates.csv", report.format_aggregates_csv(combined, keys)
+    assignment, per_window, rows = _count_pipeline(config, corpus)
+    last = config.windows[-1]
+    suffix = f"_{_label(last)}"
+    _write_unit_reports(
+        config.out,
+        rows,
+        ranked=[prefix + suffix for prefix in ("ic", "fc", "icp", "fcp")],
+        changes={
+            f"rank_changes_{a}_to_{b}_{last.label()}.csv":
+                (a + suffix, b + suffix, a, b)
+            for a, b in (("ic", "fc"), ("icp", "fcp"))
+        },
+        correlations={
+            "P": "p",
+            **{
+                f"{prefix}_{_label(window)}": f"{prefix}_{_label(window)}"
+                for prefix in ("icp", "fcp", "ic", "fc")
+                for window in config.windows
+            },
+        },
     )
 
-    last = config.windows[-1]
-    last_label = last.label()
-    rankings = {}
-    for prefix in ("ic", "fc", "icp", "fcp"):
-        key = _window_key(last_label, prefix)
-        rankings[prefix] = report.rank_units(combined, key)
-        report.write_text(
-            config.out / f"ranking_{key}.csv",
-            report.format_ranking_csv(rankings[prefix]),
-        )
-    for from_key, to_key in (("ic", "fc"), ("icp", "fcp")):
-        changes = report.rank_change(rankings[from_key], rankings[to_key])
-        report.write_text(
-            config.out / f"rank_changes_{from_key}_to_{to_key}_{last_label}.csv",
-            report.format_rank_changes_csv(changes, from_key, to_key),
-        )
-
-    columns: dict[str, list[float]] = {"P": [row.p for row in combined]}
-    for prefix in ("icp", "fcp", "ic", "fc"):
-        for window in config.windows:
-            key = _window_key(window.label(), prefix)
-            columns[key] = [float(getattr(row, key)) for row in combined]
-    if len(combined) >= 3:
-        matrix = correlation_matrix(columns)
-        report.write_text(
-            config.out / "correlations.csv", report.format_correlation_csv(matrix)
-        )
-
-    scores, agg = per_window[last]
-    kept = [a.unit for a in agg.aggregates]
+    scores, _ = per_window[last]
     groups = {
-        unit: per_paper_samples(assignment, scores, unit) for unit in kept
+        row.unit: per_paper_samples(assignment, scores, row.unit) for row in rows
     }
     if len(groups) >= 2 and all(len(g) >= 2 for g in groups.values()):
         _stats_battery(groups, config.alpha, config.out)
@@ -445,8 +430,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config.out / "scores.csv", counting.export_scores_csv(scores, assignment)
     )
 
-    inputs = [config.input] + ([config.units] if config.units else [])
-    _write_manifest(config, inputs)
+    _write_manifest(config, [config.input, config.units])
     return EXIT_OK
 
 

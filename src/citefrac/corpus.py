@@ -356,42 +356,37 @@ def write_canonical(corpus: Corpus) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AggregateRow:
-    """Per-unit indicator row over the three- and five-year windows.
+class UnitRow:
+    """One unit's row of the unit table: publication count P and exact
+    citation totals.
 
-    Counts are stored exactly (Fraction) and the per-publication ratios are
-    derived at full precision, never read from rounded display columns.
+    `counts` maps ``ic``/``fc`` plus a window suffix (``ic3``,
+    ``fc_2005_2009``, or a bare ``ic``/``fc`` for a single window) to a
+    total. Attributes read a total (``row.ic5``) or derive its
+    per-publication ratio exactly (``row.fcp5`` is fc5 / P), never from
+    rounded display columns.
     """
 
     unit: str
     p: int
-    ic3: Fraction
-    fc3: Fraction
-    ic5: Fraction
-    fc5: Fraction
+    counts: dict[str, int | Fraction]
 
-    @property
-    def icp3(self) -> Fraction:
-        return self.ic3 / self.p
-
-    @property
-    def fcp3(self) -> Fraction:
-        return self.fc3 / self.p
-
-    @property
-    def icp5(self) -> Fraction:
-        return self.ic5 / self.p
-
-    @property
-    def fcp5(self) -> Fraction:
-        return self.fc5 / self.p
+    def __getattr__(self, name: str) -> int | Fraction:
+        if name.startswith("__") or name == "counts":
+            raise AttributeError(name)
+        if name in self.counts:
+            return self.counts[name]
+        base = name[:2] + name[3:]  # icp5 -> ic5, fcp_2005_2009 -> fc_2005_2009
+        if name[:3] in ("icp", "fcp") and base in self.counts:
+            return Fraction(self.counts[base], self.p)
+        raise AttributeError(f"unit row has no column {name!r}")
 
 
 _AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
 
 
-def load_aggregate_table(stream: IO[str] | str) -> list[AggregateRow]:
-    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into aggregate rows."""
+def load_aggregate_table(stream: IO[str] | str) -> list[UnitRow]:
+    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows keyed ic3 … fc5."""
     if isinstance(stream, str):
         import io
 
@@ -403,23 +398,21 @@ def load_aggregate_table(stream: IO[str] | str) -> list[AggregateRow]:
             f"got {reader.fieldnames}",
             1,
         )
-    rows: list[AggregateRow] = []
-    for lineno, raw in enumerate(reader, start=2):
+    rows: list[UnitRow] = []
+    seen: set[str] = set()
+    for raw in reader:
+        lineno = reader.line_num
         try:
             p = int(raw["P"])
-            counts = {c: Fraction(raw[c]) for c in ("IC3", "FC3", "IC5", "FC5")}
-        except (ValueError, ZeroDivisionError):
-            raise NonNumericCell(f"non-numeric cell in row {raw!r}", lineno) from None
+            counts = {c.lower(): Fraction(raw[c]) for c in _AGGREGATE_COLUMNS[2:]}
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise NonNumericCell(
+                f"missing or non-numeric cell in row {raw!r}", lineno
+            ) from None
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)
-        rows.append(
-            AggregateRow(
-                unit=raw["unit"],
-                p=p,
-                ic3=counts["IC3"],
-                fc3=counts["FC3"],
-                ic5=counts["IC5"],
-                fc5=counts["FC5"],
-            )
-        )
+        if raw["unit"] in seen:
+            raise DuplicateId(f"duplicate unit {raw['unit']!r} at line {lineno}")
+        seen.add(raw["unit"])
+        rows.append(UnitRow(unit=raw["unit"], p=p, counts=counts))
     return rows

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .corpus import Corpus, EVALUATED_DOCTYPES, PublicationRecord
+from .corpus import Corpus, EVALUATED_DOCTYPES, PublicationRecord, UnitRow
 from .errors import UnknownUnit, ZeroReferences
 
 
@@ -42,18 +42,9 @@ class PaperImpact:
     fc: Fraction = Fraction(0)
 
 
-def resolve_k(citing: PublicationRecord) -> int:
-    """The reference-list length of a citing document.
-
-    `nrefs` is authoritative when present; otherwise the number of
-    extracted references is used.
-    """
-    return citing.reference_count
-
-
 def fractional_weight(citing: PublicationRecord) -> Fraction:
     """Weight 1/k contributed by each citation of this document."""
-    k = resolve_k(citing)
+    k = citing.reference_count
     if k <= 0:
         raise ZeroReferences(
             f"citing record {citing.id!r} has no resolvable reference count"
@@ -75,15 +66,13 @@ def paper_scores(
     window: Window,
     eligible_doctypes: frozenset[str] = EVALUATED_DOCTYPES,
     pub_years: frozenset[int] | None = None,
-    eligible_citing_doctypes: frozenset[str] | None = None,
 ) -> ScoreSet:
     """Count integer and fractional citations per cited paper.
 
     The cited side is filtered to `eligible_doctypes` and, when given, to
     `pub_years`. A citing link contributes iff the citing record's year
-    falls in `window`. Citing documents are not type-filtered by default
-    (`eligible_citing_doctypes=None` counts all of them). Papers with no
-    in-window citations appear with ic = 0, fc = 0.
+    falls in `window`; citing documents are not type-filtered. Papers with
+    no in-window citations appear with ic = 0, fc = 0.
     """
     impacts: dict[str, PaperImpact] = {}
     for rec in corpus.cited.values():
@@ -101,11 +90,6 @@ def paper_scores(
         citing = corpus.citing[citing_id]
         if citing.year not in window:
             continue
-        if (
-            eligible_citing_doctypes is not None
-            and citing.doctype not in eligible_citing_doctypes
-        ):
-            continue
         try:
             weight = fractional_weight(citing)
         except ZeroReferences:
@@ -120,27 +104,9 @@ def paper_scores(
     return ScoreSet(impacts=impacts, skipped_citing=skipped)
 
 
-@dataclass(frozen=True)
-class UnitAggregate:
-    """Per-unit publication count and citation tallies for one window."""
-
-    unit: str
-    p: int
-    ic: int
-    fc: Fraction
-
-    @property
-    def icp(self) -> Fraction:
-        return Fraction(self.ic, self.p)
-
-    @property
-    def fcp(self) -> Fraction:
-        return self.fc / self.p
-
-
 @dataclass
 class AggregateResult:
-    aggregates: list[UnitAggregate]
+    aggregates: list[UnitRow]  # counts keyed bare ic and fc
     skipped_units: list[tuple[str, int]]  # (unit, p) below the threshold
 
 
@@ -156,7 +122,7 @@ def aggregate_units(
     papers are excluded and listed separately.
     """
     impacts = scores.impacts if isinstance(scores, ScoreSet) else scores
-    aggregates: list[UnitAggregate] = []
+    aggregates: list[UnitRow] = []
     skipped: list[tuple[str, int]] = []
     for unit in sorted(assignment):
         paper_ids = [pid for pid in assignment[unit] if pid in impacts]
@@ -166,7 +132,7 @@ def aggregate_units(
             continue
         ic = sum(impacts[pid].ic for pid in paper_ids)
         fc = sum((impacts[pid].fc for pid in paper_ids), Fraction(0))
-        aggregates.append(UnitAggregate(unit=unit, p=p, ic=ic, fc=fc))
+        aggregates.append(UnitRow(unit=unit, p=p, counts={"ic": ic, "fc": fc}))
     return AggregateResult(aggregates=aggregates, skipped_units=skipped)
 
 

@@ -32,12 +32,6 @@ class Ranking:
     key: str
     entries: tuple[RankEntry, ...]
 
-    def rank_of(self, unit: str) -> int:
-        for entry in self.entries:
-            if entry.unit == unit:
-                return entry.rank
-        raise KeyError(unit)
-
     def units(self) -> frozenset[str]:
         return frozenset(e.unit for e in self.entries)
 

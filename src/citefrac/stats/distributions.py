@@ -107,12 +107,14 @@ def _chi_scale_grid(df: float) -> tuple[np.ndarray, np.ndarray]:
 
 def studentized_range_cdf(q: float, k: int, df: float) -> float:
     """P(Q_{k, df} <= q) for the studentized range distribution."""
-    if q <= 0:
-        return 0.0
+    if math.isnan(q):
+        raise ValueError("q must not be NaN")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if df <= 0:
-        raise ValueError("df must be positive")
+    if not df > 0:
+        raise ValueError(f"df must be positive, got {df}")
+    if q <= 0:
+        return 0.0
     if math.isinf(df) or df > 1e6:
         return float(_range_cdf(q, k))
     s, w = _chi_scale_grid(float(df))

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import citefrac
 from citefrac.cli import main
 from citefrac.corpus import load_canonical
 
@@ -232,6 +235,30 @@ class TestConfigAndValidation:
         )
         assert code == 2
 
+    def test_bad_py_usage_exit(self, data_dir, tmp_path, capsys):
+        code = run(
+            "count", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--py", "20x5", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["Dep X,5,1,1\n", "A,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n"],
+        ids=["missing_cells", "duplicate_unit"],
+    )
+    def test_bad_aggregate_table_usage_exit(self, tmp_path, capsys, rows):
+        table = tmp_path / "table.csv"
+        table.write_text("unit,P,IC3,FC3,IC5,FC5\n" + rows, encoding="utf-8")
+        code = run(
+            "report", "--input", str(table), "--format", "aggregate",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "line " in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert run("ingest", "--input", "x", "--config", str(tmp_path / "no.cfg")) == 2
 
@@ -240,13 +267,17 @@ class TestConfigAndValidation:
 
 
 def test_console_entry_point(data_dir, tmp_path):
+    # The child must import the same citefrac package, installed or not.
+    package_root = str(Path(citefrac.__file__).resolve().parents[1])
+    pythonpath = [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     proc = subprocess.run(
         [
             sys.executable, "-m", "citefrac.cli",
             "ingest", "--input", str(data_dir / "toy_good.tagged"),
             "--out", str(tmp_path / "out"),
         ],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "corpus.jsonl").is_file()

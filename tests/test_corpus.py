@@ -220,6 +220,16 @@ class TestAggregateTable:
         with pytest.raises(NonNumericCell):
             load_aggregate_table(text)
 
+    def test_missing_cells(self):
+        text = "unit,P,IC3,FC3,IC5,FC5\nDep Y,5,1,1,1,1\nDep X,5,1,1\n"
+        with pytest.raises(NonNumericCell, match="line 3"):
+            load_aggregate_table(text)
+
+    def test_duplicate_unit_rejected(self):
+        text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n"
+        with pytest.raises(DuplicateId, match="line 4"):
+            load_aggregate_table(text)
+
     def test_ratio_identity_exact(self, table1_rows):
         for row in table1_rows:
             assert row.icp5 - row.ic5 / row.p == 0

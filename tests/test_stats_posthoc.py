@@ -72,6 +72,15 @@ class TestStudentizedRange:
         with pytest.raises(ValueError):
             studentized_range_quantile(0.05, 1, 10)
 
+    def test_nan_arguments_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            studentized_range_cdf(nan, 3, 10)
+        with pytest.raises(ValueError):
+            studentized_range_cdf(2.0, 3, nan)
+        with pytest.raises(ValueError):
+            studentized_range_quantile(0.05, 3, nan)
+
     def test_no_convergence_raises(self):
         with pytest.raises(ConvergenceFailure):
             studentized_range_quantile(0.05, 3, 10, max_iter=1)
