@@ -102,6 +102,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if not m["input"]:
         raise UsageError("--input is required")
     windows = [_parse_window(w) for w in (m["window"] or [])]
+    for i, window in enumerate(windows):
+        if window in windows[:i]:
+            raise UsageError(f"window {window.label()} given twice")
     py = None
     try:
         if m["py"]:

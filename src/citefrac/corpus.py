@@ -307,15 +307,25 @@ def load_canonical(stream: IO[str] | str) -> Corpus:
         if rec_id in seen:
             raise DuplicateId(f"duplicate id {rec_id!r} at line {lineno}")
         seen.add(rec_id)
-        rec = PublicationRecord(
-            id=rec_id,
-            year=int(obj["year"]),
-            doctype=obj.get("doctype") or ARTICLE,
-            addresses=tuple(obj.get("addresses") or ()),
-            nrefs=obj.get("nrefs"),
-            cited_ids=tuple(obj.get("cites") or ()),
-            doi=obj.get("doi"),
-        )
+        nrefs = obj.get("nrefs")
+        if not (nrefs is None or isinstance(nrefs, int)):
+            raise MalformedField(
+                f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
+            )
+        try:
+            rec = PublicationRecord(
+                id=rec_id,
+                year=int(obj["year"]),
+                doctype=obj.get("doctype") or ARTICLE,
+                addresses=tuple(obj.get("addresses") or ()),
+                nrefs=nrefs,
+                cited_ids=tuple(obj.get("cites") or ()),
+                doi=obj.get("doi"),
+            )
+        except KeyError as exc:
+            raise MalformedField(f"record {rec_id!r} has no {exc} field", lineno) from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
         if side in ("cited", "both"):
             cited.append(rec)
         if side in ("citing", "both"):
@@ -402,6 +412,12 @@ def load_aggregate_table(stream: IO[str] | str) -> list[UnitRow]:
     seen: set[str] = set()
     for raw in reader:
         lineno = reader.line_num
+        if None in raw:
+            raise MalformedField(
+                f"row has {len(_AGGREGATE_COLUMNS) + len(raw[None])} cells, "
+                f"the header {len(_AGGREGATE_COLUMNS)}",
+                lineno,
+            )
         try:
             p = int(raw["P"])
             counts = {c.lower(): Fraction(raw[c]) for c in _AGGREGATE_COLUMNS[2:]}

@@ -47,11 +47,20 @@ class NonPositiveP(ParseError):
 # -- query language --------------------------------------------------------
 
 class QuerySyntaxError(CitefracError):
-    """Syntax error in an address query; carries the character position."""
+    """Syntax error in an address query; carries the character position.
 
-    def __init__(self, message: str, position: int):
+    For a query read from a units file, ``line`` is its 1-based line and
+    ``position`` the 0-based offset within that line.
+    """
+
+    def __init__(self, message: str, position: int, line: int | None = None):
+        self.message = message
         self.position = position
-        super().__init__(f"at position {position}: {message}")
+        self.line = line
+        where = f"at position {position}"
+        if line is not None:
+            where = f"line {line}, column {position + 1}"
+        super().__init__(f"{where}: {message}")
 
 
 class UnknownUnitInMinus(CitefracError):

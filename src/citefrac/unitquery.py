@@ -12,10 +12,26 @@ meaningful inside an ``ad=(...)`` scope and requires both operands to hold
 within one and the same address string. Phrases match as consecutive token
 runs against normalized address strings (lowercased, punctuation stripped,
 whitespace collapsed), so a phrase may cross comma boundaries.
+
+Queries are evaluated as set algebra over a positional inverted index of
+the records' addresses (token -> (address, position) postings), built once
+per ``assign_units`` call. A phrase is the set of addresses whose postings,
+shifted by each token's offset in the phrase, line up. Evaluation has two
+levels:
+
+* record level, outside SAME: ``py=`` gives the records of that year, a
+  phrase or a SAME gives the records owning a matching address, and
+  AND/OR/NOT are intersection, union and difference of record sets, so
+  ``ad=(china not taiwan)`` needs some address with china and no address
+  with taiwan;
+* address level, inside SAME: SAME and AND are intersection, OR union and
+  NOT difference of address sets, so ``x same (china not taiwan)`` needs
+  one address with x and china and without taiwan.
 """
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -275,52 +291,77 @@ def normalize_address(address: str) -> tuple[str, ...]:
     return tuple(_PUNCT_RE.sub(" ", address).lower().split())
 
 
-def _phrase_in(tokens: tuple[str, ...], address: tuple[str, ...]) -> bool:
-    n = len(tokens)
-    return any(address[i : i + n] == tokens for i in range(len(address) - n + 1))
+class _AddressIndex:
+    """Positional inverted index over the addresses of a set of records.
 
+    Holds token -> [(address id, position)], address id -> record id and
+    year -> record ids. A query evaluates to a set of record ids: outside
+    SAME by set algebra on record ids, inside SAME on address ids.
+    """
 
-def _match_address(node: Node, address: tuple[str, ...]) -> bool:
-    """Evaluate an ad-scope expression against a single address string."""
-    if isinstance(node, Phrase):
-        return _phrase_in(node.tokens, address)
-    if isinstance(node, Same):
-        return _match_address(node.left, address) and _match_address(node.right, address)
-    if isinstance(node, And):
-        return _match_address(node.left, address) and _match_address(node.right, address)
-    if isinstance(node, Or):
-        return _match_address(node.left, address) or _match_address(node.right, address)
-    if isinstance(node, Not):
-        return _match_address(node.left, address) and not _match_address(node.right, address)
-    raise TypeError(f"{type(node).__name__} cannot appear inside an address scope")
+    def __init__(self, records: Iterable[PublicationRecord]):
+        self._postings: dict[str, list[tuple[int, int]]] = defaultdict(list)
+        self._owner: list[str] = []
+        self._by_year: dict[int, set[str]] = defaultdict(set)
+        self._phrases: dict[tuple[str, ...], frozenset[int]] = {}
+        for rec in records:
+            self._by_year[rec.year].add(rec.id)
+            for address in rec.addresses:
+                address_id = len(self._owner)
+                self._owner.append(rec.id)
+                for position, token in enumerate(normalize_address(address)):
+                    self._postings[token].append((address_id, position))
+
+    def _phrase(self, tokens: tuple[str, ...]) -> frozenset[int]:
+        """Ids of the addresses holding `tokens` as a consecutive run."""
+        found = self._phrases.get(tokens)
+        if found is None:
+            # Start positions of the run: each later token's postings,
+            # shifted back by its offset in the phrase, must hold them too.
+            starts = set(self._postings.get(tokens[0], ()))
+            for offset, token in enumerate(tokens[1:], start=1):
+                if not starts:
+                    break
+                starts &= {(a, p - offset) for a, p in self._postings.get(token, ())}
+            found = self._phrases[tokens] = frozenset(a for a, _ in starts)
+        return found
+
+    def _addresses(self, node: Node) -> frozenset[int]:
+        """Ids of the addresses that satisfy an ad-scope expression alone."""
+        if isinstance(node, Phrase):
+            return self._phrase(node.tokens)
+        if isinstance(node, (Same, And)):
+            return self._addresses(node.left) & self._addresses(node.right)
+        if isinstance(node, Or):
+            return self._addresses(node.left) | self._addresses(node.right)
+        if isinstance(node, Not):
+            return self._addresses(node.left) - self._addresses(node.right)
+        raise TypeError(f"{type(node).__name__} cannot appear inside an address scope")
+
+    def records(self, node: Node) -> set[str]:
+        """Ids of the records that satisfy a query."""
+        if isinstance(node, YearEquals):
+            return set(self._by_year.get(node.year, ()))
+        if isinstance(node, FieldScope):
+            return self.records(node.expr)
+        if isinstance(node, Phrase):
+            return {self._owner[a] for a in self._phrase(node.tokens)}
+        if isinstance(node, Same):
+            # Both sides must hold within one and the same address string.
+            both = self._addresses(node.left) & self._addresses(node.right)
+            return {self._owner[a] for a in both}
+        if isinstance(node, And):
+            return self.records(node.left) & self.records(node.right)
+        if isinstance(node, Or):
+            return self.records(node.left) | self.records(node.right)
+        if isinstance(node, Not):
+            return self.records(node.left) - self.records(node.right)
+        raise TypeError(f"unknown node type {type(node).__name__}")
 
 
 def match_record(node: Node, rec: PublicationRecord) -> bool:
     """Decide whether a record satisfies a query. Total function."""
-    addresses = [normalize_address(a) for a in rec.addresses]
-    return _match(node, rec, addresses)
-
-
-def _match(node: Node, rec: PublicationRecord, addresses: list[tuple[str, ...]]) -> bool:
-    if isinstance(node, YearEquals):
-        return rec.year == node.year
-    if isinstance(node, FieldScope):
-        return _match(node.expr, rec, addresses)
-    if isinstance(node, Phrase):
-        return any(_phrase_in(node.tokens, a) for a in addresses)
-    if isinstance(node, Same):
-        # Both sides must hold within one and the same address string.
-        return any(
-            _match_address(node.left, a) and _match_address(node.right, a)
-            for a in addresses
-        )
-    if isinstance(node, And):
-        return _match(node.left, rec, addresses) and _match(node.right, rec, addresses)
-    if isinstance(node, Or):
-        return _match(node.left, rec, addresses) or _match(node.right, rec, addresses)
-    if isinstance(node, Not):
-        return _match(node.left, rec, addresses) and not _match(node.right, rec, addresses)
-    raise TypeError(f"unknown node type {type(node).__name__}")
+    return bool(_AddressIndex([rec]).records(node))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +411,13 @@ def parse_unit_definitions(text: str) -> list[UnitDefinition]:
             raise QuerySyntaxError(f"line {lineno}: duplicate unit {name!r}", 0)
         seen.add(name)
         query_text, minus = _split_minus(rhs)
-        defs.append(UnitDefinition(name, parse_query(query_text), tuple(minus)))
+        try:
+            query = parse_query(query_text)
+        except QuerySyntaxError as exc:
+            # The query text starts right after the first ':=' of the raw line.
+            offset = raw.index(":=") + 2 + exc.position
+            raise QuerySyntaxError(exc.message, offset, lineno) from None
+        defs.append(UnitDefinition(name, query, tuple(minus)))
     return defs
 
 
@@ -385,11 +432,8 @@ def assign_units(
     """
     defs = list(defs)
     by_name: Mapping[str, UnitDefinition] = {d.name: d for d in defs}
-    base: dict[str, frozenset[str]] = {}
-    for d in defs:
-        base[d.name] = frozenset(
-            rec.id for rec in corpus.cited.values() if match_record(d.query, rec)
-        )
+    index = _AddressIndex(corpus.cited.values())
+    base = {d.name: frozenset(index.records(d.query)) for d in defs}
 
     resolved: dict[str, frozenset[str]] = {}
     in_progress: set[str] = set()

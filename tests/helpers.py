@@ -1,5 +1,6 @@
 """Shared test utilities: random corpora, brute-force counting oracle,
-random query ASTs, scalar studentized-range oracle."""
+random query ASTs, per-record query-matching oracle, scalar
+studentized-range oracle."""
 from __future__ import annotations
 
 import math
@@ -123,6 +124,60 @@ def random_record(rng: random.Random) -> PublicationRecord:
         year=rng.randint(1990, 2020),
         addresses=addresses,
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-record query-matching oracle: walks the AST once per record and scans
+# every normalized address for each phrase, with no index.
+# ---------------------------------------------------------------------------
+
+
+def _phrase_in(tokens: tuple[str, ...], address: tuple[str, ...]) -> bool:
+    n = len(tokens)
+    return any(address[i : i + n] == tokens for i in range(len(address) - n + 1))
+
+
+def _match_address(node: uq.Node, address: tuple[str, ...]) -> bool:
+    """Evaluate an ad-scope expression against a single address string."""
+    if isinstance(node, uq.Phrase):
+        return _phrase_in(node.tokens, address)
+    if isinstance(node, uq.Same):
+        return _match_address(node.left, address) and _match_address(node.right, address)
+    if isinstance(node, uq.And):
+        return _match_address(node.left, address) and _match_address(node.right, address)
+    if isinstance(node, uq.Or):
+        return _match_address(node.left, address) or _match_address(node.right, address)
+    if isinstance(node, uq.Not):
+        return _match_address(node.left, address) and not _match_address(node.right, address)
+    raise TypeError(f"{type(node).__name__} cannot appear inside an address scope")
+
+
+def reference_match_record(node: uq.Node, rec: PublicationRecord) -> bool:
+    """Decide whether a record satisfies a query. Total function."""
+    addresses = [uq.normalize_address(a) for a in rec.addresses]
+    return _match(node, rec, addresses)
+
+
+def _match(node: uq.Node, rec: PublicationRecord, addresses: list[tuple[str, ...]]) -> bool:
+    if isinstance(node, uq.YearEquals):
+        return rec.year == node.year
+    if isinstance(node, uq.FieldScope):
+        return _match(node.expr, rec, addresses)
+    if isinstance(node, uq.Phrase):
+        return any(_phrase_in(node.tokens, a) for a in addresses)
+    if isinstance(node, uq.Same):
+        # Both sides must hold within one and the same address string.
+        return any(
+            _match_address(node.left, a) and _match_address(node.right, a)
+            for a in addresses
+        )
+    if isinstance(node, uq.And):
+        return _match(node.left, rec, addresses) and _match(node.right, rec, addresses)
+    if isinstance(node, uq.Or):
+        return _match(node.left, rec, addresses) or _match(node.right, rec, addresses)
+    if isinstance(node, uq.Not):
+        return _match(node.left, rec, addresses) and not _match(node.right, rec, addresses)
+    raise TypeError(f"unknown node type {type(node).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,12 @@ class TestConfigAndValidation:
 
     @pytest.mark.parametrize(
         "rows",
-        ["Dep X,5,1,1\n", "A,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n"],
-        ids=["missing_cells", "duplicate_unit"],
+        [
+            "Dep X,5,1,1\n",
+            "A,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n",
+            "A,5,1,1,1,1\nB,5,2,1,2,1\nDep Extra,5,1,1,1,1,9\n",
+        ],
+        ids=["missing_cells", "duplicate_unit", "extra_cell"],
     )
     def test_bad_aggregate_table_usage_exit(self, tmp_path, capsys, rows):
         table = tmp_path / "table.csv"
@@ -258,6 +262,50 @@ class TestConfigAndValidation:
         )
         assert code == 2
         assert "line " in capsys.readouterr().err
+
+    def test_repeated_window_usage_exit(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            "count", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--window", "2005:2009", "--out", str(out),
+        )
+        assert code == 2
+        assert "window 2005-2009 given twice" in capsys.readouterr().err
+        assert not (out / "aggregates.csv").exists()
+
+    def test_units_syntax_error_names_line_and_column(self, data_dir, tmp_path, capsys):
+        units = tmp_path / "units.txt"
+        units.write_text("Good := ad=(x)\nBad := ad=(x and)\n", encoding="utf-8")
+        code = run(
+            "assign", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(units), "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "line 2, column 17: unexpected ')'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": "Z", "side": "cited", "year": 0}',
+            '{"id": "Z", "side": "cited"}',
+            '{"id": "Z", "side": "citing", "year": 2006, "nrefs": "x"}',
+        ],
+        ids=["year_zero", "missing_year", "nrefs_not_integer"],
+    )
+    def test_bad_canonical_record_usage_exit(self, data_dir, tmp_path, capsys, record):
+        lines = (data_dir / "toy_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines + [record]) + "\n", encoding="utf-8")
+        code = run(
+            "count", "--input", str(corpus),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}:" in err
+        assert "internal error" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert run("ingest", "--input", "x", "--config", str(tmp_path / "no.cfg")) == 2

@@ -146,6 +146,21 @@ class TestCanonical:
         with pytest.raises(DuplicateId):
             load_canonical(lines)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id": "Z", "side": "cited", "year": 0}', "year must be positive"),
+            ('{"id": "Z", "side": "both"}', "has no 'year' field"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": "x"}', "nrefs must be an integer"),
+            ('{"id": "Z", "side": "citing", "year": "x"}', "invalid literal"),
+        ],
+        ids=["year_zero", "missing_year", "nrefs_not_integer", "year_not_integer"],
+    )
+    def test_bad_record_carries_line(self, record, message):
+        lines = '{"id": "A", "side": "cited", "year": 2005}\n\n' + record + "\n"
+        with pytest.raises(MalformedField, match=f"line 3: .*{message}"):
+            load_canonical(lines)
+
     def test_round_trip_small(self):
         corpus = build_corpus(
             [PublicationRecord(id="A", year=2005, addresses=("Univ X, City",))],
@@ -223,6 +238,11 @@ class TestAggregateTable:
     def test_missing_cells(self):
         text = "unit,P,IC3,FC3,IC5,FC5\nDep Y,5,1,1,1,1\nDep X,5,1,1\n"
         with pytest.raises(NonNumericCell, match="line 3"):
+            load_aggregate_table(text)
+
+    def test_extra_cell(self):
+        text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nDep Extra,5,1,1,1,1,9\n"
+        with pytest.raises(MalformedField, match="line 4: row has 7 cells, the header 6"):
             load_aggregate_table(text)
 
     def test_duplicate_unit_rejected(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from citefrac.unitquery import (
     parse_unit_definitions,
     to_text,
 )
-from helpers import random_ast, random_record
+from helpers import random_ast, random_record, reference_match_record
 
 
 def rec(*addresses, year=2005):
@@ -166,6 +167,53 @@ class TestMatch:
         for _ in range(1000):
             ast = random_ast(rng)
             assert parse_query(to_text(ast)) == ast
+
+
+class TestIndexEvaluator:
+    """The address-index evaluator against the per-record oracle."""
+
+    CHINA_TAIWAN = rec("Tsinghua Univ, Dep Phys, Beijing, China", "Taipei, Taiwan")
+
+    def test_equals_reference_on_random_cases(self):
+        rng = random.Random(11)
+        hits = 0
+        for _ in range(2000):
+            records = [
+                dataclasses.replace(random_record(rng), id=f"R{i}")
+                for i in range(rng.randint(0, 6))
+            ]
+            ast = random_ast(rng)
+            want = {r.id for r in records if reference_match_record(ast, r)}
+            assignment = assign_units(
+                build_corpus(records, []), [UnitDefinition("U", ast)]
+            )
+            assert assignment["U"] == want, to_text(ast)
+            for r in records:
+                assert match_record(ast, r) == (r.id in want), to_text(ast)
+            hits += len(want)
+        assert hits > 100  # matches, not only misses, were compared
+
+    def test_not_at_record_level_spans_addresses(self):
+        # Some address has china, but another one has taiwan.
+        ast = parse_query("ad=(china not taiwan)")
+        assert not match_record(ast, self.CHINA_TAIWAN)
+
+    def test_not_inside_same_is_per_address(self):
+        ast = parse_query("ad=(dep phys same (china not taiwan))")
+        assert match_record(ast, self.CHINA_TAIWAN)
+
+    def test_phrase_across_comma_matches(self):
+        assert match_record(parse_query("ad=(phys beijing)"), self.CHINA_TAIWAN)
+
+    def test_phrase_split_across_addresses_does_not_match(self):
+        # "china" ends the first address and "taipei" starts the second.
+        assert not match_record(parse_query("ad=(china taipei)"), self.CHINA_TAIWAN)
+
+    def test_repeated_token_needs_consecutive_run(self):
+        ast = parse_query("ad=(univ univ)")
+        assert match_record(ast, rec("Univ Univ Lab, Beijing"))
+        assert not match_record(ast, rec("Univ Lab, Univ Beijing"))
+        assert not match_record(ast, rec("Univ Lab", "Univ Beijing"))
 
 
 class TestDefinitionsAndAssignment:
