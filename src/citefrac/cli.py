@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error. A flat
 ``key = value`` config file can pre-set any flag; flags given on the
-command line override the file.
+command line override the file. A subcommand computes its whole output
+tree before ``main`` writes any of it, so a failed run writes no file.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .corpus import (
     write_canonical,
 )
 from .counting import Window, aggregate_units, paper_scores, per_paper_samples
-from .errors import CitefracError
+from .errors import CitefracError, NonNumericCell
 from .stats import correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova
 from .unitquery import assign_units, parse_unit_definitions
 
@@ -62,6 +63,19 @@ def _parse_window(text: str) -> Window:
         raise UsageError(f"invalid window {text!r}, expected START:END") from exc
 
 
+def _parse_windows(value: str | list[str]) -> list[Window]:
+    """Repeated --window flags, or a config file's comma-separated list."""
+    if isinstance(value, str):
+        value = [text for text in value.split(",") if text.strip()]
+    windows: list[Window] = []
+    for text in value:
+        window = _parse_window(text)
+        if window in windows:
+            raise UsageError(f"window {window.label()} given twice")
+        windows.append(window)
+    return windows
+
+
 def _read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     for raw in path.read_text(encoding="utf-8").splitlines():
@@ -75,140 +89,117 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _merged(args: argparse.Namespace) -> dict[str, str | list[str] | bool | None]:
-    """Flag values with config-file fallback; flags always win."""
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {path}")
-        config = _read_config_file(path)
-    merged: dict = {}
-    for key in ("input", "format", "units", "py", "min_pubs", "alpha", "out"):
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else config.get(key)
-    windows = getattr(args, "window", None)
-    if windows is None and "window" in config:
-        windows = [w.strip() for w in config["window"].split(",") if w.strip()]
-    merged["window"] = windows
-    merged["strict"] = bool(getattr(args, "strict", False)) or (
-        config.get("strict", "").lower() in ("1", "true", "yes")
-    )
-    return merged
+# Setting (flag dest and config-file key) -> (RunConfig field, parser of a
+# flag value or of a config-file string).
+_SETTINGS = {
+    "input": ("input", Path),
+    "format": ("format", str),
+    "units": ("units", Path),
+    "py": ("py", lambda v: frozenset(int(y) for y in v.split(",") if y.strip())),
+    "window": ("windows", _parse_windows),
+    "min_pubs": ("min_pubs", int),
+    "alpha": ("alpha", float),
+    "out": ("out", Path),
+    "strict": ("strict", lambda v: str(v).lower() in ("1", "true", "yes")),
+}
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    m = _merged(args)
-    if not m["input"]:
+    """Resolve every setting once: a flag wins over the --config file, and a
+    setting given neither way (or given empty) keeps its RunConfig default.
+    The file the subcommand reads must exist."""
+    given: dict = {}
+    if args.config:
+        path = Path(args.config)
+        if not path.is_file():
+            raise UsageError(f"config file not found: {path}")
+        given = _read_config_file(path)
+    for key in _SETTINGS:
+        flag = getattr(args, key)
+        if flag is not None:
+            given[key] = flag
+    if getattr(args, "aggregate_table", None):
+        given["input"] = args.aggregate_table
+    if not given.get("input"):
         raise UsageError("--input is required")
-    windows = [_parse_window(w) for w in (m["window"] or [])]
-    for i, window in enumerate(windows):
-        if window in windows[:i]:
-            raise UsageError(f"window {window.label()} given twice")
-    py = None
+    if not Path(given["input"]).is_file():
+        raise UsageError(f"input file not found: {given['input']}")
     try:
-        if m["py"]:
-            py = frozenset(int(y) for y in str(m["py"]).split(",") if y.strip())
-        alpha = float(m["alpha"]) if m["alpha"] is not None else 0.05
-        min_pubs = int(m["min_pubs"]) if m["min_pubs"] is not None else 5
+        settings = {
+            name: parse(given[key])
+            for key, (name, parse) in _SETTINGS.items()
+            if given.get(key) not in (None, "")
+        }
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return RunConfig(
-        input=Path(m["input"]),
-        format=m["format"] or "canonical",
-        units=Path(m["units"]) if m["units"] else None,
-        py=py,
-        windows=windows,
-        min_pubs=min_pubs,
-        alpha=alpha,
-        out=Path(m["out"]) if m["out"] else Path("out"),
-        strict=m["strict"],
-    )
+    return RunConfig(**settings)
 
 
-def _load_corpus(config: RunConfig) -> Corpus:
-    if not config.input.is_file():
-        raise UsageError(f"input file not found: {config.input}")
+def _load_corpus(config: RunConfig, fmt: str) -> Corpus:
     text = config.input.read_text(encoding="utf-8")
-    if config.format == "tagged":
-        result = parse_tagged(text)
-        if result.errors:
-            if config.strict:
-                raise UsageError(f"parse errors: {result.errors[0]}")
-            print(f"warning: {len(result.errors)} record(s) rejected", file=sys.stderr)
-        # A tagged file carries one population; records that cite into the
-        # set act as citing-side documents as well.
-        records = result.records
-        return_corpus = _corpus_from_records(records)
-        return return_corpus
-    if config.format == "canonical":
+    if fmt == "canonical":
         return load_canonical(text)
-    raise UsageError(f"unsupported corpus format {config.format!r}")
-
-
-def _corpus_from_records(records) -> Corpus:
+    if fmt != "tagged":
+        raise UsageError(f"unsupported corpus format {fmt!r}")
+    # Looked up at call time, so that a rebound corpus.build_corpus (the
+    # traced benchmark wraps it) is the one called.
     from .corpus import build_corpus
 
-    ids = {r.id for r in records}
-    cited = records
-    citing = [r for r in records if any(c in ids for c in r.cited_ids)]
-    return build_corpus(cited, citing)
+    result = parse_tagged(text)
+    if result.errors and config.strict:
+        for err in result.errors:
+            print(f"error: {err}", file=sys.stderr)
+        raise UsageError(f"{len(result.errors)} record(s) rejected under --strict")
+    print(
+        f"ingested {len(result.records)} record(s), "
+        f"rejected {len(result.errors)}",
+        file=sys.stderr,
+    )
+    # A tagged file carries one population; records that cite into the
+    # set act as citing-side documents as well.
+    ids = {r.id for r in result.records}
+    citing = [r for r in result.records if any(c in ids for c in r.cited_ids)]
+    return build_corpus(result.records, citing)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _unit_definitions(config: RunConfig):
+    if config.units is None or not config.units.is_file():
+        raise UsageError("--units file is required and must exist")
+    return parse_unit_definitions(config.units.read_text(encoding="utf-8"))
 
 
-def _write_manifest(config: RunConfig, inputs: list[Path]) -> None:
+def _manifest(config: RunConfig, inputs: list[Path]) -> str:
     lines = []
     for path in sorted(inputs):
-        lines.append(f"input {path.name} sha256={_sha256(path)}")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"input {path.name} sha256={digest}")
     lines.append(f"format = {config.format}")
     lines.append(f"min_pubs = {config.min_pubs}")
     lines.append(f"alpha = {config.alpha}")
     lines.append("windows = " + ",".join(w.label() for w in config.windows))
     if config.py:
         lines.append("py = " + ",".join(str(y) for y in sorted(config.py)))
-    report.write_text(config.out / "manifest.txt", "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each maps the resolved RunConfig to its output tree, a dict of
+# file name -> text. Only main writes the tree, once it is complete.
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if not config.input.is_file():
-        raise UsageError(f"input file not found: {config.input}")
-    result = parse_tagged(config.input.read_text(encoding="utf-8"))
-    if result.errors and config.strict:
-        for err in result.errors:
-            print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    corpus = _corpus_from_records(result.records)
-    report.write_text(config.out / "corpus.jsonl", write_canonical(corpus))
-    print(
-        f"ingested {len(result.records)} record(s), "
-        f"rejected {len(result.errors)}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+def cmd_ingest(config: RunConfig) -> dict[str, str]:
+    return {"corpus.jsonl": write_canonical(_load_corpus(config, "tagged"))}
 
 
-def cmd_assign(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if config.units is None or not config.units.is_file():
-        raise UsageError("--units file is required and must exist")
-    corpus = _load_corpus(config)
-    defs = parse_unit_definitions(config.units.read_text(encoding="utf-8"))
-    assignment = assign_units(corpus, defs)
+def cmd_assign(config: RunConfig) -> dict[str, str]:
+    defs = _unit_definitions(config)
+    assignment = assign_units(_load_corpus(config, config.format), defs)
     lines = ["unit,paper_id"]
     for unit in sorted(assignment):
         for pid in sorted(assignment[unit]):
             lines.append(f"{unit},{pid}")
-    report.write_text(config.out / "assignment.csv", "\n".join(lines) + "\n")
-    return EXIT_OK
+    return {"assignment.csv": "\n".join(lines) + "\n"}
 
 
 def _label(window: Window) -> str:
@@ -226,14 +217,13 @@ def _aggregate_keys(suffixes: list[str]) -> list[tuple[str, bool]]:
     ]
 
 
-def _count_pipeline(config: RunConfig, corpus: Corpus):
-    """Assign, count every window, and write aggregates.csv: one row per
-    kept unit with its ic_<window> and fc_<window> totals."""
-    if config.units is None or not config.units.is_file():
-        raise UsageError("--units file is required and must exist")
+def _count_pipeline(config: RunConfig, tree: dict[str, str]):
+    """Load, assign, count every window, and add aggregates.csv to the tree:
+    one row per kept unit with its ic_<window> and fc_<window> totals."""
     if not config.windows:
         raise UsageError("at least one --window is required")
-    defs = parse_unit_definitions(config.units.read_text(encoding="utf-8"))
+    defs = _unit_definitions(config)
+    corpus = _load_corpus(config, config.format)
     assignment = assign_units(corpus, defs)
 
     per_window = {}
@@ -253,34 +243,27 @@ def _count_pipeline(config: RunConfig, corpus: Corpus):
         }
         rows.append(UnitRow(per_unit[0].unit, per_unit[0].p, counts))
     keys = _aggregate_keys([f"_{_label(window)}" for window in config.windows])
-    report.write_text(
-        config.out / "aggregates.csv", report.format_aggregates_csv(rows, keys)
-    )
+    tree["aggregates.csv"] = report.format_aggregates_csv(rows, keys)
     return assignment, per_window, rows
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    corpus = _load_corpus(config)
-    assignment, per_window, _ = _count_pipeline(config, corpus)
+def cmd_count(config: RunConfig) -> dict[str, str]:
+    tree: dict[str, str] = {}
+    assignment, per_window, _ = _count_pipeline(config, tree)
     for window, (scores, agg) in per_window.items():
         label = _label(window)
-        report.write_text(
-            config.out / f"scores_{label}.csv",
-            counting.export_scores_csv(scores, assignment),
-        )
+        tree[f"scores_{label}.csv"] = counting.export_scores_csv(scores, assignment)
         if agg.skipped_units:
             lines = ["unit,p"] + [f"{u},{p}" for u, p in agg.skipped_units]
-            report.write_text(
-                config.out / f"skipped_units_{label}.csv", "\n".join(lines) + "\n"
-            )
-    _write_manifest(config, [config.input, config.units])
-    return EXIT_OK
+            tree[f"skipped_units_{label}.csv"] = "\n".join(lines) + "\n"
+    tree["manifest.txt"] = _manifest(config, [config.input, config.units])
+    return tree
 
 
 def _load_samples_csv(path: Path) -> dict[str, list[float]]:
     """Read per-paper samples from a scores export (unit, fc_decimal)."""
     import csv as _csv
+    import math
 
     groups: dict[str, list[float]] = {}
     with path.open(encoding="utf-8") as fh:
@@ -291,11 +274,23 @@ def _load_samples_csv(path: Path) -> dict[str, list[float]]:
         if value_col not in reader.fieldnames:
             raise UsageError(f"samples file {path} lacks a value column")
         for row in reader:
-            groups.setdefault(row["unit"], []).append(float(row[value_col]))
+            try:
+                value = float(row[value_col])
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise NonNumericCell(
+                    f"{value_col} {row[value_col]!r} in {path.name} is not a "
+                    "finite number",
+                    reader.line_num,
+                )
+            groups.setdefault(row["unit"], []).append(value)
     return groups
 
 
-def _stats_battery(groups: dict[str, list[float]], alpha: float, outdir: Path) -> None:
+def _stats_battery(
+    tree: dict[str, str], groups: dict[str, list[float]], alpha: float
+) -> None:
     ordered = [groups[name] for name in sorted(groups)]
     lines = ["method,statistic,df,p_value"]
     kw = kruskal_wallis(ordered)
@@ -304,32 +299,29 @@ def _stats_battery(groups: dict[str, list[float]], alpha: float, outdir: Path) -
     lines.append(f"levene,{lv.statistic:.6f},{lv.df[0]}:{lv.df[1]},{lv.p_value:.6g}")
     av = one_way_anova(ordered)
     lines.append(f"anova,{av.statistic:.6f},{av.df[0]}:{av.df[1]},{av.p_value:.6g}")
-    report.write_text(outdir / "tests.csv", "\n".join(lines) + "\n")
+    tree["tests.csv"] = "\n".join(lines) + "\n"
 
     decisions = dunnett_c(groups, alpha=alpha)
-    report.write_text(outdir / "pairwise.csv", report.format_decisions_csv(decisions))
+    tree["pairwise.csv"] = report.format_decisions_csv(decisions)
     graph = report.build_homogeneity_graph(decisions)
-    report.write_text(outdir / "homogeneity.dot", report.emit_graph_dot(graph))
+    tree["homogeneity.dot"] = report.emit_graph_dot(graph)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if not config.input.is_file():
-        raise UsageError(f"samples file not found: {config.input}")
-    groups = _load_samples_csv(config.input)
-    _stats_battery(groups, config.alpha, config.out)
-    _write_manifest(config, [config.input])
-    return EXIT_OK
+def cmd_stats(config: RunConfig) -> dict[str, str]:
+    tree: dict[str, str] = {}
+    _stats_battery(tree, _load_samples_csv(config.input), config.alpha)
+    tree["manifest.txt"] = _manifest(config, [config.input])
+    return tree
 
 
-def _write_unit_reports(
-    out: Path,
+def _unit_reports(
+    tree: dict[str, str],
     rows: list[UnitRow],
     ranked: list[str],
     changes: dict[str, tuple[str, str, str, str]],
     correlations: dict[str, str],
 ) -> None:
-    """Rankings, rank changes and correlations of one unit table.
+    """Add the rankings, rank changes and correlations of one unit table.
 
     `ranked` names the columns to rank; `changes` maps a rank-change file
     name to (from column, to column, from label, to label); `correlations`
@@ -338,13 +330,10 @@ def _write_unit_reports(
     """
     rankings = {key: report.rank_units(rows, key) for key in ranked}
     for key, ranking in rankings.items():
-        text = report.format_ranking_csv(ranking)
-        report.write_text(out / f"ranking_{key}.csv", text)
+        tree[f"ranking_{key}.csv"] = report.format_ranking_csv(ranking)
     for name, (from_key, to_key, from_label, to_label) in changes.items():
         deltas = report.rank_change(rankings[from_key], rankings[to_key])
-        report.write_text(
-            out / name, report.format_rank_changes_csv(deltas, from_label, to_label)
-        )
+        tree[name] = report.format_rank_changes_csv(deltas, from_label, to_label)
     if len(rows) >= 3:
         matrix = correlation_matrix(
             {
@@ -352,19 +341,16 @@ def _write_unit_reports(
                 for label, key in correlations.items()
             }
         )
-        text = report.format_correlation_csv(matrix)
-        report.write_text(out / "correlations.csv", text)
+        tree["correlations.csv"] = report.format_correlation_csv(matrix)
 
 
-def _table_reports(config: RunConfig, table_path: Path) -> None:
+def cmd_report(config: RunConfig) -> dict[str, str]:
     """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
-    rows = load_aggregate_table(table_path.read_text(encoding="utf-8"))
+    rows = load_aggregate_table(config.input.read_text(encoding="utf-8"))
     keys = _aggregate_keys(["3", "5"])
-    report.write_text(
-        config.out / "aggregates.csv", report.format_aggregates_csv(rows, keys)
-    )
-    _write_unit_reports(
-        config.out,
+    tree = {"aggregates.csv": report.format_aggregates_csv(rows, keys)}
+    _unit_reports(
+        tree,
         rows,
         ranked=[key for key, _ in keys] + ["p"],
         changes={
@@ -379,33 +365,20 @@ def _table_reports(config: RunConfig, table_path: Path) -> None:
             "FC (3y)": "fc3", "FC (5y)": "fc5",
         },
     )
-    _write_manifest(config, [table_path])
+    tree["manifest.txt"] = _manifest(config, [config.input])
+    return tree
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if not config.input.is_file():
-        raise UsageError(f"input file not found: {config.input}")
-    _table_reports(config, config.input)
-    return EXIT_OK
+def cmd_evaluate(config: RunConfig) -> dict[str, str]:
+    if config.format == "aggregate":
+        return cmd_report(config)
 
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    aggregate_table = getattr(args, "aggregate_table", None)
-    if aggregate_table or config.format == "aggregate":
-        table_path = Path(aggregate_table) if aggregate_table else config.input
-        if not table_path.is_file():
-            raise UsageError(f"aggregate table not found: {table_path}")
-        _table_reports(config, table_path)
-        return EXIT_OK
-
-    corpus = _load_corpus(config)
-    assignment, per_window, rows = _count_pipeline(config, corpus)
+    tree: dict[str, str] = {}
+    assignment, per_window, rows = _count_pipeline(config, tree)
     last = config.windows[-1]
     suffix = f"_{_label(last)}"
-    _write_unit_reports(
-        config.out,
+    _unit_reports(
+        tree,
         rows,
         ranked=[prefix + suffix for prefix in ("ic", "fc", "icp", "fcp")],
         changes={
@@ -428,13 +401,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         row.unit: per_paper_samples(assignment, scores, row.unit) for row in rows
     }
     if len(groups) >= 2 and all(len(g) >= 2 for g in groups.values()):
-        _stats_battery(groups, config.alpha, config.out)
-    report.write_text(
-        config.out / "scores.csv", counting.export_scores_csv(scores, assignment)
-    )
-
-    _write_manifest(config, [config.input, config.units])
-    return EXIT_OK
+        _stats_battery(tree, groups, config.alpha)
+    tree["scores.csv"] = counting.export_scores_csv(scores, assignment)
+    tree["manifest.txt"] = _manifest(config, [config.input, config.units])
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +460,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        config = _build_config(args)
+        # evaluate --aggregate-table runs the table stage, as report does.
+        command = cmd_report if getattr(args, "aggregate_table", None) else args.func
+        tree = command(config)
+        # Nothing is written until the whole tree is computed, so a run
+        # that fails leaves no files.
+        for name, text in tree.items():
+            report.write_text(config.out / name, text)
+        return EXIT_OK
     except (UsageError, CitefracError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

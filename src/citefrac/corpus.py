@@ -312,6 +312,11 @@ def load_canonical(stream: IO[str] | str) -> Corpus:
             raise MalformedField(
                 f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
             )
+        for key in ("addresses", "cites"):
+            if not isinstance(obj.get(key) or [], list):
+                raise MalformedField(
+                    f"record {rec_id!r}: {key} must be a list, got {obj[key]!r}", lineno
+                )
         try:
             rec = PublicationRecord(
                 id=rec_id,

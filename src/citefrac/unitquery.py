@@ -402,13 +402,13 @@ def parse_unit_definitions(text: str) -> list[UnitDefinition]:
         if not line:
             continue
         if ":=" not in line:
-            raise QuerySyntaxError(f"line {lineno}: missing ':='", 0)
+            raise QuerySyntaxError("missing ':='", 0, lineno)
         name, rhs = line.split(":=", 1)
         name = name.strip()
         if not name:
-            raise QuerySyntaxError(f"line {lineno}: empty unit name", 0)
+            raise QuerySyntaxError("empty unit name", 0, lineno)
         if name in seen:
-            raise QuerySyntaxError(f"line {lineno}: duplicate unit {name!r}", 0)
+            raise QuerySyntaxError(f"duplicate unit {name!r}", 0, lineno)
         seen.add(name)
         query_text, minus = _split_minus(rhs)
         try:

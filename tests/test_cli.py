@@ -192,6 +192,44 @@ class TestStatsSubcommand:
         assert methods == ["kruskal-wallis", "levene", "anova"]
 
 
+    @pytest.mark.parametrize(
+        "row", ["A,x", "A,nan", "A,inf", "A"],
+        ids=["non_numeric", "nan", "inf", "missing_value"],
+    )
+    def test_bad_samples_usage_exit(self, tmp_path, capsys, row):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"unit,value\nA,1\nA,2\nB,3\nB,4\n{row}\n", encoding="utf-8")
+        code = run("stats", "--input", str(samples), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "line 6:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestFailedRunWritesNothing:
+    def test_report_constant_column(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nC,6,3,1,3,1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = run("report", "--input", str(table), "--format", "aggregate", "--out", str(out))
+        assert code == 2
+        assert "constant input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_window_without_citations(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "1990:1991", "--min-pubs", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert "constant input" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigAndValidation:
     def test_config_file_supplies_flags(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -274,15 +312,27 @@ class TestConfigAndValidation:
         assert "window 2005-2009 given twice" in capsys.readouterr().err
         assert not (out / "aggregates.csv").exists()
 
-    def test_units_syntax_error_names_line_and_column(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Good := ad=(x)\nBad := ad=(x and)\n", "line 2, column 17: unexpected ')'"),
+            ("Good := ad=(x)\n\nBad ad=(x)\n", "line 3, column 1: missing ':='"),
+            ("Good := ad=(x)\n := ad=(y)\n", "line 2, column 1: empty unit name"),
+            ("Good := ad=(x)\nGood := ad=(y)\n", "line 2, column 1: duplicate unit 'Good'"),
+        ],
+        ids=["query", "missing_assign", "empty_name", "duplicate_name"],
+    )
+    def test_units_syntax_error_names_line_and_column(
+        self, data_dir, tmp_path, capsys, text, message
+    ):
         units = tmp_path / "units.txt"
-        units.write_text("Good := ad=(x)\nBad := ad=(x and)\n", encoding="utf-8")
+        units.write_text(text, encoding="utf-8")
         code = run(
             "assign", "--input", str(data_dir / "toy_corpus.jsonl"),
             "--units", str(units), "--out", str(tmp_path / "out"),
         )
         assert code == 2
-        assert "line 2, column 17: unexpected ')'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "record",
@@ -290,8 +340,13 @@ class TestConfigAndValidation:
             '{"id": "Z", "side": "cited", "year": 0}',
             '{"id": "Z", "side": "cited"}',
             '{"id": "Z", "side": "citing", "year": 2006, "nrefs": "x"}',
+            '{"id": "Z", "side": "cited", "year": 2005, "addresses": "Tsinghua Univ"}',
+            '{"id": "Z", "side": "citing", "year": 2006, "cites": "AB"}',
         ],
-        ids=["year_zero", "missing_year", "nrefs_not_integer"],
+        ids=[
+            "year_zero", "missing_year", "nrefs_not_integer",
+            "addresses_string", "cites_string",
+        ],
     )
     def test_bad_canonical_record_usage_exit(self, data_dir, tmp_path, capsys, record):
         lines = (data_dir / "toy_corpus.jsonl").read_text(encoding="utf-8").splitlines()

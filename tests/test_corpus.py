@@ -153,8 +153,14 @@ class TestCanonical:
             ('{"id": "Z", "side": "both"}', "has no 'year' field"),
             ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": "x"}', "nrefs must be an integer"),
             ('{"id": "Z", "side": "citing", "year": "x"}', "invalid literal"),
+            ('{"id": "Z", "side": "cited", "year": 2005, "addresses": "Tsinghua Univ"}',
+             "addresses must be a list"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "cites": "AB"}', "cites must be a list"),
         ],
-        ids=["year_zero", "missing_year", "nrefs_not_integer", "year_not_integer"],
+        ids=[
+            "year_zero", "missing_year", "nrefs_not_integer", "year_not_integer",
+            "addresses_string", "cites_string",
+        ],
     )
     def test_bad_record_carries_line(self, record, message):
         lines = '{"id": "A", "side": "cited", "year": 2005}\n\n' + record + "\n"

@@ -86,6 +86,12 @@ CASES = {
     ),
 }
 
+# The table alone is the input: the same tree as with an extra --input.
+CASES["evaluate_aggregate_table_alone"] = (
+    ["evaluate", "--aggregate-table", "table1.csv"],
+    CASES["evaluate_aggregate_table"][1],
+)
+
 FIXTURES = {"toy_corpus.jsonl", "toy_units.txt", "table1.csv"}
 
 
