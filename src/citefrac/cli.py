@@ -23,7 +23,7 @@ from .corpus import (
     write_canonical,
 )
 from .counting import Window, aggregate_units, paper_scores, per_paper_samples
-from .errors import CitefracError, NonNumericCell
+from .errors import CitefracError, MalformedField, NonNumericCell
 from .stats import correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova
 from .unitquery import assign_units, parse_unit_definitions
 
@@ -78,14 +78,23 @@ def _parse_windows(value: str | list[str]) -> list[Window]:
 
 def _read_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+            raise UsageError(
+                f"{path.name}, line {number}: config line without '=': {raw!r}"
+            )
+        raw_key, value = line.split("=", 1)
+        key = raw_key.strip().replace("-", "_")
+        if key not in _SETTINGS:
+            raise UsageError(
+                f"{path.name}, line {number}: unknown setting "
+                f"{raw_key.strip()!r} (known: {', '.join(_SETTINGS)})"
+            )
+        values[key] = value.strip()
     return values
 
 
@@ -284,6 +293,8 @@ def _load_samples_csv(path: Path) -> dict[str, list[float]]:
                     "finite number",
                     reader.line_num,
                 )
+            if not row["unit"].strip():
+                raise MalformedField(f"empty unit in {path.name}", reader.line_num)
             groups.setdefault(row["unit"], []).append(value)
     return groups
 

@@ -1,12 +1,16 @@
 """Integer and fractional citation counting over citation windows.
 
-Fractional counts accumulate exact rationals (one 1/k term per citing
-link, k = reference-list length of the citing document), so results are
-bit-identical regardless of summation order. Conversion to floating point
-happens only at reporting and statistics boundaries.
+A citing link is worth 1/k, k = reference-list length of the citing
+document. Counts are exact rationals, built from integer tallies: per
+window, each in-window link adds 1 to n[cited paper][k], and each cited
+paper then gets ic = Σ nₖ and one fc = Fraction(Σ nₖ·(L // k), L), L the
+lcm of its k values. That is the same rational as the per-link sum of
+1/k, for any summation order. Conversion to floating point happens only
+at reporting and statistics boundaries.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -82,26 +86,33 @@ def paper_scores(
             continue
         impacts[rec.id] = PaperImpact(rec.id)
 
-    skipped: list[str] = []
-    skipped_seen: set[str] = set()
+    # Only integer work per link: tallies[cited id][k] counts in-window
+    # citations from documents with k references.
+    tallies: dict[str, dict[int, int]] = {}
+    skipped: set[str] = set()
+    citing = corpus.citing
     for citing_id, cited_id in corpus.links:
         if cited_id not in impacts:
             continue
-        citing = corpus.citing[citing_id]
-        if citing.year not in window:
+        rec = citing[citing_id]
+        if rec.year not in window:
             continue
-        try:
-            weight = fractional_weight(citing)
-        except ZeroReferences:
-            if citing_id not in skipped_seen:
-                skipped_seen.add(citing_id)
-                skipped.append(citing_id)
+        k = rec.reference_count
+        if k <= 0:
+            skipped.add(citing_id)
             continue
+        by_k = tallies.setdefault(cited_id, {})
+        by_k[k] = by_k.get(k, 0) + 1
+
+    # Σ nₖ/k = Σ nₖ·(L/k) / L, L = lcm of the k values.
+    for cited_id, by_k in tallies.items():
+        common = math.lcm(*by_k)
         impact = impacts[cited_id]
-        impact.ic += 1
-        impact.fc += weight
-    skipped.sort()
-    return ScoreSet(impacts=impacts, skipped_citing=skipped)
+        impact.ic = sum(by_k.values())
+        impact.fc = Fraction(
+            sum(n * (common // k) for k, n in by_k.items()), common
+        )
+    return ScoreSet(impacts=impacts, skipped_citing=sorted(skipped))
 
 
 @dataclass

@@ -193,8 +193,8 @@ class TestStatsSubcommand:
 
 
     @pytest.mark.parametrize(
-        "row", ["A,x", "A,nan", "A,inf", "A"],
-        ids=["non_numeric", "nan", "inf", "missing_value"],
+        "row", ["A,x", "A,nan", "A,inf", "A", ",5"],
+        ids=["non_numeric", "nan", "inf", "missing_value", "empty_unit"],
     )
     def test_bad_samples_usage_exit(self, tmp_path, capsys, row):
         samples = tmp_path / "samples.csv"
@@ -361,6 +361,31 @@ class TestConfigAndValidation:
         err = capsys.readouterr().err
         assert f"line {len(lines) + 1}:" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("min_pub = 3", "run.cfg, line 3: unknown setting 'min_pub'"),
+            ("min-pubs 3", "run.cfg, line 3: config line without '='"),
+        ],
+        ids=["unknown_key", "no_equals"],
+    )
+    def test_bad_config_usage_exit(self, data_dir, tmp_path, capsys, line, message):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input = {data_dir / 'toy_corpus.jsonl'}\n"
+            "# comment lines count toward the line number\n"
+            f"{line}\n",
+            encoding="utf-8",
+        )
+        code = run(
+            "count", "--config", str(cfg), "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--out", str(out),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run("ingest", "--input", "x", "--config", str(tmp_path / "no.cfg")) == 2

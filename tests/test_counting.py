@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -206,15 +208,54 @@ class TestCountingProperties:
 
     def test_brute_force_oracle_equivalence(self):
         rng = random.Random(34)
-        window = Window(2005, 2008)
+        # (1990, 1991) holds no citing year of random_corpus, so no link.
+        windows = [Window(1990, 1991), Window(2005, 2005), Window(2005, 2008),
+                   Window(2004, 2011)]
+        pub_year_sets = [None, frozenset({2005}), frozenset({2004, 2006})]
         for _ in range(100):
             corpus = random_corpus(rng, 20)
-            scores = paper_scores(corpus, window, EVALUATED_DOCTYPES)
-            oracle = brute_force_scores(corpus, window, EVALUATED_DOCTYPES)
-            assert set(scores.impacts) == set(oracle)
-            for pid in oracle:
-                assert scores.impacts[pid].ic == oracle[pid].ic
-                assert scores.impacts[pid].fc == oracle[pid].fc
+            # Give a share of the citing documents k = 0 while they keep
+            # their references, so the skip path sees linked documents.
+            corpus = build_corpus(
+                corpus.cited.values(),
+                [
+                    replace(rec, nrefs=0) if rng.random() < 0.2 else rec
+                    for rec in corpus.citing.values()
+                ],
+            )
+            for window, pub_years, doctypes in itertools.product(
+                windows, pub_year_sets, [EVALUATED_DOCTYPES, ALL_DOCTYPES]
+            ):
+                scores = paper_scores(corpus, window, doctypes, pub_years)
+                oracle = brute_force_scores(corpus, window, doctypes, pub_years)
+                assert set(scores.impacts) == set(oracle)
+                for pid in oracle:
+                    assert scores.impacts[pid].ic == oracle[pid].ic
+                    assert scores.impacts[pid].fc == oracle[pid].fc
+                expected_skipped = sorted(
+                    rec.id
+                    for rec in corpus.citing.values()
+                    if window.start <= rec.year <= window.end
+                    and rec.reference_count == 0
+                    and any(ref in oracle for ref in rec.cited_ids)
+                )
+                assert scores.skipped_citing == expected_skipped
+
+    def test_large_lcm_is_exact(self):
+        # Citing documents whose k values are the primes up to 97 (their
+        # lcm exceeds 2**120), some of them repeated, plus composite k.
+        primes = [k for k in range(2, 98) if all(k % d for d in range(2, k))]
+        ks = primes + [2, 2, 3, 97, 97, 97, 91, 96, 1]
+        corpus = build_corpus(
+            [cited("A")],
+            [citing(f"X{i}", 2006, k, ["A"]) for i, k in enumerate(ks)],
+        )
+        impact = paper_scores(corpus, Window(2005, 2009)).impacts["A"]
+        assert len(primes) == 25
+        assert impact.ic == len(ks)
+        assert impact.fc == sum(
+            (Fraction(ks.count(k), k) for k in set(ks)), Fraction(0)
+        )
 
     def test_determinism_across_orderings(self):
         # Exact rational accumulation is order-independent: summing the

@@ -54,6 +54,9 @@ def test_traced_run_times_every_layer(command, data_dir, tmp_path):
     metrics = result["metrics"]
     assert result["rc"] == 0
     assert metrics["corpus.build_s"] > 0
+    if command == "evaluate":
+        assert metrics["counting.scores_s"] > 0
+        assert metrics["counting.windows"] == 2
     self_times = [v for k, v in metrics.items() if k.endswith(".self_s")]
     assert len(self_times) == 6
     assert sum(self_times) == pytest.approx(metrics["trace.wall_s"], abs=1e-6)
