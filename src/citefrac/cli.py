@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import counting, report
+from . import corpus, counting, report
 from .corpus import (
     Corpus,
     UnitRow,
@@ -76,26 +76,11 @@ def _parse_windows(value: str | list[str]) -> list[Window]:
     return windows
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for number, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(
-                f"{path.name}, line {number}: config line without '=': {raw!r}"
-            )
-        raw_key, value = line.split("=", 1)
-        key = raw_key.strip().replace("-", "_")
-        if key not in _SETTINGS:
-            raise UsageError(
-                f"{path.name}, line {number}: unknown setting "
-                f"{raw_key.strip()!r} (known: {', '.join(_SETTINGS)})"
-            )
-        values[key] = value.strip()
-    return values
+def _parse_bool(value: str | bool) -> bool:
+    word = str(value).lower()
+    if word not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError("expected one of 1/0/true/false/yes/no")
+    return word in ("1", "true", "yes")
 
 
 # Setting (flag dest and config-file key) -> (RunConfig field, parser of a
@@ -109,8 +94,30 @@ _SETTINGS = {
     "min_pubs": ("min_pubs", int),
     "alpha": ("alpha", float),
     "out": ("out", Path),
-    "strict": ("strict", lambda v: str(v).lower() in ("1", "true", "yes")),
+    "strict": ("strict", _parse_bool),
 }
+
+
+def _read_config_file(path: Path) -> dict[str, tuple[str, str]]:
+    """Setting key -> (value, the file:line prefix of its error should it not
+    parse). Only a line whose first non-blank character is '#' is a comment."""
+    values: dict[str, tuple[str, str]] = {}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path.name}, line {number}"
+        if "=" not in line:
+            raise UsageError(f"{where}: config line without '=': {raw!r}")
+        raw_key, value = map(str.strip, line.split("=", 1))
+        key = raw_key.replace("-", "_")
+        if key not in _SETTINGS:
+            raise UsageError(
+                f"{where}: unknown setting {raw_key!r} (known: {', '.join(_SETTINGS)})"
+            )
+        values[key] = (value, f"{where}: invalid {raw_key} value {value!r}: ")
+    return values
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -126,21 +133,21 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for key in _SETTINGS:
         flag = getattr(args, key)
         if flag is not None:
-            given[key] = flag
+            given[key] = (flag, "")
     if getattr(args, "aggregate_table", None):
-        given["input"] = args.aggregate_table
-    if not given.get("input"):
+        given["input"] = (args.aggregate_table, "")
+    settings = {}
+    for key, (value, where) in given.items():
+        name, parse = _SETTINGS[key]
+        if value != "":
+            try:
+                settings[name] = parse(value)
+            except (ValueError, UsageError) as exc:
+                raise UsageError(f"{where}{exc}") from exc
+    if "input" not in settings:
         raise UsageError("--input is required")
-    if not Path(given["input"]).is_file():
-        raise UsageError(f"input file not found: {given['input']}")
-    try:
-        settings = {
-            name: parse(given[key])
-            for key, (name, parse) in _SETTINGS.items()
-            if given.get(key) not in (None, "")
-        }
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if not settings["input"].is_file():
+        raise UsageError(f"input file not found: {settings['input']}")
     return RunConfig(**settings)
 
 
@@ -150,10 +157,6 @@ def _load_corpus(config: RunConfig, fmt: str) -> Corpus:
         return load_canonical(text)
     if fmt != "tagged":
         raise UsageError(f"unsupported corpus format {fmt!r}")
-    # Looked up at call time, so that a rebound corpus.build_corpus (the
-    # traced benchmark wraps it) is the one called.
-    from .corpus import build_corpus
-
     result = parse_tagged(text)
     if result.errors and config.strict:
         for err in result.errors:
@@ -164,11 +167,9 @@ def _load_corpus(config: RunConfig, fmt: str) -> Corpus:
         f"rejected {len(result.errors)}",
         file=sys.stderr,
     )
-    # A tagged file carries one population; records that cite into the
-    # set act as citing-side documents as well.
-    ids = {r.id for r in result.records}
-    citing = [r for r in result.records if any(c in ids for c in r.cited_ids)]
-    return build_corpus(result.records, citing)
+    # Through the module attribute, so that a rebound corpus.build_corpus
+    # (the traced benchmark wraps it) is the one called.
+    return corpus.build_corpus(result.records)
 
 
 def _unit_definitions(config: RunConfig):
@@ -232,12 +233,12 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str]):
     if not config.windows:
         raise UsageError("at least one --window is required")
     defs = _unit_definitions(config)
-    corpus = _load_corpus(config, config.format)
-    assignment = assign_units(corpus, defs)
+    loaded = _load_corpus(config, config.format)
+    assignment = assign_units(loaded, defs)
 
     per_window = {}
     for window in config.windows:
-        scores = paper_scores(corpus, window, pub_years=config.py)
+        scores = paper_scores(loaded, window, pub_years=config.py)
         agg = aggregate_units(assignment, scores, min_pubs=config.min_pubs)
         per_window[window] = (scores, agg)
 

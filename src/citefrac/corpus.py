@@ -1,8 +1,9 @@
 """Bibliographic data model and input/output formats.
 
-Holds the publication record type, the parser for tagged flat-file exports,
-the canonical line-delimited JSON interchange format, and the loader for
-pre-aggregated indicator tables.
+Holds the publication record type, the corpus (the one place that states
+the reference rule: a reference links iff it names a cited id), the parser
+for tagged flat-file exports, the canonical line-delimited JSON interchange
+format, and the loader for pre-aggregated indicator tables.
 """
 from __future__ import annotations
 
@@ -78,60 +79,52 @@ class PublicationRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """The evaluated (cited) set, its citing documents, and resolved links.
-
-    Immutable after construction; safe to share across workers.
+    """The evaluated (cited) set and its citing documents; links are
+    derived from them. Immutable after construction; safe to share across
+    workers.
     """
 
     cited: dict[str, PublicationRecord]
     citing: dict[str, PublicationRecord]
-    links: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        for citing_id, cited_id in self.links:
-            if citing_id not in self.citing:
-                raise ValueError(f"link source {citing_id!r} not in citing set")
-            if cited_id not in self.cited:
-                raise ValueError(f"link target {cited_id!r} not in cited set")
-        if len(set(self.links)) != len(self.links):
-            raise ValueError("duplicate links")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (
-            self.cited == other.cited
-            and self.citing == other.citing
-            and sorted(self.links) == sorted(other.links)
+    @property
+    def links(self) -> tuple[tuple[str, str], ...]:
+        """(citing id, cited id) pairs, in citing then reference order."""
+        return tuple(
+            (rec.id, ref)
+            for rec in self.citing.values()
+            for ref in rec.cited_ids
+            if ref in self.cited
         )
 
 
 def build_corpus(
-    cited: Iterable[PublicationRecord], citing: Iterable[PublicationRecord]
+    cited: Iterable[PublicationRecord],
+    citing: Iterable[PublicationRecord] | None = None,
 ) -> Corpus:
-    """Assemble a corpus, materializing links from the citing records'
-    reference lists restricted to ids present on the cited side.
+    """Assemble a corpus from its cited and citing records.
 
-    References pointing outside the corpus do not become links but still
-    count toward a record's k.
+    A reference links iff it names a cited id; references pointing outside
+    the corpus do not link but still count toward a record's k. With
+    `citing` omitted the records are one population (a tagged export), and
+    those whose references name a record of the set are citing as well.
     """
     cited_map: dict[str, PublicationRecord] = {}
     for rec in cited:
         if rec.id in cited_map:
             raise DuplicateId(f"duplicate cited id {rec.id!r}")
         cited_map[rec.id] = rec
+    if citing is None:
+        citing = [
+            rec for rec in cited_map.values()
+            if any(ref in cited_map for ref in rec.cited_ids)
+        ]
     citing_map: dict[str, PublicationRecord] = {}
     for rec in citing:
         if rec.id in citing_map:
             raise DuplicateId(f"duplicate citing id {rec.id!r}")
         citing_map[rec.id] = rec
-    links = tuple(
-        (rec.id, ref)
-        for rec in citing_map.values()
-        for ref in rec.cited_ids
-        if ref in cited_map
-    )
-    return Corpus(cited=cited_map, citing=citing_map, links=links)
+    return Corpus(cited=cited_map, citing=citing_map)
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +166,17 @@ def _finish_record(
     if not rec_id:
         raise MissingId("record has neither UT nor DI", start_line)
 
-    py_raw = first("PY")
-    if py_raw is None:
-        raise MalformedField("record has no PY field", start_line)
-    try:
-        year = int(py_raw)
-    except ValueError:
-        raise MalformedField(f"non-integer PY {py_raw!r}", start_line) from None
-
-    nrefs: int | None = None
-    nr_raw = first("NR")
-    if nr_raw is not None:
+    def integer(tag: str) -> int | None:
+        raw = first(tag)
         try:
-            nrefs = int(nr_raw)
+            return None if raw is None else int(raw)
         except ValueError:
-            raise MalformedField(f"non-integer NR {nr_raw!r}", start_line) from None
+            raise MalformedField(f"non-integer {tag} {raw!r}", start_line) from None
+
+    year = integer("PY")
+    if year is None:
+        raise MalformedField("record has no PY field", start_line)
+    nrefs = integer("NR")
 
     cited_ids: list[str] = []
     seen: set[str] = set()
@@ -197,15 +186,18 @@ def _finish_record(
             seen.add(m.group(1))
             cited_ids.append(m.group(1))
 
-    return PublicationRecord(
-        id=rec_id,
-        year=year,
-        doctype=normalize_doctype(first("DT") or ""),
-        addresses=tuple(_split_addresses(fields.get("C1", []))),
-        nrefs=nrefs,
-        cited_ids=tuple(cited_ids),
-        doi=first("DI"),
-    )
+    try:
+        return PublicationRecord(
+            id=rec_id,
+            year=year,
+            doctype=normalize_doctype(first("DT") or ""),
+            addresses=tuple(_split_addresses(fields.get("C1", []))),
+            nrefs=nrefs,
+            cited_ids=tuple(cited_ids),
+            doi=first("DI"),
+        )
+    except ValueError as exc:
+        raise MalformedField(str(exc), start_line) from None
 
 
 def parse_tagged(stream: IO[str] | str) -> TaggedParseResult:
@@ -213,15 +205,14 @@ def parse_tagged(stream: IO[str] | str) -> TaggedParseResult:
 
     Records are delimited by ``ER`` lines; each field starts with a
     two-letter tag in column 1 and may continue on indented lines. The file
-    ends with ``EF``. Malformed records are rejected individually and
-    reported in the result's error list.
+    ends with ``EF``. Malformed records, and a record repeating an earlier
+    record's id, are rejected individually and reported in the result's
+    error list.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
+    lines = (stream if isinstance(stream, str) else stream.read()).splitlines()
 
     result = TaggedParseResult()
+    first_lines: dict[str, int] = {}  # accepted record id -> its start line
     fields: dict[str, list[str]] = {}
     current_tag: str | None = None
     start_line = 0
@@ -238,7 +229,14 @@ def parse_tagged(stream: IO[str] | str) -> TaggedParseResult:
         if stripped == "ER":
             if in_record:
                 try:
-                    result.records.append(_finish_record(fields, start_line))
+                    rec = _finish_record(fields, start_line)
+                    first = first_lines.setdefault(rec.id, start_line)
+                    if first != start_line:
+                        raise DuplicateId(
+                            f"duplicate record id {rec.id!r}, first at line {first}",
+                            start_line,
+                        )
+                    result.records.append(rec)
                 except ParseError as exc:
                     result.errors.append(exc)
             fields = {}
@@ -283,10 +281,7 @@ def load_canonical(stream: IO[str] | str) -> Corpus:
     Unknown fields are ignored. References to ids outside the cited set do
     not become links (but still count toward k via ``cites`` length).
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream.read().splitlines()
+    lines = (stream if isinstance(stream, str) else stream.read()).splitlines()
 
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []

@@ -1,12 +1,12 @@
 """Integer and fractional citation counting over citation windows.
 
 A citing link is worth 1/k, k = reference-list length of the citing
-document. Counts are exact rationals, built from integer tallies: per
-window, each in-window link adds 1 to n[cited paper][k], and each cited
-paper then gets ic = Σ nₖ and one fc = Fraction(Σ nₖ·(L // k), L), L the
-lcm of its k values. That is the same rational as the per-link sum of
-1/k, for any summation order. Conversion to floating point happens only
-at reporting and statistics boundaries.
+document, so counting walks the citing records. Per window, each in-window
+record computes k once, and each of its references to an eligible paper
+adds 1 to n[cited paper][k]. Each cited paper then gets ic = Σ nₖ and one
+fc = Fraction(Σ nₖ·(L // k), L), L the lcm of its k values: the same exact
+rational as the per-link sum of 1/k, for any summation order. Conversion
+to floating point happens only at reporting and statistics boundaries.
 """
 from __future__ import annotations
 
@@ -76,7 +76,8 @@ def paper_scores(
     The cited side is filtered to `eligible_doctypes` and, when given, to
     `pub_years`. A citing link contributes iff the citing record's year
     falls in `window`; citing documents are not type-filtered. Papers with
-    no in-window citations appear with ic = 0, fc = 0.
+    no in-window citations appear with ic = 0, fc = 0. An in-window citing
+    document with k = 0 that cites an eligible paper is skipped and listed.
     """
     impacts: dict[str, PaperImpact] = {}
     for rec in corpus.cited.values():
@@ -89,20 +90,19 @@ def paper_scores(
     # Only integer work per link: tallies[cited id][k] counts in-window
     # citations from documents with k references.
     tallies: dict[str, dict[int, int]] = {}
-    skipped: set[str] = set()
-    citing = corpus.citing
-    for citing_id, cited_id in corpus.links:
-        if cited_id not in impacts:
-            continue
-        rec = citing[citing_id]
+    skipped: list[str] = []
+    for rec in corpus.citing.values():
         if rec.year not in window:
             continue
         k = rec.reference_count
         if k <= 0:
-            skipped.add(citing_id)
+            if any(ref in impacts for ref in rec.cited_ids):
+                skipped.append(rec.id)
             continue
-        by_k = tallies.setdefault(cited_id, {})
-        by_k[k] = by_k.get(k, 0) + 1
+        for ref in rec.cited_ids:
+            if ref in impacts:
+                by_k = tallies.setdefault(ref, {})
+                by_k[k] = by_k.get(k, 0) + 1
 
     # Σ nₖ/k = Σ nₖ·(L/k) / L, L = lcm of the k values.
     for cited_id, by_k in tallies.items():
@@ -123,7 +123,7 @@ class AggregateResult:
 
 def aggregate_units(
     assignment: Mapping[str, frozenset[str]],
-    scores: ScoreSet | Mapping[str, PaperImpact],
+    scores: ScoreSet,
     min_pubs: int = 5,
 ) -> AggregateResult:
     """Sum per-paper impacts into unit rows.
@@ -132,7 +132,7 @@ def aggregate_units(
     counting at the unit level). Units with fewer than `min_pubs` assigned
     papers are excluded and listed separately.
     """
-    impacts = scores.impacts if isinstance(scores, ScoreSet) else scores
+    impacts = scores.impacts
     aggregates: list[UnitRow] = []
     skipped: list[tuple[str, int]] = []
     for unit in sorted(assignment):
@@ -149,7 +149,7 @@ def aggregate_units(
 
 def per_paper_samples(
     assignment: Mapping[str, frozenset[str]],
-    scores: ScoreSet | Mapping[str, PaperImpact],
+    scores: ScoreSet,
     unit: str,
 ) -> list[float]:
     """The unit's per-paper fractional citation values, zeros included.
@@ -159,20 +159,16 @@ def per_paper_samples(
     """
     if unit not in assignment:
         raise UnknownUnit(f"unit {unit!r} not in assignment")
-    impacts = scores.impacts if isinstance(scores, ScoreSet) else scores
-    return [
-        float(impacts[pid].fc)
-        for pid in sorted(assignment[unit])
-        if pid in impacts
-    ]
+    impacts = scores.impacts
+    return [float(impacts[p].fc) for p in sorted(assignment[unit]) if p in impacts]
 
 
 def export_scores_csv(
-    scores: ScoreSet | Mapping[str, PaperImpact],
+    scores: ScoreSet,
     assignment: Mapping[str, frozenset[str]],
 ) -> str:
     """Scores export: paper_id, unit, ic, fc_num, fc_den, fc_decimal."""
-    impacts = scores.impacts if isinstance(scores, ScoreSet) else scores
+    impacts = scores.impacts
     lines = ["paper_id,unit,ic,fc_num,fc_den,fc_decimal"]
     rows: list[tuple[str, str]] = []
     for unit in sorted(assignment):

@@ -32,7 +32,7 @@ class UnterminatedRecord(ParseError):
     pass
 
 
-class DuplicateId(CitefracError):
+class DuplicateId(ParseError):
     pass
 
 

@@ -43,6 +43,30 @@ class TestIngest:
         code = run("ingest", "--input", str(tmp_path / "nope.tagged"), "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("PT J\nPY 0\nUT WOS:2\nER\n", "line 5: year must be positive"),
+            ("PT J\nPY 2006\nNR -3\nUT WOS:2\nER\n", "line 5: nrefs must be >= 0"),
+            (
+                "PT J\nPY 2006\nUT WOS:1\nER\n",
+                "line 5: duplicate record id 'WOS:1', first at line 1",
+            ),
+        ],
+        ids=["year_zero", "negative_nr", "duplicate_ut"],
+    )
+    def test_bad_record_rejected_with_line(self, tmp_path, capsys, record, message):
+        export = tmp_path / "export.tagged"
+        export.write_text("PT J\nPY 2005\nUT WOS:1\nER\n" + record + "EF\n", encoding="utf-8")
+        assert run("ingest", "--input", str(export), "--out", str(tmp_path / "out")) == 0
+        assert "ingested 1 record(s), rejected 1" in capsys.readouterr().err
+        strict = tmp_path / "strict"
+        assert run("ingest", "--input", str(export), "--out", str(strict), "--strict") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+        assert not strict.exists()
+
 
 class TestAssign:
     def test_partition_fixture(self, data_dir, tmp_path):
@@ -367,8 +391,10 @@ class TestConfigAndValidation:
         [
             ("min_pub = 3", "run.cfg, line 3: unknown setting 'min_pub'"),
             ("min-pubs 3", "run.cfg, line 3: config line without '='"),
+            ("strict = ture", "run.cfg, line 3: invalid strict value 'ture'"),
+            ("min-pubs = x", "run.cfg, line 3: invalid min-pubs value 'x'"),
         ],
-        ids=["unknown_key", "no_equals"],
+        ids=["unknown_key", "no_equals", "strict_not_boolean", "min_pubs_not_integer"],
     )
     def test_bad_config_usage_exit(self, data_dir, tmp_path, capsys, line, message):
         out = tmp_path / "out"
@@ -386,6 +412,19 @@ class TestConfigAndValidation:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_hash_inside_value(self, data_dir, tmp_path):
+        out = tmp_path / "run#1"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"  # indented comment\ninput = {data_dir / 'toy_corpus.jsonl'}\n"
+            f"units = {data_dir / 'toy_units.txt'}\n"
+            f"window = 2005:2009\nstrict = YES\nout = {out}\n",
+            encoding="utf-8",
+        )
+        assert run("count", "--config", str(cfg)) == 0
+        assert (out / "manifest.txt").is_file()
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run("ingest", "--input", "x", "--config", str(tmp_path / "no.cfg")) == 2

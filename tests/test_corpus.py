@@ -82,16 +82,31 @@ class TestParseTagged:
         assert rec.id == "10.9/x"
         assert rec.doi == "10.9/x"
 
-    def test_malformed_year_carries_line(self):
-        text = "PT J\nPY not-a-year\nDT Article\nUT WOS:1\nER\nEF\n"
+    @pytest.mark.parametrize("year", ["not-a-year", "0"], ids=["non_integer", "zero"])
+    def test_malformed_year_carries_line(self, year):
+        text = f"PT J\nPY {year}\nDT Article\nUT WOS:1\nER\nEF\n"
         result = parse_tagged(text)
         assert not result.records
         assert isinstance(result.errors[0], MalformedField)
         assert result.errors[0].line == 1
 
-    def test_malformed_nr(self):
-        text = "PT J\nPY 2005\nNR many\nUT WOS:1\nER\nEF\n"
+    @pytest.mark.parametrize("nr", ["many", "-3"], ids=["non_integer", "negative"])
+    def test_malformed_nr(self, nr):
+        text = f"PT J\nPY 2005\nNR {nr}\nUT WOS:1\nER\nEF\n"
         assert isinstance(parse_tagged(text).errors[0], MalformedField)
+
+    def test_duplicate_id_rejects_later_record(self):
+        text = (
+            "PT J\nPY 2005\nUT WOS:1\nER\n"
+            "PT J\nPY 2006\nUT WOS:2\nER\n"
+            "PT J\nPY 2007\nUT WOS:1\nER\nEF\n"
+        )
+        result = parse_tagged(text)
+        assert [(r.id, r.year) for r in result.records] == [("WOS:1", 2005), ("WOS:2", 2006)]
+        (error,) = result.errors
+        assert isinstance(error, DuplicateId)
+        assert error.line == 9
+        assert "'WOS:1', first at line 1" in str(error)
 
     def test_unterminated_record(self):
         text = "PT J\nPY 2005\nDT Article\nUT WOS:1\n"
@@ -126,6 +141,18 @@ class TestCanonical:
         ]
         corpus = build_corpus(cited, citing)
         assert corpus.links == (("X", "A"),)
+
+    def test_one_population_citing_side(self):
+        records = [
+            PublicationRecord(id="A", year=2005, cited_ids=("ext",)),
+            PublicationRecord(id="B", year=2006, nrefs=3, cited_ids=("ext", "A")),
+            PublicationRecord(id="C", year=2007, cited_ids=("B", "A")),
+            PublicationRecord(id="D", year=2007),
+        ]
+        corpus = build_corpus(records)
+        assert list(corpus.cited) == ["A", "B", "C", "D"]
+        assert list(corpus.citing) == ["B", "C"]
+        assert corpus.links == (("B", "A"), ("C", "B"), ("C", "A"))
 
     def test_empty_stream(self):
         corpus = load_canonical("")

@@ -8,6 +8,7 @@ import pytest
 from citefrac.corpus import EVALUATED_DOCTYPES, PublicationRecord, build_corpus
 from citefrac.counting import (
     PaperImpact,
+    ScoreSet,
     Window,
     aggregate_units,
     fractional_weight,
@@ -103,7 +104,9 @@ class TestAggregateUnits:
             "P1": PaperImpact("P1", ic=2, fc=Fraction(1, 3)),
             "P2": PaperImpact("P2", ic=1, fc=Fraction(1, 4)),
         }
-        result = aggregate_units({"U": frozenset({"P1", "P2"})}, impacts, min_pubs=2)
+        result = aggregate_units(
+            {"U": frozenset({"P1", "P2"})}, ScoreSet(impacts), min_pubs=2
+        )
         (agg,) = result.aggregates
         assert agg.p == 2
         assert agg.ic == 3
@@ -113,18 +116,20 @@ class TestAggregateUnits:
     def test_min_pubs_exclusion(self):
         impacts = {f"P{i}": PaperImpact(f"P{i}") for i in range(4)}
         result = aggregate_units(
-            {"Small": frozenset(impacts)}, impacts, min_pubs=5
+            {"Small": frozenset(impacts)}, ScoreSet(impacts), min_pubs=5
         )
         assert not result.aggregates
         assert result.skipped_units == [("Small", 4)]
 
     def test_empty_assignment(self):
-        assert aggregate_units({}, {}).aggregates == []
+        assert aggregate_units({}, ScoreSet({})).aggregates == []
 
     def test_shared_paper_counts_fully_in_both_units(self):
         impacts = {"P1": PaperImpact("P1", ic=5, fc=Fraction(1, 2))}
         result = aggregate_units(
-            {"U1": frozenset({"P1"}), "U2": frozenset({"P1"})}, impacts, min_pubs=1
+            {"U1": frozenset({"P1"}), "U2": frozenset({"P1"})},
+            ScoreSet(impacts),
+            min_pubs=1,
         )
         assert [a.ic for a in result.aggregates] == [5, 5]
 
@@ -137,17 +142,17 @@ class TestPerPaperSamples:
             "P3": PaperImpact("P3", ic=1, fc=Fraction(1, 4)),
         }
         samples = per_paper_samples(
-            {"U": frozenset({"P1", "P2", "P3"})}, impacts, "U"
+            {"U": frozenset({"P1", "P2", "P3"})}, ScoreSet(impacts), "U"
         )
         assert sorted(samples) == [0.0, 0.25, 0.5]
 
     def test_uncited_paper(self):
         impacts = {"P1": PaperImpact("P1")}
-        assert per_paper_samples({"U": frozenset({"P1"})}, impacts, "U") == [0.0]
+        assert per_paper_samples({"U": frozenset({"P1"})}, ScoreSet(impacts), "U") == [0.0]
 
     def test_unknown_unit(self):
         with pytest.raises(UnknownUnit):
-            per_paper_samples({}, {}, "Ghost")
+            per_paper_samples({}, ScoreSet({}), "Ghost")
 
     def test_sample_length_equals_p_property(self):
         rng = random.Random(21)
