@@ -1,17 +1,23 @@
 """Command-line pipeline: ingest, assign, count, stats, report, evaluate.
 
-Exit codes: 0 success, 1 internal error, 2 usage or input error. A flat
-``key = value`` config file can pre-set any flag; flags given on the
-command line override the file. A subcommand computes its whole output
-tree before ``main`` writes any of it, so a failed run writes no file.
+Exit codes: 0 success, 1 internal error, 2 usage or input error. Every
+setting is declared once, in ``_SETTINGS``: its flag, its key in a flat
+``key = value`` config file and the one parser that checks both. Flags
+given on the command line override the file. A subcommand computes its
+whole output tree before ``main`` writes any of it, so a failed run writes
+no file.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import corpus, counting, report
 from .corpus import (
@@ -23,7 +29,9 @@ from .corpus import (
     write_canonical,
 )
 from .counting import Window, aggregate_units, paper_scores, per_paper_samples
-from .errors import CitefracError, MalformedField, NonNumericCell
+from .errors import (
+    CitefracError, MalformedField, NonNumericCell, ParseError, QuerySyntaxError,
+)
 from .stats import correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova
 from .unitquery import assign_units, parse_unit_definitions
 
@@ -48,53 +56,72 @@ class RunConfig:
     out: Path = Path("out")
     strict: bool = False
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.min_pubs < 1:
-            raise UsageError(f"min-pubs must be >= 1, got {self.min_pubs}")
+
+def _checked(convert: Callable[[str], object], rule: str, ok) -> Callable:
+    """A parser: `convert` the text, then require `ok` of the value."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must {rule}, got {value}")
+        return value
+    return parse
 
 
-def _parse_window(text: str) -> Window:
-    try:
-        start, end = text.split(":")
-        return Window(int(start), int(end))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid window {text!r}, expected START:END") from exc
-
-
-def _parse_windows(value: str | list[str]) -> list[Window]:
-    """Repeated --window flags, or a config file's comma-separated list."""
-    if isinstance(value, str):
-        value = [text for text in value.split(",") if text.strip()]
+def _parse_windows(text: str) -> list[Window]:
+    """A comma-separated list of START:END windows, each given once."""
     windows: list[Window] = []
-    for text in value:
-        window = _parse_window(text)
+    for part in filter(str.strip, text.split(",")):
+        try:
+            start, end = part.split(":")
+            window = Window(int(start), int(end))
+        except ValueError:
+            raise ValueError(f"invalid window {part!r}, expected START:END") from None
         if window in windows:
-            raise UsageError(f"window {window.label()} given twice")
+            raise ValueError(f"window {window.label()} given twice")
         windows.append(window)
     return windows
 
 
-def _parse_bool(value: str | bool) -> bool:
-    word = str(value).lower()
-    if word not in ("1", "0", "true", "false", "yes", "no"):
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("1", "0", "true", "false", "yes", "no"):
         raise ValueError("expected one of 1/0/true/false/yes/no")
-    return word in ("1", "true", "yes")
+    return text.lower() in ("1", "true", "yes")
 
 
-# Setting (flag dest and config-file key) -> (RunConfig field, parser of a
-# flag value or of a config-file string).
+class _Setting(NamedTuple):
+    field: str  # the RunConfig field it sets
+    # The text of a flag or of a config value alike -> the value; raises
+    # ValueError on a value it does not accept.
+    parse: Callable[[str], object]
+    help: str
+    flag: dict = {}  # further add_argument keywords of its flag
+
+
+# Config-file key (also the flag, --key with '-' for '_') -> its setting.
+# A repeated --window joins into the config file's comma list, and the bare
+# --strict switch gives the text "true".
 _SETTINGS = {
-    "input": ("input", Path),
-    "format": ("format", str),
-    "units": ("units", Path),
-    "py": ("py", lambda v: frozenset(int(y) for y in v.split(",") if y.strip())),
-    "window": ("windows", _parse_windows),
-    "min_pubs": ("min_pubs", int),
-    "alpha": ("alpha", float),
-    "out": ("out", Path),
-    "strict": ("strict", _parse_bool),
+    "input": _Setting("input", Path, "input file"),
+    "format": _Setting(
+        "format",
+        _checked(str, "be tagged, canonical or aggregate",
+                 lambda v: v in ("tagged", "canonical", "aggregate")),
+        "input format: tagged, canonical or aggregate",
+    ),
+    "units": _Setting("units", Path, "unit definitions file"),
+    "py": _Setting(
+        "py", lambda text: frozenset(int(y) for y in text.split(",") if y.strip()),
+        "publication year(s), comma-separated",
+    ),
+    "window": _Setting("windows", _parse_windows, "citation window, repeatable",
+                       {"action": "append", "metavar": "START:END"}),
+    "min_pubs": _Setting("min_pubs", _checked(int, "be >= 1", lambda v: v >= 1),
+                         "smallest publication count P of a kept unit"),
+    "alpha": _Setting("alpha", _checked(float, "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+                      "significance level of the pairwise tests"),
+    "out": _Setting("out", Path, "output directory"),
+    "strict": _Setting("strict", _parse_bool, "exit 2 if any tagged record is rejected",
+                       {"action": "store_const", "const": "true"}),
 }
 
 
@@ -124,7 +151,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     """Resolve every setting once: a flag wins over the --config file, and a
     setting given neither way (or given empty) keeps its RunConfig default.
     The file the subcommand reads must exist."""
-    given: dict = {}
+    given: dict[str, tuple[str, str]] = {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -133,16 +160,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for key in _SETTINGS:
         flag = getattr(args, key)
         if flag is not None:
-            given[key] = (flag, "")
-    if getattr(args, "aggregate_table", None):
-        given["input"] = (args.aggregate_table, "")
+            text = ",".join(flag) if isinstance(flag, list) else flag
+            given[key] = (text, f"invalid --{key.replace('_', '-')} value {text!r}: ")
     settings = {}
-    for key, (value, where) in given.items():
-        name, parse = _SETTINGS[key]
-        if value != "":
+    for key, (text, where) in given.items():
+        if text != "":
             try:
-                settings[name] = parse(value)
-            except (ValueError, UsageError) as exc:
+                settings[_SETTINGS[key].field] = _SETTINGS[key].parse(text)
+            except ValueError as exc:
                 raise UsageError(f"{where}{exc}") from exc
     if "input" not in settings:
         raise UsageError("--input is required")
@@ -151,22 +176,29 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings)
 
 
+def _read(path: Path, load):
+    """Apply `load` to the text of the input file at `path`. An error that
+    names a line is led by the file's name: `units.txt, line 3: ...`."""
+    try:
+        return load(path.read_text(encoding="utf-8"))
+    except (ParseError, QuerySyntaxError) as exc:
+        if exc.line is None:
+            raise
+        raise UsageError(f"{path.name}, {exc}") from exc
+
+
 def _load_corpus(config: RunConfig, fmt: str) -> Corpus:
-    text = config.input.read_text(encoding="utf-8")
     if fmt == "canonical":
-        return load_canonical(text)
-    if fmt != "tagged":
-        raise UsageError(f"unsupported corpus format {fmt!r}")
-    result = parse_tagged(text)
+        return _read(config.input, load_canonical)
+    if fmt == "aggregate":
+        raise UsageError("format aggregate is a unit table: run `citefrac report` on it")
+    result = _read(config.input, parse_tagged)
     if result.errors and config.strict:
         for err in result.errors:
-            print(f"error: {err}", file=sys.stderr)
+            print(f"error: {config.input.name}, {err}", file=sys.stderr)
         raise UsageError(f"{len(result.errors)} record(s) rejected under --strict")
-    print(
-        f"ingested {len(result.records)} record(s), "
-        f"rejected {len(result.errors)}",
-        file=sys.stderr,
-    )
+    print(f"ingested {len(result.records)} record(s), rejected {len(result.errors)}",
+          file=sys.stderr)
     # Through the module attribute, so that a rebound corpus.build_corpus
     # (the traced benchmark wraps it) is the one called.
     return corpus.build_corpus(result.records)
@@ -175,7 +207,7 @@ def _load_corpus(config: RunConfig, fmt: str) -> Corpus:
 def _unit_definitions(config: RunConfig):
     if config.units is None or not config.units.is_file():
         raise UsageError("--units file is required and must exist")
-    return parse_unit_definitions(config.units.read_text(encoding="utf-8"))
+    return _read(config.units, parse_unit_definitions)
 
 
 def _manifest(config: RunConfig, inputs: list[Path]) -> str:
@@ -205,11 +237,8 @@ def cmd_ingest(config: RunConfig) -> dict[str, str]:
 def cmd_assign(config: RunConfig) -> dict[str, str]:
     defs = _unit_definitions(config)
     assignment = assign_units(_load_corpus(config, config.format), defs)
-    lines = ["unit,paper_id"]
-    for unit in sorted(assignment):
-        for pid in sorted(assignment[unit]):
-            lines.append(f"{unit},{pid}")
-    return {"assignment.csv": "\n".join(lines) + "\n"}
+    rows = ([u, pid] for u in sorted(assignment) for pid in sorted(assignment[u]))
+    return {"assignment.csv": report.csv_text(["unit", "paper_id"], rows)}
 
 
 def _label(window: Window) -> str:
@@ -230,10 +259,10 @@ def _aggregate_keys(suffixes: list[str]) -> list[tuple[str, bool]]:
 def _count_pipeline(config: RunConfig, tree: dict[str, str]):
     """Load, assign, count every window, and add aggregates.csv to the tree:
     one row per kept unit with its ic_<window> and fc_<window> totals."""
+    loaded = _load_corpus(config, config.format)
     if not config.windows:
         raise UsageError("at least one --window is required")
     defs = _unit_definitions(config)
-    loaded = _load_corpus(config, config.format)
     assignment = assign_units(loaded, defs)
 
     per_window = {}
@@ -264,39 +293,36 @@ def cmd_count(config: RunConfig) -> dict[str, str]:
         label = _label(window)
         tree[f"scores_{label}.csv"] = counting.export_scores_csv(scores, assignment)
         if agg.skipped_units:
-            lines = ["unit,p"] + [f"{u},{p}" for u, p in agg.skipped_units]
-            tree[f"skipped_units_{label}.csv"] = "\n".join(lines) + "\n"
+            tree[f"skipped_units_{label}.csv"] = report.csv_text(
+                ["unit", "p"], agg.skipped_units
+            )
     tree["manifest.txt"] = _manifest(config, [config.input, config.units])
     return tree
 
 
-def _load_samples_csv(path: Path) -> dict[str, list[float]]:
-    """Read per-paper samples from a scores export (unit, fc_decimal)."""
-    import csv as _csv
-    import math
-
+def _load_samples_csv(text: str) -> dict[str, list[float]]:
+    """Per-paper samples from a scores export (unit, fc_decimal) or from a
+    unit,value table."""
     groups: dict[str, list[float]] = {}
-    with path.open(encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None or "unit" not in reader.fieldnames:
-            raise UsageError(f"samples file {path} lacks a 'unit' column")
-        value_col = "fc_decimal" if "fc_decimal" in reader.fieldnames else "value"
-        if value_col not in reader.fieldnames:
-            raise UsageError(f"samples file {path} lacks a value column")
-        for row in reader:
-            try:
-                value = float(row[value_col])
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise NonNumericCell(
-                    f"{value_col} {row[value_col]!r} in {path.name} is not a "
-                    "finite number",
-                    reader.line_num,
-                )
-            if not row["unit"].strip():
-                raise MalformedField(f"empty unit in {path.name}", reader.line_num)
-            groups.setdefault(row["unit"], []).append(value)
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None or "unit" not in reader.fieldnames:
+        raise MalformedField("samples header lacks a 'unit' column", 1)
+    value_col = "fc_decimal" if "fc_decimal" in reader.fieldnames else "value"
+    if value_col not in reader.fieldnames:
+        raise MalformedField("samples header lacks a value column", 1)
+    for row in reader:
+        try:
+            value = float(row[value_col])
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise NonNumericCell(
+                f"{value_col} {row[value_col]!r} is not a finite number",
+                reader.line_num,
+            )
+        if not row["unit"].strip():
+            raise MalformedField("empty unit", reader.line_num)
+        groups.setdefault(row["unit"], []).append(value)
     return groups
 
 
@@ -304,14 +330,12 @@ def _stats_battery(
     tree: dict[str, str], groups: dict[str, list[float]], alpha: float
 ) -> None:
     ordered = [groups[name] for name in sorted(groups)]
-    lines = ["method,statistic,df,p_value"]
-    kw = kruskal_wallis(ordered)
-    lines.append(f"kruskal-wallis,{kw.statistic:.6f},{kw.df},{kw.p_value:.6g}")
-    lv = levene(ordered)
-    lines.append(f"levene,{lv.statistic:.6f},{lv.df[0]}:{lv.df[1]},{lv.p_value:.6g}")
-    av = one_way_anova(ordered)
-    lines.append(f"anova,{av.statistic:.6f},{av.df[0]}:{av.df[1]},{av.p_value:.6g}")
-    tree["tests.csv"] = "\n".join(lines) + "\n"
+    kw, lv, av = kruskal_wallis(ordered), levene(ordered), one_way_anova(ordered)
+    tree["tests.csv"] = report.csv_text(["method", "statistic", "df", "p_value"], [
+        ["kruskal-wallis", f"{kw.statistic:.6f}", kw.df, f"{kw.p_value:.6g}"],
+        ["levene", f"{lv.statistic:.6f}", f"{lv.df[0]}:{lv.df[1]}", f"{lv.p_value:.6g}"],
+        ["anova", f"{av.statistic:.6f}", f"{av.df[0]}:{av.df[1]}", f"{av.p_value:.6g}"],
+    ])
 
     decisions = dunnett_c(groups, alpha=alpha)
     tree["pairwise.csv"] = report.format_decisions_csv(decisions)
@@ -321,7 +345,7 @@ def _stats_battery(
 
 def cmd_stats(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
-    _stats_battery(tree, _load_samples_csv(config.input), config.alpha)
+    _stats_battery(tree, _read(config.input, _load_samples_csv), config.alpha)
     tree["manifest.txt"] = _manifest(config, [config.input])
     return tree
 
@@ -358,7 +382,7 @@ def _unit_reports(
 
 def cmd_report(config: RunConfig) -> dict[str, str]:
     """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
-    rows = load_aggregate_table(config.input.read_text(encoding="utf-8"))
+    rows = _read(config.input, load_aggregate_table)
     keys = _aggregate_keys(["3", "5"])
     tree = {"aggregates.csv": report.format_aggregates_csv(rows, keys)}
     _unit_reports(
@@ -382,9 +406,6 @@ def cmd_report(config: RunConfig) -> dict[str, str]:
 
 
 def cmd_evaluate(config: RunConfig) -> dict[str, str]:
-    if config.format == "aggregate":
-        return cmd_report(config)
-
     tree: dict[str, str] = {}
     assignment, per_window, rows = _count_pipeline(config, tree)
     last = config.windows[-1]
@@ -425,18 +446,10 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="input file")
-    parser.add_argument("--format", choices=["tagged", "canonical", "aggregate"])
-    parser.add_argument("--units", help="unit definitions file")
-    parser.add_argument("--py", help="publication year(s), comma-separated")
-    parser.add_argument(
-        "--window", action="append", metavar="START:END",
-        help="citation window, repeatable",
-    )
-    parser.add_argument("--min-pubs", dest="min_pubs", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--strict", action="store_true", default=None)
+    for key, setting in _SETTINGS.items():
+        parser.add_argument(
+            f"--{key.replace('_', '-')}", dest=key, help=setting.help, **setting.flag
+        )
     parser.add_argument("--config", help="flat key = value config file")
 
 
@@ -446,21 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fractional citation counting and unit impact evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("ingest", cmd_ingest),
-        ("assign", cmd_assign),
-        ("count", cmd_count),
-        ("stats", cmd_stats),
-        ("report", cmd_report),
-        ("evaluate", cmd_evaluate),
-    ):
-        p = sub.add_parser(name)
+    for func in (cmd_ingest, cmd_assign, cmd_count, cmd_stats, cmd_report, cmd_evaluate):
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"))
         _add_common(p)
-        if name == "evaluate":
-            p.add_argument(
-                "--aggregate-table", dest="aggregate_table",
-                help="run ranking/correlation directly on an aggregate table",
-            )
         p.set_defaults(func=func)
     return parser
 
@@ -473,9 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         config = _build_config(args)
-        # evaluate --aggregate-table runs the table stage, as report does.
-        command = cmd_report if getattr(args, "aggregate_table", None) else args.func
-        tree = command(config)
+        tree = args.func(config)
         # Nothing is written until the whole tree is computed, so a run
         # that fails leaves no files.
         for name, text in tree.items():

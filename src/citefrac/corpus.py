@@ -8,11 +8,12 @@ format, and the loader for pre-aggregated indicator tables.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import Iterable
 
 from .errors import (
     DuplicateId,
@@ -200,7 +201,7 @@ def _finish_record(
         raise MalformedField(str(exc), start_line) from None
 
 
-def parse_tagged(stream: IO[str] | str) -> TaggedParseResult:
+def parse_tagged(text: str) -> TaggedParseResult:
     """Parse a tagged flat file into publication records.
 
     Records are delimited by ``ER`` lines; each field starts with a
@@ -209,7 +210,7 @@ def parse_tagged(stream: IO[str] | str) -> TaggedParseResult:
     record's id, are rejected individually and reported in the result's
     error list.
     """
-    lines = (stream if isinstance(stream, str) else stream.read()).splitlines()
+    lines = text.splitlines()
 
     result = TaggedParseResult()
     first_lines: dict[str, int] = {}  # accepted record id -> its start line
@@ -275,13 +276,13 @@ _CANONICAL_FIELDS = ("id", "side", "year", "doctype", "addresses", "nrefs", "cit
 _SIDES = {"cited", "citing", "both"}
 
 
-def load_canonical(stream: IO[str] | str) -> Corpus:
+def load_canonical(text: str) -> Corpus:
     """Load a corpus from the canonical one-JSON-object-per-line format.
 
     Unknown fields are ignored. References to ids outside the cited set do
     not become links (but still count toward k via ``cites`` length).
     """
-    lines = (stream if isinstance(stream, str) else stream.read()).splitlines()
+    lines = text.splitlines()
 
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []
@@ -300,7 +301,7 @@ def load_canonical(stream: IO[str] | str) -> Corpus:
         if not rec_id:
             raise MissingId("missing id", lineno)
         if rec_id in seen:
-            raise DuplicateId(f"duplicate id {rec_id!r} at line {lineno}")
+            raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
         seen.add(rec_id)
         nrefs = obj.get("nrefs")
         if not (nrefs is None or isinstance(nrefs, int)):
@@ -395,13 +396,9 @@ class UnitRow:
 _AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
 
 
-def load_aggregate_table(stream: IO[str] | str) -> list[UnitRow]:
+def load_aggregate_table(text: str) -> list[UnitRow]:
     """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows keyed ic3 … fc5."""
-    if isinstance(stream, str):
-        import io
-
-        stream = io.StringIO(stream)
-    reader = csv.DictReader(stream)
+    reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or tuple(reader.fieldnames) != _AGGREGATE_COLUMNS:
         raise ParseError(
             f"expected header {','.join(_AGGREGATE_COLUMNS)}, "
@@ -428,7 +425,7 @@ def load_aggregate_table(stream: IO[str] | str) -> list[UnitRow]:
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)
         if raw["unit"] in seen:
-            raise DuplicateId(f"duplicate unit {raw['unit']!r} at line {lineno}")
+            raise DuplicateId(f"duplicate unit {raw['unit']!r}", lineno)
         seen.add(raw["unit"])
         rows.append(UnitRow(unit=raw["unit"], p=p, counts=counts))
     return rows

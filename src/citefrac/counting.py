@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .corpus import Corpus, EVALUATED_DOCTYPES, PublicationRecord, UnitRow
 from .errors import UnknownUnit, ZeroReferences
+from .report import csv_text
 
 
 @dataclass(frozen=True, order=True)
@@ -167,18 +168,18 @@ def export_scores_csv(
     scores: ScoreSet,
     assignment: Mapping[str, frozenset[str]],
 ) -> str:
-    """Scores export: paper_id, unit, ic, fc_num, fc_den, fc_decimal."""
+    """Scores export: paper_id, unit, ic, fc_num, fc_den, fc_decimal, one
+    row per counted paper of each unit, in (unit, paper) order."""
     impacts = scores.impacts
-    lines = ["paper_id,unit,ic,fc_num,fc_den,fc_decimal"]
-    rows: list[tuple[str, str]] = []
-    for unit in sorted(assignment):
-        for pid in sorted(assignment[unit]):
-            if pid in impacts:
-                rows.append((pid, unit))
-    for pid, unit in sorted(rows, key=lambda r: (r[1], r[0])):
-        imp = impacts[pid]
-        lines.append(
-            f"{pid},{unit},{imp.ic},{imp.fc.numerator},{imp.fc.denominator},"
-            f"{float(imp.fc):.12f}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["paper_id", "unit", "ic", "fc_num", "fc_den", "fc_decimal"],
+        (
+            [
+                pid, unit, imp.ic,
+                imp.fc.numerator, imp.fc.denominator, f"{float(imp.fc):.12f}",
+            ]
+            for unit in sorted(assignment)
+            for pid in sorted(assignment[unit])
+            if (imp := impacts.get(pid)) is not None
+        ),
+    )

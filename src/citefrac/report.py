@@ -155,51 +155,53 @@ def _exact(value: Number) -> str:
     return f"{float(value):.12g}"
 
 
+def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """One CSV table as text: a field holding a comma, a quote or a line
+    break is quoted, so every row keeps the header's number of fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def format_aggregates_csv(rows: Sequence[object], keys: Sequence[tuple[str, bool]]) -> str:
     """Aggregate table CSV: per key a display column plus an `_exact` one.
 
     `keys` lists (attribute, is_integer) pairs in emission order.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["unit", "P"]
     for key, _ in keys:
         header += [key, f"{key}_exact"]
-    writer.writerow(header)
+    body = []
     for row in rows:
         out = [row.unit, str(row.p)]
         for key, integer in keys:
             value = getattr(row, key)
             out += [_display(value, integer), _exact(value)]
-        writer.writerow(out)
-    return buf.getvalue()
+        body.append(out)
+    return csv_text(header, body)
 
 
 def format_ranking_csv(ranking: Ranking) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "unit", ranking.key, f"{ranking.key}_exact"])
-    for e in ranking.entries:
-        writer.writerow([e.rank, e.unit, _display(e.value), _exact(e.value)])
-    return buf.getvalue()
+    return csv_text(
+        ["rank", "unit", ranking.key, f"{ranking.key}_exact"],
+        ([e.rank, e.unit, _display(e.value), _exact(e.value)] for e in ranking.entries),
+    )
 
 
 def format_rank_changes_csv(
     changes: Sequence[tuple[str, int]], from_key: str, to_key: str
 ) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit", f"delta_{from_key}_to_{to_key}"])
-    for unit, delta in changes:
-        writer.writerow([unit, f"{delta:+d}" if delta else "0"])
-    return buf.getvalue()
+    return csv_text(
+        ["unit", f"delta_{from_key}_to_{to_key}"],
+        ([unit, f"{delta:+d}" if delta else "0"] for unit, delta in changes),
+    )
 
 
 def format_correlation_csv(matrix: CorrelationMatrix) -> str:
     """Long-format matrix CSV, each cell tagged with its triangle."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "col", "triangle", "value", "p_value", "stars"])
+    body = []
     m = len(matrix.labels)
     for i in range(m):
         for j in range(m):
@@ -209,7 +211,7 @@ def format_correlation_csv(matrix: CorrelationMatrix) -> str:
                 method, value, p = "pearson", matrix.pearson[i, j], matrix.pearson_p[i, j]
             else:  # upper triangle: Spearman
                 method, value, p = "spearman", matrix.spearman[i, j], matrix.spearman_p[i, j]
-            writer.writerow(
+            body.append(
                 [
                     matrix.labels[i],
                     matrix.labels[j],
@@ -219,15 +221,13 @@ def format_correlation_csv(matrix: CorrelationMatrix) -> str:
                     "*" * matrix.stars(i, j, method),
                 ]
             )
-    return buf.getvalue()
+    return csv_text(["row", "col", "triangle", "value", "p_value", "stars"], body)
 
 
 def format_decisions_csv(decisions: Sequence[PairwiseDecision]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit_i", "unit_j", "mean_diff", "critical_diff", "significant"])
-    for d in sorted(decisions, key=lambda d: (d.unit_i, d.unit_j)):
-        writer.writerow(
+    return csv_text(
+        ["unit_i", "unit_j", "mean_diff", "critical_diff", "significant"],
+        (
             [
                 d.unit_i,
                 d.unit_j,
@@ -235,8 +235,9 @@ def format_decisions_csv(decisions: Sequence[PairwiseDecision]) -> str:
                 f"{d.critical_diff:.12g}",
                 str(d.significant).lower(),
             ]
-        )
-    return buf.getvalue()
+            for d in sorted(decisions, key=lambda d: (d.unit_i, d.unit_j))
+        ),
+    )
 
 
 def write_text(path: Path, content: str) -> Path:

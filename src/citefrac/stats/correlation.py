@@ -63,14 +63,11 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
     )
 
 
-def correlation_matrix(
-    columns: Mapping[str, Sequence[float]], n: int | None = None
-) -> CorrelationMatrix:
+def correlation_matrix(columns: Mapping[str, Sequence[float]]) -> CorrelationMatrix:
     """All pairwise Pearson and Spearman correlations over named columns."""
     labels = list(columns)
     data = [list(map(float, columns[name])) for name in labels]
-    if n is None:
-        n = len(data[0]) if data else 0
+    n = len(data[0]) if data else 0
     for name, col in zip(labels, data):
         if len(col) != n:
             raise LengthMismatch(f"column {name!r} has length {len(col)}, expected {n}")

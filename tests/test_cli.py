@@ -1,12 +1,15 @@
+import csv
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import citefrac
-from citefrac.cli import main
+from citefrac.cli import _SETTINGS, UsageError, _build_config, build_parser, main
 from citefrac.corpus import load_canonical
 
 
@@ -37,7 +40,7 @@ class TestIngest:
             "--out", str(tmp_path / "out"), "--strict",
         )
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: toy_onebad.tagged, line " in capsys.readouterr().err
 
     def test_missing_input(self, tmp_path, capsys):
         code = run("ingest", "--input", str(tmp_path / "nope.tagged"), "--out", str(tmp_path))
@@ -46,11 +49,14 @@ class TestIngest:
     @pytest.mark.parametrize(
         "record, message",
         [
-            ("PT J\nPY 0\nUT WOS:2\nER\n", "line 5: year must be positive"),
-            ("PT J\nPY 2006\nNR -3\nUT WOS:2\nER\n", "line 5: nrefs must be >= 0"),
+            ("PT J\nPY 0\nUT WOS:2\nER\n", "export.tagged, line 5: year must be positive"),
+            (
+                "PT J\nPY 2006\nNR -3\nUT WOS:2\nER\n",
+                "export.tagged, line 5: nrefs must be >= 0",
+            ),
             (
                 "PT J\nPY 2006\nUT WOS:1\nER\n",
-                "line 5: duplicate record id 'WOS:1', first at line 1",
+                "export.tagged, line 5: duplicate record id 'WOS:1', first at line 1",
             ),
         ],
         ids=["year_zero", "negative_nr", "duplicate_ut"],
@@ -174,16 +180,20 @@ class TestAggregateTableMode:
         assert code == 0
         top = (out / "ranking_fcp5.csv").read_text(encoding="utf-8").splitlines()[1]
         assert top.startswith("1,Dep Chem,")
-
-    def test_evaluate_aggregate_table_flag(self, data_dir, tmp_path):
-        out = tmp_path / "out"
-        code = run(
-            "evaluate", "--input", str(data_dir / "table1.csv"),
-            "--aggregate-table", str(data_dir / "table1.csv"), "--out", str(out),
-        )
-        assert code == 0
         changes = (out / "rank_changes_icp5_to_fcp5.csv").read_text(encoding="utf-8")
         assert "Dep Chinese Language & Literature,+17" in changes.replace('"', "")
+
+    @pytest.mark.parametrize("command", ["evaluate", "count", "assign"])
+    def test_corpus_commands_refuse_unit_table(self, command, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            command, "--input", str(data_dir / "table1.csv"), "--format", "aggregate",
+            "--units", str(data_dir / "toy_units.txt"), "--window", "2005:2009",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "run `citefrac report` on it" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_correlations_emitted(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -215,6 +225,36 @@ class TestStatsSubcommand:
         methods = [l.split(",")[0] for l in tests[1:]]
         assert methods == ["kruskal-wallis", "levene", "anova"]
 
+    def test_unit_name_with_comma_and_quote(self, data_dir, tmp_path):
+        units = tmp_path / "units.txt"
+        units.write_text(
+            (data_dir / "toy_units.txt").read_text(encoding="utf-8")
+            .replace("Unit Alpha", 'Unit "Alpha", Sub'),
+            encoding="utf-8",
+        )
+        common = ["--input", str(data_dir / "toy_corpus.jsonl"), "--units", str(units),
+                  "--window", "2005:2009", "--min-pubs", "2"]
+        assert run("count", *common, "--out", str(tmp_path / "count")) == 0
+        scores = tmp_path / "count" / "scores_2005_2009.csv"
+        with scores.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {6}
+        assert 'Unit "Alpha", Sub' in {row[1] for row in rows}
+        assert run("stats", "--input", str(scores), "--out", str(tmp_path / "stats")) == 0
+        assert run("evaluate", *common, "--out", str(tmp_path / "evaluate")) == 0
+
+        def pairwise(out):
+            with (out / "pairwise.csv").open(encoding="utf-8", newline="") as fh:
+                return {(r["unit_i"], r["unit_j"]): float(r["mean_diff"])
+                        for r in csv.DictReader(fh)}
+
+        from_stats = pairwise(tmp_path / "stats")
+        from_evaluate = pairwise(tmp_path / "evaluate")
+        assert ('Unit "Alpha", Sub', "Unit Beta") in from_stats
+        assert from_stats.keys() == from_evaluate.keys()
+        for pair, diff in from_evaluate.items():
+            assert from_stats[pair] == pytest.approx(diff, rel=1e-9), pair
+
 
     @pytest.mark.parametrize(
         "row", ["A,x", "A,nan", "A,inf", "A", ",5"],
@@ -225,7 +265,7 @@ class TestStatsSubcommand:
         samples.write_text(f"unit,value\nA,1\nA,2\nB,3\nB,4\n{row}\n", encoding="utf-8")
         code = run("stats", "--input", str(samples), "--out", str(tmp_path / "out"))
         assert code == 2
-        assert "line 6:" in capsys.readouterr().err
+        assert "samples.csv, line 6:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -323,7 +363,7 @@ class TestConfigAndValidation:
             "--out", str(tmp_path / "out"),
         )
         assert code == 2
-        assert "line " in capsys.readouterr().err
+        assert "table.csv, line " in capsys.readouterr().err
 
     def test_repeated_window_usage_exit(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -356,7 +396,7 @@ class TestConfigAndValidation:
             "--units", str(units), "--out", str(tmp_path / "out"),
         )
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert f"units.txt, {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "record",
@@ -383,7 +423,7 @@ class TestConfigAndValidation:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"line {len(lines) + 1}:" in err
+        assert f"corpus.jsonl, line {len(lines) + 1}:" in err
         assert "internal error" not in err
 
     @pytest.mark.parametrize(
@@ -393,8 +433,18 @@ class TestConfigAndValidation:
             ("min-pubs 3", "run.cfg, line 3: config line without '='"),
             ("strict = ture", "run.cfg, line 3: invalid strict value 'ture'"),
             ("min-pubs = x", "run.cfg, line 3: invalid min-pubs value 'x'"),
+            ("min-pubs = 0", "run.cfg, line 3: invalid min-pubs value '0': must be >= 1, got 0"),
+            ("alpha = 2", "run.cfg, line 3: invalid alpha value '2': must lie in (0, 1), got 2.0"),
+            (
+                "format = tagdged",
+                "run.cfg, line 3: invalid format value 'tagdged': "
+                "must be tagged, canonical or aggregate, got tagdged",
+            ),
         ],
-        ids=["unknown_key", "no_equals", "strict_not_boolean", "min_pubs_not_integer"],
+        ids=[
+            "unknown_key", "no_equals", "strict_not_boolean", "min_pubs_not_integer",
+            "min_pubs_zero", "alpha_out_of_range", "format_unknown",
+        ],
     )
     def test_bad_config_usage_exit(self, data_dir, tmp_path, capsys, line, message):
         out = tmp_path / "out"
@@ -448,3 +498,122 @@ def test_console_entry_point(data_dir, tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "corpus.jsonl").is_file()
+
+
+# One sample per setting: (a good text, a bad text or None where the parser
+# accepts every text). A setting missing here fails the completeness test.
+SETTING_SAMPLES = {
+    "input": ("{data}/toy_corpus.jsonl", None),
+    "format": ("tagged", "tagdged"),
+    "units": ("{data}/toy_units.txt", None),
+    "py": ("2005,2006", "20x5"),
+    "window": ("2005:2007,2005:2009", "2005:2007,2005-2009"),
+    "min_pubs": ("3", "0"),
+    "alpha": ("0.01", "nan"),
+    "out": ("results", None),
+    "strict": ("true", None),  # a bare switch: no bad flag value to give
+}
+
+
+def test_setting_samples_cover_every_setting():
+    assert SETTING_SAMPLES.keys() == _SETTINGS.keys()
+
+
+class TestSettingsDeclaredOnce:
+    """A flag and a config line reach a setting through the same parser."""
+
+    def flag_argv(self, key, text):
+        flag = "--" + key.replace("_", "-")
+        if key == "strict":
+            return [flag]
+        if key == "window":
+            return [arg for window in text.split(",") for arg in (flag, window)]
+        return [flag, text]
+
+    def from_flags(self, data_dir, key, text):
+        base = [] if key == "input" else ["--input", str(data_dir / "toy_corpus.jsonl")]
+        args = build_parser().parse_args(["count", *base, *self.flag_argv(key, text)])
+        return _build_config(args)
+
+    def from_config(self, data_dir, tmp_path, key, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# {key}\n{key.replace('_', '-')} = {text}\n", encoding="utf-8")
+        base = [] if key == "input" else ["--input", str(data_dir / "toy_corpus.jsonl")]
+        return _build_config(build_parser().parse_args(["count", *base, "--config", str(cfg)]))
+
+    @pytest.mark.parametrize("key", sorted(SETTING_SAMPLES))
+    def test_flag_and_config_give_the_same_value(self, key, data_dir, tmp_path):
+        text = SETTING_SAMPLES[key][0].format(data=data_dir)
+        field = _SETTINGS[key].field
+        from_flags = self.from_flags(data_dir, key, text)
+        from_config = self.from_config(data_dir, tmp_path, key, text)
+        assert getattr(from_flags, field) == getattr(from_config, field)
+        assert from_flags == from_config
+        default = _build_config(build_parser().parse_args(
+            ["count", "--input", str(data_dir / "toy_corpus.jsonl")]
+        ))
+        if key != "input":
+            assert getattr(from_flags, field) != getattr(default, field)
+
+    @pytest.mark.parametrize(
+        "key", sorted(key for key, (_, bad) in SETTING_SAMPLES.items() if bad)
+    )
+    def test_flag_and_config_fail_alike(self, key, data_dir, tmp_path):
+        bad = SETTING_SAMPLES[key][1]
+        with pytest.raises(UsageError) as from_flags:
+            self.from_flags(data_dir, key, bad)
+        with pytest.raises(UsageError) as from_config:
+            self.from_config(data_dir, tmp_path, key, bad)
+        flag, config = str(from_flags.value), str(from_config.value)
+        name = key.replace("_", "-")
+        assert flag.startswith(f"invalid --{name} value {bad!r}: ")
+        assert config.startswith(f"run.cfg, line 2: invalid {name} value {bad!r}: ")
+        assert flag.split(f"{bad!r}: ", 1)[1] == config.split(f"{bad!r}: ", 1)[1]
+
+
+# Config lines and flag values as a user might mistype them: a good value,
+# random text, or a good value with random text spliced in. Every run also
+# passes --out, which wins over any config line, so no run writes outside
+# its temporary directory.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_GOOD = st.sampled_from(
+    ["", "2", "0.5", "2005:2009", "2005:2007,2005:2009", "2005", "yes", "canonical"]
+)
+_VALUE = st.one_of(
+    _GOOD,
+    _TEXT,
+    st.tuples(_GOOD, _TEXT, st.integers(0, 20)).map(
+        lambda t: t[0][: t[2]] + t[1] + t[0][t[2] + 1:]
+    ),
+)
+_KEYS = st.sampled_from(sorted(set(_SETTINGS) - {"out"}) + ["min-pubs", "min_pub"])
+_CONFIG_LINE = st.one_of(
+    st.tuples(_KEYS, _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    _TEXT,
+)
+_FLAG = st.sampled_from(["--min-pubs", "--alpha", "--py", "--window", "--format"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lines=st.lists(_CONFIG_LINE, max_size=4),
+    flags=st.lists(st.tuples(_FLAG, _VALUE), max_size=3),
+)
+def test_mutated_settings_never_internal_error(lines, flags):
+    data = Path(__file__).parent / "data"
+    with tempfile.TemporaryDirectory() as scratch:
+        cfg = Path(scratch) / "run.cfg"
+        cfg.write_text(
+            "\n".join(
+                [f"input = {data / 'toy_corpus.jsonl'}", f"units = {data / 'toy_units.txt'}",
+                 "window = 2005:2009", "min-pubs = 2", *lines]
+            ) + "\n",
+            encoding="utf-8",
+        )
+        out = Path(scratch) / "out"
+        argv = ["evaluate", "--config", str(cfg), "--out", str(out)]
+        argv += [f"{flag}={text}" for flag, text in flags]
+        code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()

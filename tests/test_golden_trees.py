@@ -70,27 +70,7 @@ CASES = {
             "manifest.txt": "d95cc7f652264e31df365b28a42cfb33569849439a38c78728c7c1639675e417",
         },
     ),
-    "evaluate_aggregate_table": (
-        ["evaluate", "--input", "table1.csv", "--aggregate-table", "table1.csv"],
-        {
-            **TABLE1_REPORTS,
-            "manifest.txt": "bbb5f1ecafcd60d9f16a131a9b3b73211ad5c746f3a015981aa3f2e424226799",
-        },
-    ),
-    "evaluate_format_aggregate": (
-        ["evaluate", "--input", "table1.csv", "--format", "aggregate"],
-        {
-            **TABLE1_REPORTS,
-            "manifest.txt": "d95cc7f652264e31df365b28a42cfb33569849439a38c78728c7c1639675e417",
-        },
-    ),
 }
-
-# The table alone is the input: the same tree as with an extra --input.
-CASES["evaluate_aggregate_table_alone"] = (
-    ["evaluate", "--aggregate-table", "table1.csv"],
-    CASES["evaluate_aggregate_table"][1],
-)
 
 FIXTURES = {"toy_corpus.jsonl", "toy_units.txt", "table1.csv"}
 
