@@ -129,7 +129,7 @@ def _read_config_file(path: Path) -> dict[str, tuple[str, str]]:
     """Setting key -> (value, the file:line prefix of its error should it not
     parse). Only a line whose first non-blank character is '#' is a comment."""
     values: dict[str, tuple[str, str]] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _text(path).splitlines()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -176,11 +176,21 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings)
 
 
+def _text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{path.name}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _read(path: Path, load):
     """Apply `load` to the text of the input file at `path`. An error that
     names a line is led by the file's name: `units.txt, line 3: ...`."""
+    text = _text(path)
     try:
-        return load(path.read_text(encoding="utf-8"))
+        return load(text)
     except (ParseError, QuerySyntaxError) as exc:
         if exc.line is None:
             raise
@@ -382,6 +392,11 @@ def _unit_reports(
 
 def cmd_report(config: RunConfig) -> dict[str, str]:
     """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
+    if config.format != "aggregate":
+        raise UsageError(
+            f"format {config.format} is a corpus: `citefrac report` reads a unit "
+            "table, given with --format aggregate"
+        )
     rows = _read(config.input, load_aggregate_table)
     keys = _aggregate_keys(["3", "5"])
     tree = {"aggregates.csv": report.format_aggregates_csv(rows, keys)}

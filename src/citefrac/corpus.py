@@ -118,7 +118,7 @@ def build_corpus(
     if citing is None:
         citing = [
             rec for rec in cited_map.values()
-            if any(ref in cited_map for ref in rec.cited_ids)
+            if not cited_map.keys().isdisjoint(rec.cited_ids)
         ]
     citing_map: dict[str, PublicationRecord] = {}
     for rec in citing:
@@ -132,9 +132,15 @@ def build_corpus(
 # Tagged flat-file format (WoS-style export)
 # ---------------------------------------------------------------------------
 
-_TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
-_DOI_SUFFIX_RE = re.compile(r"\bDOI (\S+?)\.?$")
-_BRACKET_PREFIX_RE = re.compile(r"^\[[^\]]*\]\s*")
+# Every [A-Z][A-Z0-9] pair is a field tag. A record keeps the first value of
+# each _FIRST_TAGS tag and every value of C1 and CR, continuation lines
+# included; any other tag only opens a record and ends the previous field.
+_UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_TAGS = frozenset(a + b for a in _UPPER for b in _UPPER + "0123456789")
+_FIRST_TAGS = frozenset({"UT", "DI", "PY", "NR", "DT"})
+# One C1 address per match: the bracket group naming its authors, which
+# separates several authors with ';' too, then the address up to the next ';'.
+_ADDRESS_RE = re.compile(r"\s*(?:\[[^\]]*\])?([^;]*);?")
 
 
 @dataclass
@@ -149,56 +155,65 @@ class TaggedParseResult:
 def _split_addresses(c1_lines: list[str]) -> list[str]:
     addresses: list[str] = []
     for line in c1_lines:
-        for segment in line.split(";"):
-            segment = _BRACKET_PREFIX_RE.sub("", segment.strip()).strip()
+        for segment in _ADDRESS_RE.findall(line):
+            segment = segment.strip()
             if segment:
                 addresses.append(segment)
     return addresses
 
 
+def _cited_doi(line: str) -> str | None:
+    """The DOI a CR line ends with, or None: the text after a "DOI " that
+    starts a word, holding no whitespace, with one trailing '.' dropped.
+
+    That text runs to the end of the line, so only the last "DOI " can
+    start it. On a line without newlines this is the first match of the
+    regex ``\\bDOI (\\S+?)\\.?$``, found without running it.
+    """
+    at = line.rfind("DOI ")
+    if at < 0 or (at > 0 and (line[at - 1].isalnum() or line[at - 1] == "_")):
+        return None
+    token = line[at + 4:]
+    if token.split() != [token]:
+        return None
+    return token[:-1] if len(token) > 1 and token[-1] == "." else token
+
+
 def _finish_record(
-    fields: dict[str, list[str]], start_line: int
-) -> PublicationRecord:
-    def first(tag: str) -> str | None:
-        values = fields.get(tag)
-        return values[0] if values else None
+    first: dict[str, str], c1: list[str], cr: list[str], start_line: int
+) -> PublicationRecord | ParseError:
+    """The record of one ER-terminated block, or the error that rejects it.
 
-    rec_id = first("UT") or first("DI")
+    The error is returned, never raised, so it holds no frame of the parse
+    (and through it the whole export).
+    """
+    rec_id = first.get("UT") or first.get("DI")
     if not rec_id:
-        raise MissingId("record has neither UT nor DI", start_line)
-
-    def integer(tag: str) -> int | None:
-        raw = first(tag)
+        return MissingId("record has neither UT nor DI", start_line)
+    if "PY" not in first:
+        return MalformedField("record has no PY field", start_line)
+    numbers: dict[str, int | None] = {}
+    for tag in ("PY", "NR"):
+        raw = first.get(tag)
         try:
-            return None if raw is None else int(raw)
+            numbers[tag] = None if raw is None else int(raw)
         except ValueError:
-            raise MalformedField(f"non-integer {tag} {raw!r}", start_line) from None
+            return MalformedField(f"non-integer {tag} {raw!r}", start_line)
 
-    year = integer("PY")
-    if year is None:
-        raise MalformedField("record has no PY field", start_line)
-    nrefs = integer("NR")
-
-    cited_ids: list[str] = []
-    seen: set[str] = set()
-    for cr_line in fields.get("CR", []):
-        m = _DOI_SUFFIX_RE.search(cr_line)
-        if m and m.group(1) not in seen:
-            seen.add(m.group(1))
-            cited_ids.append(m.group(1))
+    dois = [doi for doi in map(_cited_doi, cr) if doi is not None]
 
     try:
         return PublicationRecord(
             id=rec_id,
-            year=year,
-            doctype=normalize_doctype(first("DT") or ""),
-            addresses=tuple(_split_addresses(fields.get("C1", []))),
-            nrefs=nrefs,
-            cited_ids=tuple(cited_ids),
-            doi=first("DI"),
+            year=numbers["PY"],
+            doctype=normalize_doctype(first.get("DT") or ""),
+            addresses=tuple(_split_addresses(c1)),
+            nrefs=numbers["NR"],
+            cited_ids=tuple(dict.fromkeys(dois)),
+            doi=first.get("DI"),
         )
     except ValueError as exc:
-        raise MalformedField(str(exc), start_line) from None
+        return MalformedField(str(exc), start_line)
 
 
 def parse_tagged(text: str) -> TaggedParseResult:
@@ -210,51 +225,56 @@ def parse_tagged(text: str) -> TaggedParseResult:
     record's id, are rejected individually and reported in the result's
     error list.
     """
-    lines = text.splitlines()
-
     result = TaggedParseResult()
     first_lines: dict[str, int] = {}  # accepted record id -> its start line
-    fields: dict[str, list[str]] = {}
-    current_tag: str | None = None
+    first: dict[str, str] = {}
+    c1: list[str] = []
+    cr: list[str] = []
+    continued: list[str] | None = None  # where an indented line goes
     start_line = 0
     in_record = False
     saw_ef = False
 
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        stripped = raw.rstrip()
-        if stripped == "EF":
-            saw_ef = True
-            break
-        if stripped == "ER":
-            if in_record:
-                try:
-                    rec = _finish_record(fields, start_line)
-                    first = first_lines.setdefault(rec.id, start_line)
-                    if first != start_line:
-                        raise DuplicateId(
-                            f"duplicate record id {rec.id!r}, first at line {first}",
-                            start_line,
-                        )
-                    result.records.append(rec)
-                except ParseError as exc:
-                    result.errors.append(exc)
-            fields = {}
-            current_tag = None
-            in_record = False
-            continue
-        m = _TAG_RE.match(raw)
-        if m:
-            tag, value = m.group(1), m.group(2)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tag = raw[:2]
+        if raw[2:3] == " " and tag in _TAGS and not (
+            (tag == "ER" or tag == "EF") and raw.rstrip() == tag
+        ):
             if not in_record:
                 in_record = True
                 start_line = lineno
-            # FN/VR and other file-header tags are harmless extras.
-            fields.setdefault(tag, []).append(value)
-            current_tag = tag
-        elif raw[:1].isspace() and current_tag is not None:
-            fields[current_tag].append(raw.strip())
+            if tag == "CR":
+                cr.append(raw[3:])
+                continued = cr
+            elif tag == "C1":
+                c1.append(raw[3:])
+                continued = c1
+            else:
+                # FN/VR and other file-header tags are harmless extras.
+                continued = None
+                if tag in _FIRST_TAGS and tag not in first:
+                    first[tag] = raw[3:]
+        elif raw[:1].isspace():
+            if continued is not None and (value := raw.strip()):
+                continued.append(value)
+        elif (marker := raw.rstrip()) == "ER":
+            if in_record:
+                rec = _finish_record(first, c1, cr, start_line)
+                if isinstance(rec, ParseError):
+                    result.errors.append(rec)
+                elif (seen_at := first_lines.setdefault(rec.id, start_line)) == start_line:
+                    result.records.append(rec)
+                else:
+                    result.errors.append(DuplicateId(
+                        f"duplicate record id {rec.id!r}, first at line {seen_at}",
+                        start_line,
+                    ))
+            first, c1, cr = {}, [], []
+            continued = None
+            in_record = False
+        elif marker == "EF":
+            saw_ef = True
+            break
         # Anything else (header prose) is ignored.
 
     if in_record and not saw_ef:
@@ -272,8 +292,9 @@ def parse_tagged(text: str) -> TaggedParseResult:
 # Canonical line-delimited JSON interchange format
 # ---------------------------------------------------------------------------
 
-_CANONICAL_FIELDS = ("id", "side", "year", "doctype", "addresses", "nrefs", "cites", "doi")
 _SIDES = {"cited", "citing", "both"}
+# One encoder for every line; it writes tuples as JSON arrays.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def load_canonical(text: str) -> Corpus:
@@ -353,12 +374,12 @@ def write_canonical(corpus: Corpus) -> str:
             "side": side,
             "year": rec.year,
             "doctype": rec.doctype,
-            "addresses": list(rec.addresses),
+            "addresses": rec.addresses,
             "nrefs": rec.nrefs,
-            "cites": list(rec.cited_ids),
+            "cites": rec.cited_ids,
             "doi": rec.doi,
         }
-        out_lines.append(json.dumps(obj, ensure_ascii=False))
+        out_lines.append(_encode(obj))
     return "\n".join(out_lines) + ("\n" if out_lines else "")
 
 

@@ -125,6 +125,11 @@ def build_homogeneity_graph(decisions: Sequence[PairwiseDecision]) -> Homogeneit
     )
 
 
+def _dot_id(name: str) -> str:
+    """A unit name as a quoted DOT id: backslash and double quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_graph_dot(graph: HomogeneityGraph) -> str:
     """Undirected DOT output; vertices and edges in sorted order."""
     lines = [
@@ -133,9 +138,9 @@ def emit_graph_dot(graph: HomogeneityGraph) -> str:
         "graph homogeneity {",
     ]
     for v in graph.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for a, b in sorted(graph.edges):
-        lines.append(f'  "{a}" -- "{b}";')
+        lines.append(f"  {_dot_id(a)} -- {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,18 +1,33 @@
 """Shared test utilities: random corpora, brute-force counting oracle,
 random query ASTs, per-record query-matching oracle, scalar
-studentized-range oracle."""
+studentized-range oracle, per-line regex tagged-file parser oracle."""
 from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 
-from citefrac.corpus import Corpus, PublicationRecord, build_corpus
+from citefrac.corpus import (
+    Corpus,
+    PublicationRecord,
+    TaggedParseResult,
+    _split_addresses,
+    build_corpus,
+    normalize_doctype,
+)
 from citefrac.counting import PaperImpact, Window
 from citefrac import unitquery as uq
-from citefrac.errors import ConvergenceFailure
+from citefrac.errors import (
+    ConvergenceFailure,
+    DuplicateId,
+    MalformedField,
+    MissingId,
+    ParseError,
+    UnterminatedRecord,
+)
 from citefrac.stats.distributions import _PHI_Z, _Z, _ZW, _chi_scale_grid
 
 DOCTYPES = ["Article", "Review", "Proceedings Paper", "Editorial", "Letter"]
@@ -240,3 +255,115 @@ def reference_studentized_range_quantile(
     raise ConvergenceFailure(
         "studentized-range quantile did not converge", achieved
     )
+
+
+# ---------------------------------------------------------------------------
+# Tagged-file parser oracle: a regex match on every line, a list kept for
+# every tag, and errors raised and caught. Addresses come from the package's
+# own _split_addresses.
+# ---------------------------------------------------------------------------
+
+_TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
+_DOI_SUFFIX_RE = re.compile(r"\bDOI (\S+?)\.?$")
+
+
+def _reference_finish_record(
+    fields: dict[str, list[str]], start_line: int
+) -> PublicationRecord:
+    def first(tag: str) -> str | None:
+        values = fields.get(tag)
+        return values[0] if values else None
+
+    rec_id = first("UT") or first("DI")
+    if not rec_id:
+        raise MissingId("record has neither UT nor DI", start_line)
+
+    def integer(tag: str) -> int | None:
+        raw = first(tag)
+        try:
+            return None if raw is None else int(raw)
+        except ValueError:
+            raise MalformedField(f"non-integer {tag} {raw!r}", start_line) from None
+
+    year = integer("PY")
+    if year is None:
+        raise MalformedField("record has no PY field", start_line)
+    nrefs = integer("NR")
+
+    cited_ids: list[str] = []
+    seen: set[str] = set()
+    for cr_line in fields.get("CR", []):
+        m = _DOI_SUFFIX_RE.search(cr_line)
+        if m and m.group(1) not in seen:
+            seen.add(m.group(1))
+            cited_ids.append(m.group(1))
+
+    try:
+        return PublicationRecord(
+            id=rec_id,
+            year=year,
+            doctype=normalize_doctype(first("DT") or ""),
+            addresses=tuple(_split_addresses(fields.get("C1", []))),
+            nrefs=nrefs,
+            cited_ids=tuple(cited_ids),
+            doi=first("DI"),
+        )
+    except ValueError as exc:
+        raise MalformedField(str(exc), start_line) from None
+
+
+def reference_parse_tagged(text: str) -> TaggedParseResult:
+    lines = text.splitlines()
+
+    result = TaggedParseResult()
+    first_lines: dict[str, int] = {}  # accepted record id -> its start line
+    fields: dict[str, list[str]] = {}
+    current_tag: str | None = None
+    start_line = 0
+    in_record = False
+    saw_ef = False
+
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        stripped = raw.rstrip()
+        if stripped == "EF":
+            saw_ef = True
+            break
+        if stripped == "ER":
+            if in_record:
+                try:
+                    rec = _reference_finish_record(fields, start_line)
+                    first = first_lines.setdefault(rec.id, start_line)
+                    if first != start_line:
+                        raise DuplicateId(
+                            f"duplicate record id {rec.id!r}, first at line {first}",
+                            start_line,
+                        )
+                    result.records.append(rec)
+                except ParseError as exc:
+                    result.errors.append(exc)
+            fields = {}
+            current_tag = None
+            in_record = False
+            continue
+        m = _TAG_RE.match(raw)
+        if m:
+            tag, value = m.group(1), m.group(2)
+            if not in_record:
+                in_record = True
+                start_line = lineno
+            fields.setdefault(tag, []).append(value)
+            current_tag = tag
+        elif raw[:1].isspace() and current_tag is not None:
+            fields[current_tag].append(raw.strip())
+
+    if in_record and not saw_ef:
+        result.errors.append(
+            UnterminatedRecord("record not terminated by ER before EOF", start_line)
+        )
+    elif in_record:
+        result.errors.append(
+            UnterminatedRecord("record open at EF marker", start_line)
+        )
+    return result

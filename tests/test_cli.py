@@ -183,6 +183,17 @@ class TestAggregateTableMode:
         changes = (out / "rank_changes_icp5_to_fcp5.csv").read_text(encoding="utf-8")
         assert "Dep Chinese Language & Literature,+17" in changes.replace('"', "")
 
+    @pytest.mark.parametrize("fmt", ["tagged", "canonical", None])
+    def test_report_refuses_corpus_formats(self, fmt, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["report", "--input", str(data_dir / "table1.csv"), "--out", str(out)]
+        code = run(*argv, *(["--format", fmt] if fmt else []))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"format {fmt or 'canonical'} is a corpus" in err
+        assert "--format aggregate" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "count", "assign"])
     def test_corpus_commands_refuse_unit_table(self, command, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -254,6 +265,9 @@ class TestStatsSubcommand:
         assert from_stats.keys() == from_evaluate.keys()
         for pair, diff in from_evaluate.items():
             assert from_stats[pair] == pytest.approx(diff, rel=1e-9), pair
+        for out in ("stats", "evaluate"):
+            dot = (tmp_path / out / "homogeneity.dot").read_text(encoding="utf-8")
+            assert '  "Unit \\"Alpha\\", Sub";' in dot.splitlines()
 
 
     @pytest.mark.parametrize(
@@ -617,3 +631,56 @@ def test_mutated_settings_never_internal_error(lines, flags):
         assert code in (0, 2)
         if code == 2:
             assert not out.exists()
+
+
+# A tagged export as a user might damage it: lines of the toy fixture
+# replaced, inserted, deleted or spliced with random text or marker-like
+# lines, and a few random bytes inserted, which may break its UTF-8.
+_TAGGED_LINE = st.one_of(
+    st.sampled_from([
+        "", "   ", "ER", "ER ", "ER x", "EF", "EF x", "PT J", "PY 0", "PY x", "PY2005",
+        "NR -1", "UT WOS:000000000001", "DI 10.9/one", "   DOI 10.9/one",
+        "CR DOI .", "CR XDOI 10.1/a", "C1 [A, B.; C, D.] Univ X, City", "pt J",
+    ]),
+    _TEXT,
+)
+_EDIT = st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "splice"]),
+    st.integers(0, 40),
+    _TAGGED_LINE,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edits=st.lists(_EDIT, max_size=4),
+    garbage=st.tuples(st.integers(0, 600), st.binary(max_size=3)),
+    strict=st.booleans(),
+)
+def test_mutated_tagged_export_never_internal_error(edits, garbage, strict):
+    data = Path(__file__).parent / "data"
+    lines = (data / "toy_good.tagged").read_text(encoding="utf-8").splitlines()
+    for op, at, text in edits:
+        at %= len(lines) + 1
+        if op == "insert" or at == len(lines):
+            lines.insert(at, text)
+        elif op == "replace":
+            lines[at] = text
+        elif op == "delete":
+            del lines[at]
+        else:
+            lines[at] = lines[at][: len(text)] + text + lines[at][len(text):]
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    at, junk = garbage
+    payload = payload[:at] + junk + payload[at:]
+    with tempfile.TemporaryDirectory() as scratch:
+        export = Path(scratch) / "export.tagged"
+        export.write_bytes(payload)
+        out = Path(scratch) / "out"
+        argv = ["ingest", "--input", str(export), "--out", str(out)]
+        code = main(argv + (["--strict"] if strict else []))
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            load_canonical((out / "corpus.jsonl").read_text(encoding="utf-8"))

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citefrac.corpus import (
     ARTICLE,
     PROCEEDINGS_PAPER,
     REVIEW,
     PublicationRecord,
+    _cited_doi,
     build_corpus,
     load_aggregate_table,
     load_canonical,
@@ -22,7 +24,7 @@ from citefrac.errors import (
     NonPositiveP,
     UnterminatedRecord,
 )
-from helpers import random_corpus
+from helpers import _DOI_SUFFIX_RE, random_corpus, reference_parse_tagged
 
 
 class TestParseTagged:
@@ -125,12 +127,170 @@ class TestParseTagged:
             "Tech Inst, Dep Beta, USA",
         )
 
+    def test_addresses_bracket_naming_several_authors(self):
+        text = (
+            "PT J\nPY 2005\nDT Article\n"
+            "C1 [Tanaka, Y.; Liu, U.] Fudan Univ, Dep Elec, Shanghai; "
+            "[Kim, H.] Tech Inst, Dep Beta, USA\n"
+            "   [Smith, J.; Lee, K.; Wu, Q.] State Univ, Dep Alpha, USA\n"
+            "UT WOS:1\nER\nEF\n"
+        )
+        rec = parse_tagged(text).records[0]
+        assert rec.addresses == (
+            "Fudan Univ, Dep Elec, Shanghai",
+            "Tech Inst, Dep Beta, USA",
+            "State Univ, Dep Alpha, USA",
+        )
+
+    def test_errors_hold_no_frame(self):
+        text = (
+            "PT J\nPY x\nUT WOS:1\nER\n"
+            "PT J\nPY 2005\nER\n"
+            "PT J\nPY 2005\nUT WOS:2\nER\n"
+            "PT J\nPY 2005\nUT WOS:2\nER\n"
+            "PT J\nPY 0\nUT WOS:3\nER\n"
+            "PT J\nUT WOS:4\n"
+        )
+        errors = parse_tagged(text).errors
+        assert [type(e) for e in errors] == [
+            MalformedField, MissingId, DuplicateId, MalformedField, UnterminatedRecord,
+        ]
+        for error in errors:
+            assert error.__traceback__ is None
+            assert error.__context__ is None and error.__cause__ is None
+
     def test_fixture_file(self, data_dir):
         result = parse_tagged((data_dir / "toy_good.tagged").read_text())
         assert len(result.records) == 3
         assert not result.errors
         assert result.records[1].nrefs == 40
         assert result.records[1].cited_ids == ("10.9/one",)
+
+
+# Pieces of a tagged export, good and bad, for the differential test.
+_VALUES = {
+    "UT": ["WOS:1", "WOS:2", "WOS:3", "", " WOS:4 "],
+    "DI": ["10.9/one", "10.9/two", ""],
+    "PY": ["2005", "2006", "0", "-1", "20x5", " 2007 ", "2_005", ""],
+    "NR": ["3", "0", "-2", "many", ""],
+    "DT": ["Article", "review", "Proceedings Paper", "Letter", ""],
+    "C1": [
+        "[Smith, J.] State Univ, Dep Alpha, USA; [Lee, K.] Tech Inst, USA",
+        "[Tanaka, Y.; Liu, U.] Fudan Univ, Shanghai",
+        "Plain Univ, City",
+        "[Open bracket; Univ X, City",
+        " ; ;Univ Y ; ",
+    ],
+    "CR": [
+        "Anon, 2001, J X, V1, P1, DOI 10.1/a",
+        "Anon, 2001, J X, XDOI 10.1/a",
+        "Anon, DOI 10.1/a.",
+        "Anon, DOI .",
+        "Anon, DOI 10.1/a, DOI 10.1/b",
+        "Anon, DOI 10.1/b DOI 10.1/c.",
+        "Anon, DOI 10.1/a\tb",
+        "Anon, DOI 10.1/a..",
+        "DOI 10.1/c",
+        "ANON, 1999, OLD J, V1, P1",
+        "Anon, DOI ",
+    ],
+}
+_OTHER_TAGS = ["PT", "AU", "TI", "SO", "FN", "VR", "ER", "EF", "Z9", "C2"]
+_NOISE = [
+    "", "   ", "\t", "pt J", "1C x", "PY2005", "header prose", "E", "ER\tx",
+    "ER", "ER  ", "ER\t", "EF", "EF ", "ER x", "EF x",
+]
+_INDENTS = ["   ", " ", "\t", "\u3000"]
+_BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\u2028"]
+
+
+def _random_field(rng: random.Random) -> list[str]:
+    if rng.random() < 0.15:
+        tag = rng.choice(_OTHER_TAGS)
+        lines = [f"{tag} {rng.choice(['J', 'x', '', 'Title'])}"]
+    else:
+        tag = rng.choice(sorted(_VALUES))
+        lines = [f"{tag} {rng.choice(_VALUES[tag])}"]
+    if rng.random() < 0.3:
+        pool = _VALUES.get(tag, ["continued"])
+        lines += [rng.choice(_INDENTS) + rng.choice(pool) for _ in range(rng.randint(1, 3))]
+    return lines
+
+
+def _random_tagged(rng: random.Random) -> str:
+    """A tagged export with random fields, noise lines and line breaks."""
+    lines = ["FN Export"] if rng.random() < 0.5 else []
+    if rng.random() < 0.2:
+        lines.append(rng.choice(_INDENTS) + "continued before any tag")
+    for _ in range(rng.randint(0, 8)):
+        block = ["PT J"] if rng.random() < 0.8 else []
+        if rng.random() < 0.6:  # a good head; later PY and UT values do not count
+            block += [f"PY {rng.randint(2003, 2008)}", f"UT WOS:{rng.randint(10, 60)}"]
+        for _ in range(rng.randint(0, 7)):
+            block += _random_field(rng)
+            if rng.random() < 0.15:
+                block.append(rng.choice(_NOISE))
+            if rng.random() < 0.05:
+                block.append(rng.choice(_INDENTS) + "stray")
+        block.append(rng.choice(["ER"] * 6 + ["ER ", "ER\t", "EF", "ER x", ""]))
+        lines += block
+    lines += rng.choice([["EF"], ["EF  "], [], ["EF", "PT J", "UT WOS:9", "ER"]])
+    return "".join(line + rng.choice(_BREAKS) for line in lines)
+
+
+def _error_keys(result):
+    return [(type(e), str(e), e.line) for e in result.errors]
+
+
+def test_parse_tagged_matches_reference_parser():
+    rng = random.Random(2010)
+    accepted = rejected = 0
+    for _ in range(600):
+        text = _random_tagged(rng)
+        fast, reference = parse_tagged(text), reference_parse_tagged(text)
+        assert fast.records == reference.records, text
+        assert _error_keys(fast) == _error_keys(reference), text
+        accepted += len(fast.records)
+        rejected += len(fast.errors)
+    # The inputs reach both outcomes often.
+    assert accepted > 300 and rejected > 300
+
+
+# CR-line text: "DOI " pieces, word and non-word characters (Unicode ones
+# too), dots and several kinds of whitespace.
+_CR_PIECES = st.sampled_from(
+    ["DOI ", "DOI", "XDOI ", "_DOI ", "\u0663DOI ", " DOI ", "_", "\u00e9", "\u0663",
+     "10.1/a", ".", "..", ",", " ", "\t", "\u00a0", "\u2003", "\x1f", "-"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_CR_PIECES, max_size=8).map("".join))
+def test_cited_doi_matches_regex(line):
+    m = _DOI_SUFFIX_RE.search(line)
+    assert _cited_doi(line) == (m[1] if m else None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "PT J\r\nPY 2005\r\nUT WOS:1\r\nCR A, DOI 10.1/a\r\n   B, DOI 10.1/b.\r\nER\r\nEF\r\n",
+        "PT J\rPY 2005\rUT WOS:1\rER \rEF\r",
+        "PT J\u2028PY 2005\u2028UT WOS:1\u2028ER x\u2028ER\u2028EF",
+        "pt J\nPY2005\n1C x\nPT J\nPY 2005\nUT WOS:1\nER\nEF\n",
+        "PT J\nPY 2005\nUT WOS:1\nEF\nER\n",
+        "   lost\nXX y\n   kept nowhere\nER\n",
+        "PT J\nPY 2005\nUT WOS:1\n"
+        "CR XDOI 10.1/a\n   DOI 10.1/a.\n   DOI .\n   DOI 10.1/b, DOI 10.1/c\n"
+        "   DOI 10.1/d\te\nER\nEF\n",
+    ],
+    ids=["crlf", "lone_cr", "u2028_er_field", "prose", "ef_in_record",
+         "unknown_tags_only", "doi_forms"],
+)
+def test_parse_tagged_edge_cases_match_reference(text):
+    fast, reference = parse_tagged(text), reference_parse_tagged(text)
+    assert fast.records == reference.records
+    assert _error_keys(fast) == _error_keys(reference)
 
 
 class TestCanonical:

@@ -138,16 +138,24 @@ class TestHomogeneityGraph:
             prev_components = len(g.components)
 
 
+_DOT_ID = r'"((?:[^"\\]|\\.)+)"'
+
+
+def _dot_unescape(text):
+    return re.sub(r"\\(.)", r"\1", text)
+
+
 def parse_dot(text):
-    """Minimal DOT reader: vertices and undirected edges."""
+    """Minimal DOT reader: vertices and undirected edges, quoted ids with
+    backslash escapes."""
     vertices, edges = set(), set()
     for line in text.splitlines():
         line = line.strip().rstrip(";")
-        m = re.match(r'^"([^"]+)" -- "([^"]+)"$', line)
+        m = re.fullmatch(f"{_DOT_ID} -- {_DOT_ID}", line)
         if m:
-            edges.add(tuple(sorted(m.groups())))
-        elif re.match(r'^"[^"]+"$', line):
-            vertices.add(line.strip('"'))
+            edges.add(tuple(sorted(map(_dot_unescape, m.groups()))))
+        elif m := re.fullmatch(_DOT_ID, line):
+            vertices.add(_dot_unescape(m[1]))
     return vertices, edges
 
 
@@ -172,6 +180,21 @@ class TestDotEmission:
         assert edge_lines == ['  "A" -- "B";', '  "B" -- "C";']
         assert "// density 0.333333" in text
         assert "// components 2" in text
+
+    def test_quote_and_backslash_escaped(self):
+        names = ['Unit "Alpha", Sub', "Unit Beta", "Dep A\\B"]
+        decisions = [
+            decision(names[0], names[1], False),
+            decision(names[0], names[2], False),
+            decision(names[1], names[2], True),
+        ]
+        g = build_homogeneity_graph(decisions)
+        text = emit_graph_dot(g)
+        assert '  "Unit \\"Alpha\\", Sub" -- "Unit Beta";' in text.splitlines()
+        assert '  "Dep A\\\\B";' in text.splitlines()
+        vertices, edges = parse_dot(text)
+        assert vertices == set(names)
+        assert edges == g.edges
 
     def test_reload_preserves_edge_count(self):
         decisions = [
