@@ -292,16 +292,37 @@ def parse_tagged(text: str) -> TaggedParseResult:
 # Canonical line-delimited JSON interchange format
 # ---------------------------------------------------------------------------
 
-_SIDES = {"cited", "citing", "both"}
+# A tuple, so that `in` compares a side of any JSON type without hashing it.
+_SIDES = ("cited", "citing", "both")
 # One encoder for every line; it writes tuples as JSON arrays.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _strings(obj: dict, key: str, rec_id: str, lineno: int) -> tuple[str, ...]:
+    """The JSON list of strings under `key`; missing or null is empty."""
+    value = obj.get(key)
+    if value is None:
+        return ()
+    if type(value) is list:
+        # str.join raises TypeError on any item that is not a str; of the
+        # checks tried, it costs a large corpus load the least.
+        try:
+            "".join(value)
+            return tuple(value)
+        except TypeError:
+            pass
+    raise MalformedField(
+        f"record {rec_id!r}: {key} must be a list of strings, got {value!r}", lineno
+    )
 
 
 def load_canonical(text: str) -> Corpus:
     """Load a corpus from the canonical one-JSON-object-per-line format.
 
     Unknown fields are ignored. References to ids outside the cited set do
-    not become links (but still count toward k via ``cites`` length).
+    not become links (but still count toward k via ``cites`` length). A
+    missing or null doctype reads as Article; any other doctype, ``""``
+    included, is kept, as a tagged record without DT keeps ``""``.
     """
     lines = text.splitlines()
 
@@ -315,38 +336,58 @@ def load_canonical(text: str) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+        except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
+            raise ParseError(f"invalid JSON: {exc}", lineno) from None
+        if type(obj) is not dict:
+            raise ParseError("a record must be a JSON object", lineno)
         side = obj.get("side")
         if side not in _SIDES:
             raise ParseError(f"invalid side {side!r}", lineno)
         rec_id = obj.get("id")
         if not rec_id:
             raise MissingId("missing id", lineno)
+        if type(rec_id) is not str:
+            raise MalformedField(f"id must be a string, got {rec_id!r}", lineno)
         if rec_id in seen:
             raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
         seen.add(rec_id)
+        year = obj.get("year")
+        if year is None:
+            raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
+        # int() would read 2005.7 as 2005 and true as 1; a numeric string is
+        # read, and int() names a bad one ("invalid literal").
+        if type(year) is not int and type(year) is not str:
+            raise MalformedField(
+                f"record {rec_id!r}: year must be an integer, got {year!r}", lineno
+            )
         nrefs = obj.get("nrefs")
-        if not (nrefs is None or isinstance(nrefs, int)):
+        if nrefs is not None and type(nrefs) is not int:
             raise MalformedField(
                 f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
             )
-        for key in ("addresses", "cites"):
-            if not isinstance(obj.get(key) or [], list):
-                raise MalformedField(
-                    f"record {rec_id!r}: {key} must be a list, got {obj[key]!r}", lineno
-                )
+        doctype = obj.get("doctype")
+        if doctype is None:
+            doctype = ARTICLE
+        elif type(doctype) is not str:
+            raise MalformedField(
+                f"record {rec_id!r}: doctype must be a string, got {doctype!r}", lineno
+            )
+        doi = obj.get("doi")
+        if doi is not None and type(doi) is not str:
+            raise MalformedField(
+                f"record {rec_id!r}: doi must be a string, got {doi!r}", lineno
+            )
         try:
             rec = PublicationRecord(
                 id=rec_id,
-                year=int(obj["year"]),
-                doctype=obj.get("doctype") or ARTICLE,
-                addresses=tuple(obj.get("addresses") or ()),
+                year=year if type(year) is int else int(year),
+                doctype=doctype,
+                addresses=_strings(obj, "addresses", rec_id, lineno),
                 nrefs=nrefs,
-                cited_ids=tuple(obj.get("cites") or ()),
-                doi=obj.get("doi"),
+                cited_ids=_strings(obj, "cites", rec_id, lineno),
+                doi=doi,
             )
-        except KeyError as exc:
-            raise MalformedField(f"record {rec_id!r} has no {exc} field", lineno) from None
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
         if side in ("cited", "both"):
             cited.append(rec)

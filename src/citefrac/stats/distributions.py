@@ -2,10 +2,11 @@
 
 The studentized-range CDF is evaluated by numerical integration (outer
 integral over the scale variable, inner over the range of k standard
-normals) and inverted by bracketing plus bisection. One CDF evaluation is a
-few numpy passes over the whole (scale, z) Gauss-Legendre grid: Phi comes
-from the rational `special.erfc` and the (k-1)th power from repeated
-squaring, with no Python call per grid point.
+normals) and inverted by bracketing plus bisection, replayed around a root
+that a secant found first, so that most bisection steps need no CDF call.
+One CDF evaluation is a few numpy passes over the whole (scale, z)
+Gauss-Legendre grid: Phi comes from the rational `special.erfc` and the
+(k-1)th power from repeated squaring, with no Python call per grid point.
 """
 from __future__ import annotations
 
@@ -122,22 +123,85 @@ def studentized_range_cdf(q: float, k: int, df: float) -> float:
     return float(min(1.0, max(0.0, np.sum(w * inner))))
 
 
+# A secant root r is checked by evaluating the CDF at r * (1 -/+ _BAND). Over
+# that distance the CDF moves by about 1e-8, far above the rounding of one
+# evaluation (about 1e-15), so the checked ends decide the side of every
+# point outside them exactly as a CDF call would.
+_BAND = 1e-7
+# A secant step shorter than this (relative) lands within _BAND of the root,
+# so it is followed by the check rather than by one more step.
+_SECANT_STOP = 1e-4
+_SECANT_STEPS = 16
+
+
+def _root_band(target: float, k: int, df: float, near: float) -> tuple[float, float]:
+    """Points a < b, b - a <= 2 * _BAND * b, with CDF(a) < target <= CDF(b).
+
+    A secant from the two points _BAND either side of `near`; a short step
+    is followed by the two points either side of its end, which check the
+    root and, should the check fail, give the next secant step. (0, inf)
+    when the secant stalls on a flat CDF or runs out of steps.
+    """
+    def excess(q: float) -> float:
+        return studentized_range_cdf(q, k, df) - target
+
+    x0, x1 = near * (1.0 - _BAND), near * (1.0 + _BAND)
+    g0, g1 = excess(x0), excess(x1)
+    for _ in range(_SECANT_STEPS):
+        if g0 < 0.0 <= g1 and 0.0 < x1 - x0 <= 2.0 * _BAND * x1:
+            return x0, x1
+        if g1 == g0:
+            break
+        x = min(max(x1 - g1 * (x1 - x0) / (g1 - g0), 0.5 * x1), 2.0 * x1)
+        if abs(x - x1) <= _SECANT_STOP * x:
+            x0, x1 = x * (1.0 - _BAND), x * (1.0 + _BAND)
+            g0, g1 = excess(x0), excess(x1)
+        else:
+            x0, g0, x1, g1 = x1, g1, x, excess(x)
+    return 0.0, math.inf
+
+
 def studentized_range_quantile(
-    alpha: float, k: int, df: float, rel_tol: float = 1e-6, max_iter: int = 200
+    alpha: float,
+    k: int,
+    df: float,
+    rel_tol: float = 1e-6,
+    max_iter: int = 200,
+    near: float | None = None,
 ) -> float:
     """Upper critical value q with P(Q_{k, df} <= q) = 1 - alpha.
 
-    Inverted by bracketing and bisection on the CDF; relative error of the
-    root is driven well below the 1e-4 contract.
+    The value is the one bracketing and bisection on the CDF give; the
+    relative error of the root is driven well below the 1e-4 contract. A
+    secant from `near` (default 4.0, the first bracket end) first finds and
+    checks the root (see `_root_band`). The bisection is then replayed step
+    for step, but a point outside the checked band takes its side from the
+    band without a CDF call. The result is the same float whatever `near`
+    is; a start near the root (such as the quantile of a nearby df) only
+    saves CDF evaluations: typically 4 to 9 in place of 22.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if k < 2:
         raise ValueError("k must be >= 2")
+    if near is None:
+        near = 4.0
+    elif not 0.0 < near < math.inf:
+        raise ValueError(f"near must be positive and finite, got {near}")
     target = 1.0 - alpha
+    band_lo, band_hi = _root_band(target, k, df, near)
+
+    def below(q: float) -> bool:
+        """CDF(q) < target, from the band when q lies outside it."""
+        if q <= band_lo:
+            return True
+        if q >= band_hi:
+            return False
+        return studentized_range_cdf(q, k, df) < target
+
     lo, hi = 1e-8, 4.0
     it = 0
-    while studentized_range_cdf(hi, k, df) < target:
+    while below(hi):
         lo, hi = hi, hi * 2.0
         it += 1
         if it > 60:
@@ -146,7 +210,7 @@ def studentized_range_quantile(
             )
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if studentized_range_cdf(mid, k, df) < target:
+        if below(mid):
             lo = mid
         else:
             hi = mid

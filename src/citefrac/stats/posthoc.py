@@ -7,11 +7,12 @@ critical value at the group's own degrees of freedom:
                     * (q(n_i - 1) * v_i + q(n_j - 1) * v_j) / (v_i + v_j)
 
 A pair is significantly different iff |mean_i - mean_j| exceeds its
-critical difference.
+critical difference. The q(df) of all groups share alpha and k, so they are
+solved once per distinct df, in ascending order, each started near the
+roots already found.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -22,9 +23,25 @@ from .distributions import studentized_range_quantile
 from .results import PairwiseDecision
 
 
-@lru_cache(maxsize=None)
-def _q_crit(alpha: float, k: int, df: float) -> float:
-    return studentized_range_quantile(alpha, k, df)
+def _critical_values(alpha: float, k: int, dfs: set[int]) -> dict[int, float]:
+    """q(df) for each df, solved in ascending order.
+
+    The quantile is close to linear in 1/df, so from the third df on a solve
+    starts on the line through the last two roots (held at or above half
+    the last root, as a start must be positive); the second starts at the
+    first root. A start only changes how many CDF evaluations a solve
+    makes, never the quantile.
+    """
+    roots: dict[int, float] = {}
+    for df in sorted(dfs):
+        last = list(roots.items())[-2:]
+        near = last[-1][1] if last else None
+        if len(last) == 2:
+            (d0, q0), (d1, q1) = last
+            slope = (q1 - q0) / (1.0 / d1 - 1.0 / d0)
+            near = max(q1 + slope * (1.0 / df - 1.0 / d1), 0.5 * q1)
+        roots[df] = studentized_range_quantile(alpha, k, df, near=near)
+    return roots
 
 
 def dunnett_c(
@@ -41,6 +58,10 @@ def dunnett_c(
     for name, g in groups.items():
         a = np.asarray(g, dtype=float)
         stats[name] = (float(a.mean()), float(a.var(ddof=1)) / len(a), len(a))
+    # A quantile is needed unless every variance is zero (then no pair has one).
+    q = {}
+    if any(v > 0.0 for _, v, _ in stats.values()):
+        q = _critical_values(alpha, k, {n - 1 for _, _, n in stats.values()})
 
     decisions: list[PairwiseDecision] = []
     for name_i, name_j in combinations(sorted(groups), 2):
@@ -53,8 +74,7 @@ def dunnett_c(
                 PairwiseDecision(name_i, name_j, mean_diff, 0.0, mean_diff != 0.0)
             )
             continue
-        q_i = _q_crit(alpha, k, n_i - 1)
-        q_j = _q_crit(alpha, k, n_j - 1)
+        q_i, q_j = q[n_i - 1], q[n_j - 1]
         critical = (
             np.sqrt((v_i + v_j) / 2.0) * (q_i * v_i + q_j * v_j) / (v_i + v_j)
         )

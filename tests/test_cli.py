@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,31 @@ def run(*argv):
 
 
 class TestIngest:
+    def test_tagged_and_ingested_corpus_count_alike(self, data_dir, tmp_path):
+        # A record without DT has doctype "" (not evaluated), in the export
+        # and in the corpus.jsonl that ingest writes from it.
+        text = (data_dir / "toy_good.tagged").read_text(encoding="utf-8")
+        export = tmp_path / "export.tagged"
+        export.write_text(text.replace("DT Proceedings Paper\n", ""), encoding="utf-8")
+        assert run("ingest", "--input", str(export), "--out", str(tmp_path / "ingested")) == 0
+        trees = []
+        for fmt, path in (
+            ("tagged", export), ("canonical", tmp_path / "ingested" / "corpus.jsonl")
+        ):
+            out = tmp_path / fmt
+            code = run(
+                "count", "--input", str(path), "--format", fmt,
+                "--units", str(data_dir / "toy_units.txt"),
+                "--window", "2005:2009", "--min-pubs", "1", "--out", str(out),
+            )
+            assert code == 0
+            trees.append({
+                f.name: f.read_text(encoding="utf-8")
+                for f in out.iterdir() if f.name != "manifest.txt"
+            })
+        assert trees[0] == trees[1]
+        assert "Unit Alpha,1," in trees[0]["aggregates.csv"]
+
     def test_good_file(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = run("ingest", "--input", str(data_dir / "toy_good.tagged"), "--out", str(out))
@@ -420,10 +446,29 @@ class TestConfigAndValidation:
             '{"id": "Z", "side": "citing", "year": 2006, "nrefs": "x"}',
             '{"id": "Z", "side": "cited", "year": 2005, "addresses": "Tsinghua Univ"}',
             '{"id": "Z", "side": "citing", "year": 2006, "cites": "AB"}',
+            "[1]",
+            "3",
+            '{"id": "Z", "side": [], "year": 2005}',
+            '{"id": 5, "side": "cited", "year": 2005}',
+            '{"id": "Z", "side": "cited", "year": 1e400}',
+            '{"id": "Z", "side": "cited", "year": 2005.7}',
+            '{"id": "Z", "side": "cited", "year": true}',
+            '{"id": "Z", "side": "citing", "year": 2006, "nrefs": true}',
+            '{"id": "Z", "side": "cited", "year": 2005, "addresses": [3]}',
+            '{"id": "Z", "side": "citing", "year": 2006, "cites": [5]}',
+            '{"id": "Z", "side": "citing", "year": 2006, "cites": 0}',
+            '{"id": "Z", "side": "cited", "year": 2005, "doctype": 5}',
+            '{"id": "Z", "side": "cited", "year": 2005, "doi": 5}',
+            '{"id": "Z", "side": "cited", "year": 1' + "0" * 5000 + "}",
+            "[" * 100_000,
         ],
         ids=[
             "year_zero", "missing_year", "nrefs_not_integer",
-            "addresses_string", "cites_string",
+            "addresses_string", "cites_string", "array_line", "number_line",
+            "side_array", "id_number", "year_overflow", "year_fraction",
+            "year_bool", "nrefs_bool", "address_number", "cite_number",
+            "cites_zero", "doctype_number", "doi_number", "year_5001_digits",
+            "deep_nesting",
         ],
     )
     def test_bad_canonical_record_usage_exit(self, data_dir, tmp_path, capsys, record):
@@ -684,3 +729,71 @@ def test_mutated_tagged_export_never_internal_error(edits, garbage, strict):
             assert not out.exists()
         else:
             load_canonical((out / "corpus.jsonl").read_text(encoding="utf-8"))
+
+
+# A canonical corpus as a user might damage it: lines of the toy fixture
+# replaced or deleted, a field set to a value of any JSON type or removed,
+# and a few random bytes inserted, which may break its UTF-8.
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3000)
+    | st.floats(allow_nan=True, allow_infinity=True) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=4,
+)
+_CANONICAL_KEY = st.sampled_from(
+    ["id", "side", "year", "doctype", "addresses", "nrefs", "cites", "doi"]
+)
+_CANONICAL_EDIT = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 60), _CANONICAL_KEY, _JSON_VALUE),
+    st.tuples(st.just("drop"), st.integers(0, 60), _CANONICAL_KEY, st.none()),
+    st.tuples(
+        st.just("replace"), st.integers(0, 60), st.none(),
+        st.sampled_from(["", "[1]", "3", "{}", "null", '"x"', '{"id": "A00"}']) | _TEXT,
+    ),
+    st.tuples(st.just("delete"), st.integers(0, 60), st.none(), st.none()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edits=st.lists(_CANONICAL_EDIT, max_size=4),
+    garbage=st.tuples(st.integers(0, 9000), st.binary(max_size=3)),
+)
+def test_mutated_canonical_corpus_never_internal_error(edits, garbage):
+    data = Path(__file__).parent / "data"
+    lines = (data / "toy_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    for op, at, key, value in edits:
+        at %= len(lines)
+        if op == "replace":
+            lines[at] = value
+        elif op == "delete":
+            del lines[at]
+        else:
+            try:
+                record = json.loads(lines[at])
+            except ValueError:
+                continue
+            if not isinstance(record, dict):
+                continue
+            if op == "set":
+                record[key] = value
+            else:
+                record.pop(key, None)
+            lines[at] = json.dumps(record)
+        if not lines:
+            break
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    at, junk = garbage
+    payload = payload[:at] + junk + payload[at:]
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = Path(scratch) / "corpus.jsonl"
+        corpus.write_bytes(payload)
+        out = Path(scratch) / "out"
+        code = main([
+            "evaluate", "--input", str(corpus),
+            "--units", str(data / "toy_units.txt"),
+            "--window", "2005:2009", "--min-pubs", "2", "--out", str(out),
+        ])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()

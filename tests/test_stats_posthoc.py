@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 from citefrac.errors import ConvergenceFailure, TooFewGroups
 from citefrac.stats import (
     dunnett_c,
+    posthoc,
     studentized_range_cdf,
     studentized_range_quantile,
 )
@@ -19,6 +21,23 @@ from helpers import (
 )
 
 DATA = Path(__file__).parent / "data"
+# The paper's 27 departments: P per department (25 distinct sizes).
+with open(DATA / "table1.csv", newline="", encoding="utf-8") as _fh:
+    TABLE1_SIZES = [int(row["P"]) for row in csv.DictReader(_fh)]
+TABLE1_DFS = sorted({p - 1 for p in TABLE1_SIZES})
+
+
+@pytest.fixture(scope="module")
+def bisection_roots():
+    """(alpha, df) -> the plain bisection's root at k = 27, every step a
+    CDF call on the package's kernel."""
+    return {
+        (alpha, df): reference_studentized_range_quantile(
+            alpha, 27, df, cdf=studentized_range_cdf
+        )
+        for alpha in (0.05, 0.01)
+        for df in TABLE1_DFS
+    }
 
 
 class TestStudentizedRange:
@@ -84,6 +103,25 @@ class TestStudentizedRange:
     def test_no_convergence_raises(self):
         with pytest.raises(ConvergenceFailure):
             studentized_range_quantile(0.05, 3, 10, max_iter=1)
+        # A start at the root leaves the bisection's step count unchanged.
+        with pytest.raises(ConvergenceFailure):
+            studentized_range_quantile(0.05, 3, 10, max_iter=1, near=3.8772)
+
+    @pytest.mark.parametrize("near", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_start_rejected(self, near):
+        with pytest.raises(ValueError, match="near must be positive"):
+            studentized_range_quantile(0.05, 3, 10, near=near)
+
+    @pytest.mark.parametrize("df", [4, 42, 542])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_any_start_gives_the_bisection_float(self, alpha, df, bisection_roots):
+        # A start far below the root, far above it, at the root of the other
+        # alpha and at the root itself: the replay returns the same float.
+        root = bisection_roots[alpha, df]
+        other = bisection_roots[{0.05: 0.01, 0.01: 0.05}[alpha], df]
+        for near in (1e-300, 1e300, other, root, None):
+            got = studentized_range_quantile(alpha, 27, df, near=near)
+            assert got == root, near
 
     @pytest.mark.parametrize(
         "alpha,k,df",
@@ -92,6 +130,8 @@ class TestStudentizedRange:
             (0.05, 3, 1),
             (0.05, 27, 10),
             (0.05, 27, 49),
+            (0.01, 27, 4),
+            (0.05, 27, 542),
             (0.01, 40, 20),
             (0.10, 5, 7),
         ],
@@ -116,6 +156,35 @@ class TestStudentizedRange:
 
 
 class TestDunnettC:
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_table1_quantiles_bit_identical(
+        self, alpha, order, bisection_roots, monkeypatch
+    ):
+        # The paper's shape: 27 groups with table1's sizes. Each distinct
+        # df is solved once, in ascending order whatever the group order,
+        # and each quantile is the plain bisection's float.
+        sizes = sorted(TABLE1_SIZES)
+        if order == "shuffled":
+            random.Random(27).shuffle(sizes)
+        rng = random.Random(5)
+        groups = {
+            f"u{i:02d}": [rng.gauss(0.0, 1.0) for _ in range(n)]
+            for i, n in enumerate(sizes)
+        }
+        solved = []
+
+        def recording(alpha, k, df, **kwargs):
+            q = studentized_range_quantile(alpha, k, df, **kwargs)
+            solved.append((df, q))
+            return q
+
+        monkeypatch.setattr(posthoc, "studentized_range_quantile", recording)
+        dunnett_c(groups, alpha=alpha)
+        assert [df for df, _ in solved] == TABLE1_DFS
+        for df, q in solved:
+            assert q == bisection_roots[alpha, df], df
+
     def test_identical_groups_not_significant(self):
         decisions = dunnett_c({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]})
         (d,) = decisions

@@ -6,6 +6,7 @@ binds a name before the rebinding, would leave a layer untimed without
 failing any other test. Each run is a fresh interpreter, as in the
 benchmark.
 """
+import csv
 import json
 import os
 import subprocess
@@ -58,6 +59,10 @@ def test_traced_run_times_every_layer(command, data_dir, tmp_path):
         assert metrics["counting.scores_s"] > 0
         assert metrics["counting.windows"] == 2
         assert metrics["corpus.links"] == 101  # the links of toy_corpus.jsonl
+        # Dunnett's C solves one quantile per distinct group size (P).
+        with open(out / "aggregates.csv", newline="", encoding="utf-8") as fh:
+            sizes = {row["P"] for row in csv.DictReader(fh)}
+        assert metrics["stats.quantiles"] == len(sizes) == 3
     self_times = [v for k, v in metrics.items() if k.endswith(".self_s")]
     assert len(self_times) == 6
     assert sum(self_times) == pytest.approx(metrics["trace.wall_s"], abs=1e-6)
