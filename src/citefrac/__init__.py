@@ -21,7 +21,6 @@ from .counting import (
     ScoreSet,
     Window,
     aggregate_units,
-    fractional_weight,
     paper_scores,
     per_paper_samples,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "build_corpus",
     "build_homogeneity_graph",
     "emit_graph_dot",
-    "fractional_weight",
     "load_aggregate_table",
     "load_canonical",
     "match_record",

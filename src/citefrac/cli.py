@@ -314,25 +314,35 @@ def _load_samples_csv(text: str) -> dict[str, list[float]]:
     """Per-paper samples from a scores export (unit, fc_decimal) or from a
     unit,value table."""
     groups: dict[str, list[float]] = {}
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or "unit" not in reader.fieldnames:
-        raise MalformedField("samples header lacks a 'unit' column", 1)
-    value_col = "fc_decimal" if "fc_decimal" in reader.fieldnames else "value"
-    if value_col not in reader.fieldnames:
-        raise MalformedField("samples header lacks a value column", 1)
-    for row in reader:
-        try:
-            value = float(row[value_col])
-        except (TypeError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise NonNumericCell(
-                f"{value_col} {row[value_col]!r} is not a finite number",
-                reader.line_num,
-            )
-        if not row["unit"].strip():
-            raise MalformedField("empty unit", reader.line_num)
-        groups.setdefault(row["unit"], []).append(value)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, [])
+        if "unit" not in header:
+            raise MalformedField("samples header lacks a 'unit' column", 1)
+        value_col = "fc_decimal" if "fc_decimal" in header else "value"
+        if value_col not in header:
+            raise MalformedField("samples header lacks a value column", 1)
+        unit_at, value_at = header.index("unit"), header.index(value_col)
+        for row in filter(None, reader):  # a blank line is no row
+            if len(row) != len(header):
+                raise MalformedField(
+                    f"row has {len(row)} cells, the header {len(header)}",
+                    reader.line_num,
+                )
+            try:
+                value = float(row[value_at])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise NonNumericCell(
+                    f"{value_col} {row[value_at]!r} is not a finite number",
+                    reader.line_num,
+                )
+            if not row[unit_at].strip():
+                raise MalformedField("empty unit", reader.line_num)
+            groups.setdefault(row[unit_at], []).append(value)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise MalformedField(str(exc), reader.line_num) from None
     return groups
 
 

@@ -47,9 +47,10 @@ def normalize_doctype(label: str) -> str:
     return _DOCTYPE_MAP.get(label.strip().lower(), label.strip())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
-    """One bibliographic record, either cited-side, citing-side, or both."""
+    """One bibliographic record, either cited-side, citing-side, or both: a
+    plain value. The loaders check the record rule; this type does not."""
 
     id: str
     year: int
@@ -58,16 +59,6 @@ class PublicationRecord:
     nrefs: int | None = None
     cited_ids: tuple[str, ...] = ()
     doi: str | None = None
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("record id must be non-empty")
-        if self.year <= 0:
-            raise ValueError(f"year must be positive, got {self.year}")
-        if self.nrefs is not None and self.nrefs < 0:
-            raise ValueError(f"nrefs must be >= 0, got {self.nrefs}")
-        if len(set(self.cited_ids)) != len(self.cited_ids):
-            raise ValueError("cited_ids contains duplicates")
 
     @property
     def reference_count(self) -> int:
@@ -179,6 +170,16 @@ def _cited_doi(line: str) -> str | None:
     return token[:-1] if len(token) > 1 and token[-1] == "." else token
 
 
+def _count_error(year: int, nrefs: int | None) -> str | None:
+    """What breaks the record rule for the two numbers counting rests on:
+    the year places a citation in a window, nrefs is the k of its 1/k."""
+    if year <= 0:
+        return f"year must be positive, got {year}"
+    if nrefs is not None and nrefs < 0:
+        return f"nrefs must be >= 0, got {nrefs}"
+    return None
+
+
 def _finish_record(
     first: dict[str, str], c1: list[str], cr: list[str], start_line: int
 ) -> PublicationRecord | ParseError:
@@ -199,21 +200,19 @@ def _finish_record(
             numbers[tag] = None if raw is None else int(raw)
         except ValueError:
             return MalformedField(f"non-integer {tag} {raw!r}", start_line)
+    if (error := _count_error(numbers["PY"], numbers["NR"])) is not None:
+        return MalformedField(error, start_line)
 
     dois = [doi for doi in map(_cited_doi, cr) if doi is not None]
-
-    try:
-        return PublicationRecord(
-            id=rec_id,
-            year=numbers["PY"],
-            doctype=normalize_doctype(first.get("DT") or ""),
-            addresses=tuple(_split_addresses(c1)),
-            nrefs=numbers["NR"],
-            cited_ids=tuple(dict.fromkeys(dois)),
-            doi=first.get("DI"),
-        )
-    except ValueError as exc:
-        return MalformedField(str(exc), start_line)
+    return PublicationRecord(
+        id=rec_id,
+        year=numbers["PY"],
+        doctype=normalize_doctype(first.get("DT") or ""),
+        addresses=tuple(_split_addresses(c1)),
+        nrefs=numbers["NR"],
+        cited_ids=tuple(dict.fromkeys(dois)),
+        doi=first.get("DI"),
+    )
 
 
 def parse_tagged(text: str) -> TaggedParseResult:
@@ -356,7 +355,12 @@ def load_canonical(text: str) -> Corpus:
             raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
         # int() would read 2005.7 as 2005 and true as 1; a numeric string is
         # read, and int() names a bad one ("invalid literal").
-        if type(year) is not int and type(year) is not str:
+        if type(year) is str:
+            try:
+                year = int(year)
+            except ValueError as exc:
+                raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
+        elif type(year) is not int:
             raise MalformedField(
                 f"record {rec_id!r}: year must be an integer, got {year!r}", lineno
             )
@@ -377,18 +381,16 @@ def load_canonical(text: str) -> Corpus:
             raise MalformedField(
                 f"record {rec_id!r}: doi must be a string, got {doi!r}", lineno
             )
-        try:
-            rec = PublicationRecord(
-                id=rec_id,
-                year=year if type(year) is int else int(year),
-                doctype=doctype,
-                addresses=_strings(obj, "addresses", rec_id, lineno),
-                nrefs=nrefs,
-                cited_ids=_strings(obj, "cites", rec_id, lineno),
-                doi=doi,
-            )
-        except ValueError as exc:
-            raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
+        addresses = _strings(obj, "addresses", rec_id, lineno)
+        cites = _strings(obj, "cites", rec_id, lineno)
+        if (error := _count_error(year, nrefs)) is not None:
+            raise MalformedField(f"record {rec_id!r}: {error}", lineno)
+        if len(set(cites)) != len(cites):
+            raise MalformedField(f"record {rec_id!r}: cites contains duplicates", lineno)
+        rec = PublicationRecord(
+            id=rec_id, year=year, doctype=doctype, addresses=addresses,
+            nrefs=nrefs, cited_ids=cites, doi=doi,
+        )
         if side in ("cited", "both"):
             cited.append(rec)
         if side in ("citing", "both"):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .corpus import Corpus, EVALUATED_DOCTYPES, PublicationRecord, UnitRow
-from .errors import UnknownUnit, ZeroReferences
+from .corpus import Corpus, EVALUATED_DOCTYPES, UnitRow
+from .errors import UnknownUnit
 from .report import csv_text
 
 
@@ -45,16 +45,6 @@ class PaperImpact:
     paper_id: str
     ic: int = 0
     fc: Fraction = Fraction(0)
-
-
-def fractional_weight(citing: PublicationRecord) -> Fraction:
-    """Weight 1/k contributed by each citation of this document."""
-    k = citing.reference_count
-    if k <= 0:
-        raise ZeroReferences(
-            f"citing record {citing.id!r} has no resolvable reference count"
-        )
-    return Fraction(1, k)
 
 
 @dataclass

@@ -73,10 +73,6 @@ class CyclicMinus(CitefracError):
 
 # -- counting --------------------------------------------------------------
 
-class ZeroReferences(CitefracError):
-    """The citing record has no resolvable reference count (k = 0)."""
-
-
 class UnknownUnit(CitefracError):
     pass
 

@@ -382,13 +382,16 @@ _MINUS_RE = re.compile(r"\bminus\b", re.IGNORECASE)
 
 
 def _split_minus(rhs: str) -> tuple[str, list[str]]:
-    """Split a definition body on a top-level (paren depth 0) `minus`."""
+    """Split a definition body on a top-level (paren depth 0) `minus`,
+    which must name at least one unit."""
     depth = 0
     for m in _MINUS_RE.finditer(rhs):
         depth = rhs[: m.start()].count("(") - rhs[: m.start()].count(")")
         if depth == 0:
-            names = [n.strip() for n in rhs[m.end() :].split(",")]
-            return rhs[: m.start()], [n for n in names if n]
+            names = [n for n in map(str.strip, rhs[m.end() :].split(",")) if n]
+            if not names:
+                raise QuerySyntaxError("minus names no unit", m.start())
+            return rhs[: m.start()], names
     return rhs, []
 
 
@@ -410,11 +413,11 @@ def parse_unit_definitions(text: str) -> list[UnitDefinition]:
         if name in seen:
             raise QuerySyntaxError(f"duplicate unit {name!r}", 0, lineno)
         seen.add(name)
-        query_text, minus = _split_minus(rhs)
         try:
+            query_text, minus = _split_minus(rhs)
             query = parse_query(query_text)
         except QuerySyntaxError as exc:
-            # The query text starts right after the first ':=' of the raw line.
+            # The body starts right after the first ':=' of the raw line.
             offset = raw.index(":=") + 2 + exc.position
             raise QuerySyntaxError(exc.message, offset, lineno) from None
         defs.append(UnitDefinition(name, query, tuple(minus)))

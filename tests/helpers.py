@@ -292,6 +292,10 @@ def _reference_finish_record(
     if year is None:
         raise MalformedField("record has no PY field", start_line)
     nrefs = integer("NR")
+    if year <= 0:
+        raise MalformedField(f"year must be positive, got {year}", start_line)
+    if nrefs is not None and nrefs < 0:
+        raise MalformedField(f"nrefs must be >= 0, got {nrefs}", start_line)
 
     cited_ids: list[str] = []
     seen: set[str] = set()
@@ -301,18 +305,15 @@ def _reference_finish_record(
             seen.add(m.group(1))
             cited_ids.append(m.group(1))
 
-    try:
-        return PublicationRecord(
-            id=rec_id,
-            year=year,
-            doctype=normalize_doctype(first("DT") or ""),
-            addresses=tuple(_split_addresses(fields.get("C1", []))),
-            nrefs=nrefs,
-            cited_ids=tuple(cited_ids),
-            doi=first("DI"),
-        )
-    except ValueError as exc:
-        raise MalformedField(str(exc), start_line) from None
+    return PublicationRecord(
+        id=rec_id,
+        year=year,
+        doctype=normalize_doctype(first("DT") or ""),
+        addresses=tuple(_split_addresses(fields.get("C1", []))),
+        nrefs=nrefs,
+        cited_ids=tuple(cited_ids),
+        doi=first("DI"),
+    )
 
 
 def reference_parse_tagged(text: str) -> TaggedParseResult:

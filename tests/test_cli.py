@@ -297,8 +297,8 @@ class TestStatsSubcommand:
 
 
     @pytest.mark.parametrize(
-        "row", ["A,x", "A,nan", "A,inf", "A", ",5"],
-        ids=["non_numeric", "nan", "inf", "missing_value", "empty_unit"],
+        "row", ["A,x", "A,nan", "A,inf", "A", ",5", "A," + "1" * 200_000],
+        ids=["non_numeric", "nan", "inf", "missing_value", "empty_unit", "field_over_limit"],
     )
     def test_bad_samples_usage_exit(self, tmp_path, capsys, row):
         samples = tmp_path / "samples.csv"
@@ -306,6 +306,24 @@ class TestStatsSubcommand:
         code = run("stats", "--input", str(samples), "--out", str(tmp_path / "out"))
         assert code == 2
         assert "samples.csv, line 6:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("value,unit\n1.0,A\n2.0,A\n3.0,B\n4.0,B\n5.0\n", "row has 1 cells, the header 2"),
+            ("unit,value\nA,1\nA,2\nB,3\nB,4\nC,5,6\n", "row has 3 cells, the header 2"),
+        ],
+        ids=["short_row_unit_last", "extra_cell"],
+    )
+    def test_samples_row_width_usage_exit(self, tmp_path, capsys, text, message):
+        samples = tmp_path / "s.csv"
+        samples.write_text(text, encoding="utf-8")
+        code = run("stats", "--input", str(samples), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"s.csv, line 6: {message}" in err
+        assert "internal error" not in err
         assert not (tmp_path / "out").exists()
 
 
@@ -423,8 +441,9 @@ class TestConfigAndValidation:
             ("Good := ad=(x)\n\nBad ad=(x)\n", "line 3, column 1: missing ':='"),
             ("Good := ad=(x)\n := ad=(y)\n", "line 2, column 1: empty unit name"),
             ("Good := ad=(x)\nGood := ad=(y)\n", "line 2, column 1: duplicate unit 'Good'"),
+            ("Good := ad=(x)\nBad := ad=(x) minus\n", "line 2, column 15: minus names no unit"),
         ],
-        ids=["query", "missing_assign", "empty_name", "duplicate_name"],
+        ids=["query", "missing_assign", "empty_name", "duplicate_name", "bare_minus"],
     )
     def test_units_syntax_error_names_line_and_column(
         self, data_dir, tmp_path, capsys, text, message
@@ -461,6 +480,8 @@ class TestConfigAndValidation:
             '{"id": "Z", "side": "cited", "year": 2005, "doi": 5}',
             '{"id": "Z", "side": "cited", "year": 1' + "0" * 5000 + "}",
             "[" * 100_000,
+            '{"id": "Z", "side": "citing", "year": 2006, "nrefs": -1}',
+            '{"id": "Z", "side": "citing", "year": 2006, "cites": ["A", "A"]}',
         ],
         ids=[
             "year_zero", "missing_year", "nrefs_not_integer",
@@ -468,7 +489,7 @@ class TestConfigAndValidation:
             "side_array", "id_number", "year_overflow", "year_fraction",
             "year_bool", "nrefs_bool", "address_number", "cite_number",
             "cites_zero", "doctype_number", "doi_number", "year_5001_digits",
-            "deep_nesting",
+            "deep_nesting", "nrefs_negative", "cites_repeated",
         ],
     )
     def test_bad_canonical_record_usage_exit(self, data_dir, tmp_path, capsys, record):
@@ -794,6 +815,68 @@ def test_mutated_canonical_corpus_never_internal_error(edits, garbage):
             "--units", str(data / "toy_units.txt"),
             "--window", "2005:2009", "--min-pubs", "2", "--out", str(out),
         ])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+
+
+# A samples CSV as a user might damage it: a small table with its unit column
+# first or last, its header swapped for another, lines replaced, cut short,
+# deleted or repeated, one cell set to any text, and a few random bytes
+# inserted.
+_SAMPLES_ROWS = [
+    ("unit", "value"), ("A", "0.5"), ("A", "1.25"), ("A", "0"), ("B", "2"), ("B", "3.5"),
+    ("B", "1"), ("C", "0.25"), ("C", "4"), ("C", "2.5"),
+]
+_SAMPLES_EDIT = st.one_of(
+    st.tuples(
+        st.just("replace"), st.just(0),
+        st.sampled_from(["value,unit", "unit,fc_decimal", "unit", "unit,value,value", ""]),
+    ),
+    st.tuples(
+        st.just("replace"), st.integers(0, 20),
+        st.sampled_from(["", "A", "5.0", "A,1,2", ",", "A,nan", '"A,1', "A,1e400", "D,7"])
+        | _TEXT,
+    ),
+    st.tuples(st.just("cut"), st.integers(0, 20), st.integers(0, 5)),
+    st.tuples(st.just("cell"), st.integers(0, 20), st.tuples(st.integers(0, 2), _TEXT)),
+    st.tuples(st.just("delete"), st.integers(0, 20), st.none()),
+    st.tuples(st.just("repeat"), st.integers(0, 20), st.none()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    unit_last=st.booleans(),
+    edits=st.lists(_SAMPLES_EDIT, max_size=4),
+    garbage=st.tuples(st.integers(0, 120), st.binary(max_size=3)),
+)
+def test_mutated_samples_csv_never_internal_error(unit_last, edits, garbage):
+    lines = [",".join(row[::-1] if unit_last else row) for row in _SAMPLES_ROWS]
+    for op, at, arg in edits:
+        at %= len(lines)
+        if op == "replace":
+            lines[at] = arg
+        elif op == "cut":
+            lines[at] = lines[at][:arg]
+        elif op == "cell":
+            cells = lines[at].split(",")
+            cells[arg[0] % len(cells)] = arg[1]
+            lines[at] = ",".join(cells)
+        elif op == "delete":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        if not lines:
+            break
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    at, junk = garbage
+    payload = payload[:at] + junk + payload[at:]
+    with tempfile.TemporaryDirectory() as scratch:
+        samples = Path(scratch) / "samples.csv"
+        samples.write_bytes(payload)
+        out = Path(scratch) / "out"
+        code = main(["stats", "--input", str(samples), "--out", str(out)])
         assert code in (0, 2)
         if code == 2:
             assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -25,6 +26,15 @@ from citefrac.errors import (
     UnterminatedRecord,
 )
 from helpers import _DOI_SUFFIX_RE, random_corpus, reference_parse_tagged
+
+
+def test_record_is_an_unchecked_slotted_value():
+    # The loaders check the record rule; the type itself checks nothing.
+    rec = PublicationRecord(id="", year=0, nrefs=-1, cited_ids=("A", "A"))
+    assert rec.reference_count == -1
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.year = 2005
 
 
 class TestParseTagged:
@@ -343,10 +353,13 @@ class TestCanonical:
             ('{"id": "Z", "side": "cited", "year": 2005, "addresses": "Tsinghua Univ"}',
              "addresses must be a list"),
             ('{"id": "Z", "side": "citing", "year": 2006, "cites": "AB"}', "cites must be a list"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": -1}', "nrefs must be >= 0, got -1"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "cites": ["A", "A"]}',
+             "cites contains duplicates"),
         ],
         ids=[
             "year_zero", "missing_year", "nrefs_not_integer", "year_not_integer",
-            "addresses_string", "cites_string",
+            "addresses_string", "cites_string", "nrefs_negative", "cites_repeated",
         ],
     )
     def test_bad_record_carries_line(self, record, message):

@@ -11,11 +11,10 @@ from citefrac.counting import (
     ScoreSet,
     Window,
     aggregate_units,
-    fractional_weight,
     paper_scores,
     per_paper_samples,
 )
-from citefrac.errors import UnknownUnit, ZeroReferences
+from citefrac.errors import UnknownUnit
 from helpers import brute_force_scores, random_corpus
 
 ALL_DOCTYPES = frozenset(
@@ -36,15 +35,12 @@ def cited(id, year=2005, doctype="Article"):
 class TestFractionalWeight:
     @pytest.mark.parametrize("k,expected", [(6, Fraction(1, 6)), (40, Fraction(1, 40)), (1, Fraction(1))])
     def test_weight(self, k, expected):
-        assert fractional_weight(citing("X", 2006, k, [])) == expected
-
-    def test_zero_references(self):
-        with pytest.raises(ZeroReferences):
-            fractional_weight(citing("X", 2006, 0, []))
+        corpus = build_corpus([cited("A")], [citing("X", 2006, k, ["A"])])
+        assert paper_scores(corpus, Window(2005, 2009)).impacts["A"].fc == expected
 
     def test_k_falls_back_to_reference_list(self):
         rec = PublicationRecord(id="X", year=2006, cited_ids=("A", "B"))
-        assert fractional_weight(rec) == Fraction(1, 2)
+        assert rec.reference_count == 2
 
 
 class TestPaperScores:

@@ -226,6 +226,13 @@ class TestDefinitionsAndAssignment:
         assert defs[1].name == "Chem"
         assert defs[1].minus == ("Chem Engr",)
 
+    @pytest.mark.parametrize("text", ["A := ad=(x) minus", "A := ad=(x) minus , "])
+    def test_minus_naming_no_unit_rejected(self, text):
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_unit_definitions("B := ad=(y)\n" + text + "\n")
+        assert (info.value.line, info.value.position) == (2, text.index("minus"))
+        assert "minus names no unit" in str(info.value)
+
     def test_minus_subtracts_result_set(self):
         corpus = build_corpus(
             [
