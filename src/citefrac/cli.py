@@ -391,13 +391,13 @@ def _unit_reports(
         deltas = report.rank_change(rankings[from_key], rankings[to_key])
         tree[name] = report.format_rank_changes_csv(deltas, from_label, to_label)
     if len(rows) >= 3:
-        matrix = correlation_matrix(
+        pairs = correlation_matrix(
             {
                 label: [float(getattr(row, key)) for row in rows]
                 for label, key in correlations.items()
             }
         )
-        tree["correlations.csv"] = report.format_correlation_csv(matrix)
+        tree["correlations.csv"] = report.format_correlation_csv(pairs)
 
 
 def cmd_report(config: RunConfig) -> dict[str, str]:

@@ -461,8 +461,20 @@ _AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
 
 
 def load_aggregate_table(text: str) -> list[UnitRow]:
-    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows keyed ic3 … fc5."""
+    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows keyed ic3 … fc5.
+
+    Every cell must be a number a float can hold, as the statistics read
+    each column as floats."""
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        return _aggregate_rows(reader)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        # DictReader.line_num is set after a row is read; the csv reader's
+        # counts the line that failed.
+        raise MalformedField(str(exc), reader.reader.line_num) from None
+
+
+def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
     if reader.fieldnames is None or tuple(reader.fieldnames) != _AGGREGATE_COLUMNS:
         raise ParseError(
             f"expected header {','.join(_AGGREGATE_COLUMNS)}, "
@@ -485,6 +497,13 @@ def load_aggregate_table(text: str) -> list[UnitRow]:
         except (TypeError, ValueError, ZeroDivisionError):
             raise NonNumericCell(
                 f"missing or non-numeric cell in row {raw!r}", lineno
+            ) from None
+        try:
+            for value in (p, *counts.values()):
+                float(value)
+        except OverflowError:
+            raise NonNumericCell(
+                f"cell too large for a float in row {raw!r}", lineno
             ) from None
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import IncompletePairCoverage, UnitSetMismatch
-from .stats.results import CorrelationMatrix, PairwiseDecision
+
+if TYPE_CHECKING:
+    from .stats.results import PairwiseDecision, TestResult
 
 Number = Fraction | int | float
 
@@ -204,28 +206,27 @@ def format_rank_changes_csv(
     )
 
 
-def format_correlation_csv(matrix: CorrelationMatrix) -> str:
-    """Long-format matrix CSV, each cell tagged with its triangle."""
+def format_correlation_csv(
+    pairs: Mapping[tuple[str, str], tuple[TestResult, TestResult]],
+) -> str:
+    """Long-format matrix CSV from `correlation_matrix`'s per-pair
+    (Pearson, Spearman) results: Pearson below the diagonal, Spearman
+    above, each cell tagged with its triangle and starred at p <= 0.05
+    (`*`) or p <= 0.01 (`**`). Rows and columns follow the label order of
+    the pair keys."""
+    labels = list(dict.fromkeys(label for pair in pairs for label in pair))
     body = []
-    m = len(matrix.labels)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
+    for i, row in enumerate(labels):
+        for j, col in enumerate(labels):
+            if i > j:
+                method, result = "pearson", pairs[col, row][0]
+            elif i < j:
+                method, result = "spearman", pairs[row, col][1]
+            else:
                 continue
-            if i > j:  # lower triangle: Pearson
-                method, value, p = "pearson", matrix.pearson[i, j], matrix.pearson_p[i, j]
-            else:  # upper triangle: Spearman
-                method, value, p = "spearman", matrix.spearman[i, j], matrix.spearman_p[i, j]
-            body.append(
-                [
-                    matrix.labels[i],
-                    matrix.labels[j],
-                    method,
-                    f"{value:.6f}",
-                    f"{p:.6f}",
-                    "*" * matrix.stars(i, j, method),
-                ]
-            )
+            p = result.p_value
+            stars = "**" if p <= 0.01 else "*" if p <= 0.05 else ""
+            body.append([row, col, method, f"{result.statistic:.6f}", f"{p:.6f}", stars])
     return csv_text(["row", "col", "triangle", "value", "p_value", "stars"], body)
 
 

@@ -9,10 +9,9 @@ from .distributions import (
 )
 from .omnibus import kruskal_wallis, levene, one_way_anova
 from .posthoc import dunnett_c
-from .results import CorrelationMatrix, PairwiseDecision, TestResult
+from .results import PairwiseDecision, TestResult
 
 __all__ = [
-    "CorrelationMatrix",
     "PairwiseDecision",
     "TestResult",
     "chi2_sf",

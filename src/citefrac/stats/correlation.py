@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConstantInput, LengthMismatch
 from .distributions import t_two_tailed
-from .results import CorrelationMatrix, TestResult
+from .results import TestResult
 
 
 def rankdata(values: Sequence[float]) -> np.ndarray:
@@ -47,47 +47,31 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
         raise ConstantInput("correlation undefined for constant input")
     r = float(np.sum(a * b)) / denom
     r = max(-1.0, min(1.0, r))
-    return TestResult(statistic=r, df=n - 2, p_value=_corr_p(r, n), method="pearson")
+    return TestResult(statistic=r, df=n - 2, p_value=_corr_p(r, n))
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Spearman rank correlation: Pearson on average-ranked data."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
-    result = pearson(rankdata(x), rankdata(y))
-    return TestResult(
-        statistic=result.statistic,
-        df=result.df,
-        p_value=result.p_value,
-        method="spearman",
-    )
+    return pearson(rankdata(x), rankdata(y))
 
 
-def correlation_matrix(columns: Mapping[str, Sequence[float]]) -> CorrelationMatrix:
-    """All pairwise Pearson and Spearman correlations over named columns."""
+def correlation_matrix(
+    columns: Mapping[str, Sequence[float]],
+) -> dict[tuple[str, str], tuple[TestResult, TestResult]]:
+    """Pearson and Spearman correlation of every pair of named columns.
+
+    Keys are (earlier label, later label) in column order; each column is
+    ranked once.
+    """
     labels = list(columns)
     data = [list(map(float, columns[name])) for name in labels]
     n = len(data[0]) if data else 0
     for name, col in zip(labels, data):
         if len(col) != n:
             raise LengthMismatch(f"column {name!r} has length {len(col)}, expected {n}")
-    m = len(labels)
-    pear = np.eye(m)
-    spear = np.eye(m)
-    pear_p = np.zeros((m, m))
-    spear_p = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            rp = pearson(data[i], data[j])
-            rs = spearman(data[i], data[j])
-            pear[i, j] = pear[j, i] = rp.statistic
-            spear[i, j] = spear[j, i] = rs.statistic
-            pear_p[i, j] = pear_p[j, i] = rp.p_value
-            spear_p[i, j] = spear_p[j, i] = rs.p_value
-    return CorrelationMatrix(
-        labels=labels,
-        pearson=pear,
-        spearman=spear,
-        pearson_p=pear_p,
-        spearman_p=spear_p,
-    )
+    ranks = [rankdata(col) for col in data]
+    return {
+        (labels[i], labels[j]): (pearson(data[i], data[j]), pearson(ranks[i], ranks[j]))
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+    }

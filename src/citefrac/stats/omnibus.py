@@ -51,9 +51,7 @@ def kruskal_wallis(groups: Groups) -> TestResult:
     h /= correction
     h = max(0.0, h)  # guard tiny negative rounding noise
     df = len(groups) - 1
-    return TestResult(
-        statistic=h, df=df, p_value=chi2_sf(h, df), method="kruskal-wallis"
-    )
+    return TestResult(statistic=h, df=df, p_value=chi2_sf(h, df))
 
 
 def levene(groups: Groups, center: str = "mean") -> TestResult:
@@ -82,12 +80,12 @@ def levene(groups: Groups, center: str = "mean") -> TestResult:
             # All absolute deviations identical: no evidence against
             # homogeneity.
             return TestResult(
-                statistic=0.0, df=df, p_value=1.0, method="levene",
+                statistic=0.0, df=df, p_value=1.0,
                 note="degenerate: all deviations equal",
             )
         raise DegenerateGroups("within-group deviation spread is zero")
     w = (n_total - k) / (k - 1) * numer / denom
-    return TestResult(statistic=w, df=df, p_value=f_sf(w, *df), method="levene")
+    return TestResult(statistic=w, df=df, p_value=f_sf(w, *df))
 
 
 def one_way_anova(groups: Groups) -> TestResult:
@@ -105,10 +103,10 @@ def one_way_anova(groups: Groups) -> TestResult:
     df = (k - 1, n_total - k)
     if ssw == 0.0:
         if ssb == 0.0:
-            return TestResult(statistic=0.0, df=df, p_value=1.0, method="anova")
+            return TestResult(statistic=0.0, df=df, p_value=1.0)
         return TestResult(
-            statistic=float("inf"), df=df, p_value=0.0, method="anova",
+            statistic=float("inf"), df=df, p_value=0.0,
             note="zero within-group variance",
         )
     f = (ssb / df[0]) / (ssw / df[1])
-    return TestResult(statistic=f, df=df, p_value=f_sf(f, *df), method="anova")
+    return TestResult(statistic=f, df=df, p_value=f_sf(f, *df))

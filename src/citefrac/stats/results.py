@@ -1,9 +1,7 @@
-"""Result containers for the statistics kernel."""
+"""Result values of the statistics kernel: plain data, no numpy."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -11,39 +9,11 @@ class TestResult:
     statistic: float
     df: float | tuple[float, float]
     p_value: float
-    method: str
     note: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
-
-
-@dataclass
-class CorrelationMatrix:
-    """All pairwise correlations over a set of named columns.
-
-    `pearson` and `spearman` are full symmetric matrices; the conventional
-    presentation (Pearson lower triangle, Spearman upper) is produced at
-    emission time. `stars(i, j)` gives 0, 1, or 2 for not significant,
-    significant at 0.05, significant at 0.01 (two-tailed).
-    """
-
-    labels: list[str]
-    pearson: np.ndarray
-    spearman: np.ndarray
-    pearson_p: np.ndarray
-    spearman_p: np.ndarray
-
-    def stars(self, i: int, j: int, method: str = "pearson") -> int:
-        p = (self.pearson_p if method == "pearson" else self.spearman_p)[i, j]
-        if i == j:
-            return 0
-        if p <= 0.01:
-            return 2
-        if p <= 0.05:
-            return 1
-        return 0
 
 
 @dataclass(frozen=True)

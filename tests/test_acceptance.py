@@ -110,22 +110,27 @@ def test_criterion_1_correlation_matrix(data_dir):
         "FC3": [float(row.fc3) for row in rows],
         "FC5": [float(row.fc5) for row in rows],
     }
-    matrix = correlation_matrix(columns)
-    idx = {label: i for i, label in enumerate(LABELS)}
+    pairs = correlation_matrix(columns)
+    assert list(columns) == LABELS
+
+    def coefficient(a, b, which):  # which: 0 Pearson, 1 Spearman
+        # Pairs are keyed in column order; either triangle reads the pair.
+        key = (a, b) if LABELS.index(a) < LABELS.index(b) else (b, a)
+        return pairs[key][which].statistic
 
     failures = []
     for (a, b), expected in PEARSON_LOWER.items():
-        got = matrix.pearson[idx[a], idx[b]]
+        got = coefficient(a, b, 0)
         if abs(got - expected) > 0.02:
             failures.append(f"pearson({a},{b}) {got:.4f} vs {expected}")
     for (a, b), expected in SPEARMAN_UPPER.items():
-        got = matrix.spearman[idx[a], idx[b]]
+        got = coefficient(a, b, 1)
         if abs(got - expected) > 0.02:
             failures.append(f"spearman({a},{b}) {got:.4f} vs {expected}")
 
     # Headline pair: impact over the two windows, integer counting.
-    headline_s = matrix.spearman[idx["ICP5"], idx["ICP3"]]
-    headline_p = matrix.pearson[idx["ICP5"], idx["ICP3"]]
+    headline_s = coefficient("ICP5", "ICP3", 1)
+    headline_p = coefficient("ICP5", "ICP3", 0)
     if abs(headline_s - 0.942) > 0.02:
         failures.append(f"headline spearman {headline_s:.4f} vs 0.942")
     if abs(headline_p - 0.967) > 0.02:

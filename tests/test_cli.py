@@ -410,8 +410,14 @@ class TestConfigAndValidation:
             "Dep X,5,1,1\n",
             "A,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n",
             "A,5,1,1,1,1\nB,5,2,1,2,1\nDep Extra,5,1,1,1,1,9\n",
+            "A,5,1,1,1,1\nB,5,2,1,2,1\nC,7,3,2,4," + "1" * 140_000 + "\n",
+            "A,5,1e400,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
+            "A,1" + "0" * 400 + ",1,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
         ],
-        ids=["missing_cells", "duplicate_unit", "extra_cell"],
+        ids=[
+            "missing_cells", "duplicate_unit", "extra_cell", "field_over_csv_limit",
+            "count_beyond_float", "p_beyond_float",
+        ],
     )
     def test_bad_aggregate_table_usage_exit(self, tmp_path, capsys, rows):
         table = tmp_path / "table.csv"
@@ -845,15 +851,14 @@ _SAMPLES_EDIT = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    unit_last=st.booleans(),
-    edits=st.lists(_SAMPLES_EDIT, max_size=4),
-    garbage=st.tuples(st.integers(0, 120), st.binary(max_size=3)),
-)
-def test_mutated_samples_csv_never_internal_error(unit_last, edits, garbage):
-    lines = [",".join(row[::-1] if unit_last else row) for row in _SAMPLES_ROWS]
+def _damaged_csv(lines: list[str], edits, garbage) -> bytes:
+    """The CSV lines after the edits of `_SAMPLES_EDIT` or `_TABLE_EDIT`,
+    with a few bytes inserted."""
     for op, at, arg in edits:
+        if op == "head":
+            lines = lines[:at]
+        if not lines:
+            break
         at %= len(lines)
         if op == "replace":
             lines[at] = arg
@@ -865,18 +870,70 @@ def test_mutated_samples_csv_never_internal_error(unit_last, edits, garbage):
             lines[at] = ",".join(cells)
         elif op == "delete":
             del lines[at]
-        else:
+        elif op == "repeat":
             lines.insert(at, lines[at])
-        if not lines:
-            break
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     at, junk = garbage
-    payload = payload[:at] + junk + payload[at:]
+    return payload[:at] + junk + payload[at:]
+
+
+def _exits_cleanly(command: list[str], payload: bytes) -> None:
+    """`command` on the payload as its --input exits 0, or 2 with no --out."""
     with tempfile.TemporaryDirectory() as scratch:
-        samples = Path(scratch) / "samples.csv"
-        samples.write_bytes(payload)
+        table = Path(scratch) / "input.csv"
+        table.write_bytes(payload)
         out = Path(scratch) / "out"
-        code = main(["stats", "--input", str(samples), "--out", str(out)])
+        code = main(command + ["--input", str(table), "--out", str(out)])
         assert code in (0, 2)
         if code == 2:
             assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    unit_last=st.booleans(),
+    edits=st.lists(_SAMPLES_EDIT, max_size=4),
+    garbage=st.tuples(st.integers(0, 120), st.binary(max_size=3)),
+)
+def test_mutated_samples_csv_never_internal_error(unit_last, edits, garbage):
+    lines = [",".join(row[::-1] if unit_last else row) for row in _SAMPLES_ROWS]
+    _exits_cleanly(["stats"], _damaged_csv(lines, edits, garbage))
+
+
+# The published aggregate table as a user might damage it: cut to its first
+# few lines (so that two or three units, or a constant column, can remain),
+# its header swapped, lines replaced, cut short, deleted or repeated, one
+# cell set to any text, and a few random bytes inserted.
+_TABLE_EDIT = st.one_of(
+    st.tuples(st.just("head"), st.integers(0, 6), st.none()),
+    st.tuples(
+        st.just("replace"), st.just(0),
+        st.sampled_from([
+            "unit,P,IC3,FC3,IC5", "P,unit,IC3,FC3,IC5,FC5", "unit,P,IC3,FC3,IC5,FC5,X", "",
+        ]),
+    ),
+    st.tuples(
+        st.just("replace"), st.integers(0, 40),
+        st.sampled_from([
+            "", "A", "A,5,1,1,1,1", "A,0,1,1,1,1", "A,-2,1,1,1,1", "A,5,-1,1,1,1",
+            "A,5,1e400,1,1,1", "A,5,1e-400,1,1,1", "A,5,1/0,1,1,1", "A,5,nan,1,1,1",
+            "A,5.5,1,1,1,1", '"A,5', "A,5,1,1,1,1,1", ",5,1,1,1,1",
+            "A,1" + "0" * 400 + ",1,1,1,1", "A,5,1,1,1," + "9" * 140_000,
+        ]) | _TEXT,
+    ),
+    st.tuples(st.just("cut"), st.integers(0, 40), st.integers(0, 30)),
+    st.tuples(st.just("cell"), st.integers(0, 40), st.tuples(st.integers(0, 5), _TEXT)),
+    st.tuples(st.just("delete"), st.integers(0, 40), st.none()),
+    st.tuples(st.just("repeat"), st.integers(0, 40), st.none()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edits=st.lists(_TABLE_EDIT, max_size=4),
+    garbage=st.tuples(st.integers(0, 1200), st.binary(max_size=3)),
+)
+def test_mutated_aggregate_table_never_internal_error(edits, garbage):
+    data = Path(__file__).parent / "data"
+    lines = (data / "table1.csv").read_text(encoding="utf-8").splitlines()
+    _exits_cleanly(["report", "--format", "aggregate"], _damaged_csv(lines, edits, garbage))

@@ -451,6 +451,19 @@ class TestAggregateTable:
         with pytest.raises(MalformedField, match="line 4: row has 7 cells, the header 6"):
             load_aggregate_table(text)
 
+    def test_field_over_csv_limit_names_its_line(self):
+        text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nC,7,3,2,4," + "1" * 140_000
+        with pytest.raises(MalformedField, match="line 4: field larger than field limit"):
+            load_aggregate_table(text)
+
+    @pytest.mark.parametrize(
+        "row", ["A,5,1e400,1,1,1", "A,1" + "0" * 400 + ",1,1,1,1"], ids=["count", "p"]
+    )
+    def test_cell_beyond_float_range(self, row):
+        text = "unit,P,IC3,FC3,IC5,FC5\n" + row + "\nB,6,2,1,3,2\n"
+        with pytest.raises(NonNumericCell, match="line 2: cell too large for a float"):
+            load_aggregate_table(text)
+
     def test_duplicate_unit_rejected(self):
         text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n"
         with pytest.raises(DuplicateId, match="line 4"):

@@ -1,10 +1,12 @@
+import csv
+import io
 import math
 import random
 
-import numpy as np
 import pytest
 
 from citefrac.errors import ConstantInput, LengthMismatch
+from citefrac.report import format_correlation_csv
 from citefrac.stats import correlation_matrix, pearson, rankdata, spearman
 from citefrac.stats.distributions import t_two_tailed
 
@@ -83,17 +85,28 @@ class TestSpearman:
             assert -1.0 <= pearson(x, y).statistic <= 1.0
 
 
+def _stars(pairs) -> dict[tuple[str, str], str]:
+    """(row, col) -> the stars `format_correlation_csv` gives that cell."""
+    rows = csv.DictReader(io.StringIO(format_correlation_csv(pairs)))
+    return {(r["row"], r["col"]): r["stars"] for r in rows}
+
+
 class TestCorrelationMatrix:
     def test_identical_columns(self):
         m = correlation_matrix({"a": [1, 2, 3, 4, 5], "b": [1, 2, 3, 4, 5]})
-        assert m.pearson[0, 1] == pytest.approx(1.0)
-        assert m.spearman[0, 1] == pytest.approx(1.0)
-        assert m.stars(0, 1, "pearson") == 2
+        pear, spear = m["a", "b"]
+        assert pear.statistic == pytest.approx(1.0)
+        assert spear.statistic == pytest.approx(1.0)
+        assert _stars(m)["b", "a"] == "**"  # Pearson, below the diagonal
 
-    def test_diagonal_is_one(self):
-        m = correlation_matrix({"a": [1, 2, 3], "b": [3, 1, 2], "c": [2, 3, 1]})
-        assert np.allclose(np.diag(m.pearson), 1.0)
-        assert np.allclose(np.diag(m.spearman), 1.0)
+    def test_pairs_in_column_order(self):
+        columns = {"a": [1, 2, 3], "b": [3, 1, 2], "c": [2, 3, 1]}
+        m = correlation_matrix(columns)
+        assert list(m) == [("a", "b"), ("a", "c"), ("b", "c")]
+        for (x, y), (pear, spear) in m.items():
+            assert pear == pearson(columns[x], columns[y])
+            assert spear == spearman(columns[x], columns[y])
+        assert ("a", "a") not in _stars(m)
 
     def test_no_star_below_critical_r(self):
         # Two-tailed critical r at n = 27, alpha = 0.05, via the t CDF:
@@ -114,8 +127,8 @@ class TestCorrelationMatrix:
             x = [rng.gauss(0, 1) for _ in range(n)]
             y = [rng.gauss(0, 1) for _ in range(n)]
             m = correlation_matrix({"x": x, "y": y})
-            below = abs(m.pearson[0, 1]) < critical
-            assert below == (m.stars(0, 1, "pearson") == 0)
+            below = abs(m["x", "y"][0].statistic) < critical
+            assert below == (_stars(m)["y", "x"] == "")
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -59,6 +59,9 @@ def test_traced_run_times_every_layer(command, data_dir, tmp_path):
         assert metrics["counting.scores_s"] > 0
         assert metrics["counting.windows"] == 2
         assert metrics["corpus.links"] == 101  # the links of toy_corpus.jsonl
+        # The statistics that citefrac.cli imports by name are timed too.
+        for layer in ("stats.correlation_s", "stats.omnibus_s", "stats.dunnett_s"):
+            assert metrics[layer] > 0, layer
         # Dunnett's C solves one quantile per distinct group size (P).
         with open(out / "aggregates.csv", newline="", encoding="utf-8") as fh:
             sizes = {row["P"] for row in csv.DictReader(fh)}
