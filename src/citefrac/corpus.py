@@ -474,6 +474,19 @@ def load_aggregate_table(text: str) -> list[UnitRow]:
         raise MalformedField(str(exc), reader.reader.line_num) from None
 
 
+# A float holds magnitudes from about 1e-324 to 1e308. A count whose decimal
+# exponent is beyond this bound lies far outside that range (its mantissa
+# has at most a few thousand digits, as int() reads them), and Fraction
+# would first build 10**exponent exactly, in time that grows with it.
+_MAX_EXPONENT = 10_000
+_EXPONENT_RE = re.compile(r"[\d.]e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _exponent_beyond_float(cell: str) -> bool:
+    exponent = _EXPONENT_RE.search(cell)
+    return exponent is not None and abs(int(exponent[1])) > _MAX_EXPONENT
+
+
 def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
     if reader.fieldnames is None or tuple(reader.fieldnames) != _AGGREGATE_COLUMNS:
         raise ParseError(
@@ -493,7 +506,12 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             )
         try:
             p = int(raw["P"])
-            counts = {c.lower(): Fraction(raw[c]) for c in _AGGREGATE_COLUMNS[2:]}
+            cells = {c.lower(): raw[c] for c in _AGGREGATE_COLUMNS[2:]}
+            if any(map(_exponent_beyond_float, cells.values())):
+                raise NonNumericCell(
+                    f"count exponent far beyond a float's range in row {raw!r}", lineno
+                )
+            counts = {key: Fraction(cell) for key, cell in cells.items()}
         except (TypeError, ValueError, ZeroDivisionError):
             raise NonNumericCell(
                 f"missing or non-numeric cell in row {raw!r}", lineno

@@ -54,20 +54,10 @@ def kruskal_wallis(groups: Groups) -> TestResult:
     return TestResult(statistic=h, df=df, p_value=chi2_sf(h, df))
 
 
-def levene(groups: Groups, center: str = "mean") -> TestResult:
-    """Levene's homogeneity-of-variance test.
-
-    Classic mean-centered by default; `center="median"` gives the
-    Brown-Forsythe variant.
-    """
+def levene(groups: Groups) -> TestResult:
+    """Levene's homogeneity-of-variance test, classic mean-centered."""
     _check_groups(groups, min_group_size=2)
-    if center not in ("mean", "median"):
-        raise ValueError(f"unknown center {center!r}")
-    centers = [
-        float(np.mean(g)) if center == "mean" else float(np.median(g))
-        for g in groups
-    ]
-    z = [np.abs(np.asarray(g, dtype=float) - c) for g, c in zip(groups, centers)]
+    z = [np.abs(np.asarray(g, dtype=float) - float(np.mean(g))) for g in groups]
     n_total = sum(len(g) for g in groups)
     k = len(groups)
     z_means = [float(np.mean(zi)) for zi in z]

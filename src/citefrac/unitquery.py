@@ -11,7 +11,9 @@ left-associative; parentheses override. NOT is binary set difference
 meaningful inside an ``ad=(...)`` scope and requires both operands to hold
 within one and the same address string. Phrases match as consecutive token
 runs against normalized address strings (lowercased, punctuation stripped,
-whitespace collapsed), so a phrase may cross comma boundaries.
+whitespace collapsed), so a phrase may cross comma boundaries. A query
+opens at most ``MAX_NESTING`` parentheses at once and holds at most
+``MAX_DEPTH`` binary operators on one path of its tree.
 
 Queries are evaluated as set algebra over a positional inverted index of
 the records' addresses (token -> (address, position) postings), built once
@@ -30,6 +32,7 @@ levels:
 """
 from __future__ import annotations
 
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -91,35 +94,34 @@ class YearEquals:
 
 Node = Phrase | Same | And | Or | Not | FieldScope | YearEquals
 
-_KEYWORDS = {"and", "or", "not", "same"}
+# The binary operators, loosest first: each one's keyword and node type.
+_OPERATORS = (("or", Or), ("and", And), ("same", Same), ("not", Not))
+_KEYWORDS = {keyword for keyword, _ in _OPERATORS}
+_LEVEL_OF = {node_type: level for level, (_, node_type) in enumerate(_OPERATORS)}
+# How each binary node combines its operands' sets of records or addresses.
+_SET_OPS = {Or: operator.or_, And: operator.and_, Same: operator.and_, Not: operator.sub}
 _FIELDS = {"ad", "py"}
+
+# Bounds that keep the recursive parser and evaluator far inside Python's
+# default recursion limit: parentheses open at once, and binary operators
+# on one path from the root of a query's tree.
+MAX_NESTING = 50
+MAX_DEPTH = 200
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|(=)|([^\s()=]+))")
+_TOKEN_RE = re.compile(r"[()=]|[^\s()=]+")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, value, position) triples; kinds: ( ) = word."""
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            break
-        if m.group(1):
-            tokens.append(("(", "(", m.start(1)))
-        elif m.group(2):
-            tokens.append((")", ")", m.start(2)))
-        elif m.group(3):
-            tokens.append(("=", "=", m.start(3)))
-        else:
-            tokens.append(("word", m.group(4).lower(), m.start(4)))
-        pos = m.end()
-    return tokens
+    return [
+        (m[0] if m[0] in "()=" else "word", m[0].lower(), m.start())
+        for m in _TOKEN_RE.finditer(text)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -132,120 +134,100 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        nesting = 0
+        for kind, _, pos in self.tokens:
+            nesting += (kind == "(") - (kind == ")")
+            if nesting > MAX_NESTING:
+                raise QuerySyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> tuple[str, str, int]:
+        """The next token; past the last one, an "end" token."""
+        if self.i < len(self.tokens):
+            return self.tokens[self.i]
+        return ("end", "", len(self.text))
 
     def next(self) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok is None:
-            raise QuerySyntaxError("unexpected end of query", len(self.text))
+        if tok[0] == "end":
+            raise QuerySyntaxError("unexpected end of query", tok[2])
         self.i += 1
         return tok
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok is None or tok[0] != kind:
-            pos = tok[2] if tok else len(self.text)
-            raise QuerySyntaxError(f"expected {kind!r}", pos)
+        if tok[0] != kind:
+            raise QuerySyntaxError(f"expected {kind!r}", tok[2])
         return self.next()
 
-    def at_keyword(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "word" and tok[1] in names
+    def parse_expr(self, ctx: str | None, level: int = 0) -> tuple[Node, int]:
+        """Parse a chain of the operator at `level` of `_OPERATORS`, whose
+        operands hold only tighter ones. Returns the node and the number of
+        binary operators on its deepest path."""
+        if level == len(_OPERATORS):
+            return self.parse_atom(ctx)
+        keyword, node_type = _OPERATORS[level]
+        node, depth = self.parse_expr(ctx, level + 1)
+        while self.peek()[:2] == ("word", keyword):
+            pos = self.next()[2]
+            if node_type is Same and ctx != "ad":
+                raise QuerySyntaxError("SAME outside ad-scope", pos)
+            right, right_depth = self.parse_expr(ctx, level + 1)
+            node, depth = node_type(node, right), max(depth, right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise QuerySyntaxError(
+                    f"more than {MAX_DEPTH} operators nested in one query", pos
+                )
+        return node, depth
 
-    # Precedence ladder: or < and < same < not < atom.
-
-    def parse_expr(self, ctx: str | None) -> Node:
-        node = self.parse_and(ctx)
-        while self.at_keyword("or"):
-            self.next()
-            node = Or(node, self.parse_and(ctx))
-        return node
-
-    def parse_and(self, ctx: str | None) -> Node:
-        node = self.parse_same(ctx)
-        while self.at_keyword("and"):
-            self.next()
-            node = And(node, self.parse_same(ctx))
-        return node
-
-    def parse_same(self, ctx: str | None) -> Node:
-        node = self.parse_not(ctx)
-        while self.at_keyword("same"):
-            tok = self.next()
-            if ctx != "ad":
-                raise QuerySyntaxError("SAME outside ad-scope", tok[2])
-            node = Same(node, self.parse_not(ctx))
-        return node
-
-    def parse_not(self, ctx: str | None) -> Node:
-        node = self.parse_atom(ctx)
-        while self.at_keyword("not"):
-            self.next()
-            node = Not(node, self.parse_atom(ctx))
-        return node
-
-    def parse_atom(self, ctx: str | None) -> Node:
-        tok = self.peek()
-        if tok is None:
-            raise QuerySyntaxError("dangling operator", len(self.text))
-        kind, value, pos = tok
+    def parse_atom(self, ctx: str | None) -> tuple[Node, int]:
+        kind, value, pos = self.peek()
+        if kind == "end":
+            raise QuerySyntaxError("dangling operator", pos)
         if kind == "(":
             self.next()
-            node = self.parse_expr(ctx)
-            close = self.peek()
-            if close is None or close[0] != ")":
+            inner = self.parse_expr(ctx)
+            if self.peek()[0] != ")":
                 raise QuerySyntaxError("unbalanced parenthesis", pos)
             self.next()
-            return node
+            return inner
         if kind != "word":
             raise QuerySyntaxError(f"unexpected {value!r}", pos)
-
         if ctx is None:
             return self._parse_field(value, pos)
         if ctx == "py":
-            return self._parse_year(value, pos)
+            return self._parse_year(self.next()), 0
         # ad-scope: a phrase is a maximal run of non-keyword words.
-        return self._parse_phrase()
+        return self._parse_phrase(), 0
 
-    def _parse_field(self, name: str, pos: int) -> Node:
+    def _parse_field(self, name: str, pos: int) -> tuple[Node, int]:
         if name not in _FIELDS:
             raise QuerySyntaxError(f"unknown field tag {name!r}", pos)
         self.next()
         self.expect("=")
-        if name == "py":
-            tok = self.peek()
-            if tok is not None and tok[0] == "(":
-                self.next()
-                inner = self.parse_expr("py")
-                self.expect(")")
-                return FieldScope("py", inner)
-            tok = self.next()
-            return self._parse_year(tok[1], tok[2], consumed=True)
+        if name == "py" and self.peek()[0] != "(":
+            return self._parse_year(self.next()), 0
         self.expect("(")
-        inner = self.parse_expr("ad")
+        inner, depth = self.parse_expr(name)
         self.expect(")")
-        return FieldScope("ad", inner)
+        return FieldScope(name, inner), depth
 
-    def _parse_year(self, value: str, pos: int, consumed: bool = False) -> YearEquals:
-        if not consumed:
-            self.next()
-        if not value.isdigit():
-            raise QuerySyntaxError(f"expected a year, got {value!r}", pos)
-        return YearEquals(int(value))
+    def _parse_year(self, tok: tuple[str, str, int]) -> YearEquals:
+        _, value, pos = tok
+        if value.isdecimal():
+            try:
+                return YearEquals(int(value))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise QuerySyntaxError(f"expected a year, got {value!r}", pos)
 
     def _parse_phrase(self) -> Phrase:
         words: list[str] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "word" or tok[1] in _KEYWORDS:
-                break
+        while (tok := self.peek())[0] == "word" and tok[1] not in _KEYWORDS:
             words.append(self.next()[1])
         if not words:
-            tok = self.peek()
-            pos = tok[2] if tok else len(self.text)
-            raise QuerySyntaxError("expected a phrase", pos)
+            raise QuerySyntaxError("expected a phrase", self.peek()[2])
         return Phrase(tuple(words))
 
 
@@ -254,29 +236,33 @@ def parse_query(text: str) -> Node:
     if not text.strip():
         raise QuerySyntaxError("empty query", 0)
     parser = _Parser(text)
-    node = parser.parse_expr(None)
-    tok = parser.peek()
-    if tok is not None:
-        raise QuerySyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    node, _ = parser.parse_expr(None)
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise QuerySyntaxError(f"trailing input {value!r}", pos)
     return node
 
 
 def to_text(node: Node, _ctx: str | None = None) -> str:
     """Render an AST back to query text; reparses to an identical AST.
 
-    Sub-expressions are fully parenthesized so the output is unambiguous
-    regardless of precedence.
+    An operand is parenthesized only where precedence or left-associativity
+    would regroup it otherwise, so the text of a parsed query nests no
+    deeper than the query did.
     """
     if isinstance(node, YearEquals):
         return str(node.year) if _ctx == "py" else f"py={node.year}"
     if isinstance(node, FieldScope):
         return f"{node.field}=({to_text(node.expr, node.field)})"
     if isinstance(node, Phrase):
-        body = " ".join(node.tokens)
-        return f"({body})" if _ctx == "ad" else body
-    ops = {Same: "same", And: "and", Or: "or", Not: "not"}
-    op = ops[type(node)]
-    return f"({to_text(node.left, _ctx)} {op} {to_text(node.right, _ctx)})"
+        return " ".join(node.tokens)
+    level = _LEVEL_OF[type(node)]
+    left, right = to_text(node.left, _ctx), to_text(node.right, _ctx)
+    if _LEVEL_OF.get(type(node.left), level) < level:
+        left = f"({left})"
+    if _LEVEL_OF.get(type(node.right), level + 1) <= level:
+        right = f"({right})"
+    return f"{left} {_OPERATORS[level][0]} {right}"
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +316,10 @@ class _AddressIndex:
         """Ids of the addresses that satisfy an ad-scope expression alone."""
         if isinstance(node, Phrase):
             return self._phrase(node.tokens)
-        if isinstance(node, (Same, And)):
-            return self._addresses(node.left) & self._addresses(node.right)
-        if isinstance(node, Or):
-            return self._addresses(node.left) | self._addresses(node.right)
-        if isinstance(node, Not):
-            return self._addresses(node.left) - self._addresses(node.right)
-        raise TypeError(f"{type(node).__name__} cannot appear inside an address scope")
+        op = _SET_OPS.get(type(node))
+        if op is None:
+            raise TypeError(f"{type(node).__name__} cannot appear inside an address scope")
+        return op(self._addresses(node.left), self._addresses(node.right))
 
     def records(self, node: Node) -> set[str]:
         """Ids of the records that satisfy a query."""
@@ -344,19 +327,13 @@ class _AddressIndex:
             return set(self._by_year.get(node.year, ()))
         if isinstance(node, FieldScope):
             return self.records(node.expr)
-        if isinstance(node, Phrase):
-            return {self._owner[a] for a in self._phrase(node.tokens)}
-        if isinstance(node, Same):
-            # Both sides must hold within one and the same address string.
-            both = self._addresses(node.left) & self._addresses(node.right)
-            return {self._owner[a] for a in both}
-        if isinstance(node, And):
-            return self.records(node.left) & self.records(node.right)
-        if isinstance(node, Or):
-            return self.records(node.left) | self.records(node.right)
-        if isinstance(node, Not):
-            return self.records(node.left) - self.records(node.right)
-        raise TypeError(f"unknown node type {type(node).__name__}")
+        if isinstance(node, (Phrase, Same)):
+            # Both sides of a SAME must hold within one and the same address.
+            return {self._owner[a] for a in self._addresses(node)}
+        op = _SET_OPS.get(type(node))
+        if op is None:
+            raise TypeError(f"unknown node type {type(node).__name__}")
+        return op(self.records(node.left), self.records(node.right))
 
 
 def match_record(node: Node, rec: PublicationRecord) -> bool:
@@ -439,24 +416,25 @@ def assign_units(
     base = {d.name: frozenset(index.records(d.query)) for d in defs}
 
     resolved: dict[str, frozenset[str]] = {}
-    in_progress: set[str] = set()
-
-    def resolve(name: str) -> frozenset[str]:
-        if name in resolved:
-            return resolved[name]
-        if name in in_progress:
-            raise CyclicMinus(f"cyclic minus chain through {name!r}")
-        in_progress.add(name)
-        d = by_name[name]
-        result = base[name]
-        for other in d.minus:
-            if other not in by_name:
+    for d in by_name.values():
+        # Depth first with a stack of the units waiting on others, so that a
+        # long minus chain does not recurse.
+        waiting = [d] if d.name not in resolved else []
+        while waiting:
+            top = waiting[-1]
+            other = next((o for o in top.minus if o not in resolved), None)
+            if other is None:
+                result = base[top.name]
+                for o in top.minus:
+                    result -= resolved[o]
+                resolved[top.name] = result
+                waiting.pop()
+            elif other not in by_name:
                 raise UnknownUnitInMinus(
-                    f"unit {d.name!r} subtracts undefined unit {other!r}"
+                    f"unit {top.name!r} subtracts undefined unit {other!r}"
                 )
-            result -= resolve(other)
-        in_progress.discard(name)
-        resolved[name] = result
-        return result
-
-    return {d.name: resolve(d.name) for d in defs}
+            elif any(w.name == other for w in waiting):
+                raise CyclicMinus(f"cyclic minus chain through {other!r}")
+            else:
+                waiting.append(by_name[other])
+    return {d.name: resolved[d.name] for d in defs}

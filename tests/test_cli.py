@@ -448,20 +448,36 @@ class TestConfigAndValidation:
             ("Good := ad=(x)\n := ad=(y)\n", "line 2, column 1: empty unit name"),
             ("Good := ad=(x)\nGood := ad=(y)\n", "line 2, column 1: duplicate unit 'Good'"),
             ("Good := ad=(x)\nBad := ad=(x) minus\n", "line 2, column 15: minus names no unit"),
+            ("Good := ad=(x)\nA := ad=(univ) and py=²\n",
+             "line 2, column 23: expected a year, got '²'"),
+            ("Good := ad=(x)\nA := py=" + "9" * 5000 + "\n",
+             "line 2, column 9: expected a year, got '999"),
+            ("Good := ad=(x)\nA := " + "(" * 400 + "ad=(univ)" + ")" * 400 + "\n",
+             "line 2, column 56: parentheses nested deeper than 50"),
+            ("Good := ad=(x)\nA := ad=(" + "(" * 300 + "univ" + ")" * 300 + ")\n",
+             "line 2, column 59: parentheses nested deeper than 50"),
+            ("Good := ad=(x)\nA := " + " or ".join(["ad=(univ)"] * 3000) + "\n",
+             "line 2, column 2616: more than 200 operators nested in one query"),
         ],
-        ids=["query", "missing_assign", "empty_name", "duplicate_name", "bare_minus"],
+        ids=[
+            "query", "missing_assign", "empty_name", "duplicate_name", "bare_minus",
+            "superscript_year", "year_beyond_int_digits", "deep_parens",
+            "deep_parens_in_ad", "long_or_chain",
+        ],
     )
     def test_units_syntax_error_names_line_and_column(
         self, data_dir, tmp_path, capsys, text, message
     ):
         units = tmp_path / "units.txt"
         units.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
         code = run(
             "assign", "--input", str(data_dir / "toy_corpus.jsonl"),
-            "--units", str(units), "--out", str(tmp_path / "out"),
+            "--units", str(units), "--out", str(out),
         )
         assert code == 2
         assert f"units.txt, {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "record",
@@ -851,9 +867,10 @@ _SAMPLES_EDIT = st.one_of(
 )
 
 
-def _damaged_csv(lines: list[str], edits, garbage) -> bytes:
-    """The CSV lines after the edits of `_SAMPLES_EDIT` or `_TABLE_EDIT`,
-    with a few bytes inserted."""
+def _damaged(lines: list[str], edits, garbage, sep: str = ",") -> bytes:
+    """The lines after the edits of `_SAMPLES_EDIT`, `_TABLE_EDIT` or
+    `_UNITS_EDIT`, with a few bytes inserted. A cell is a part of a line
+    between two `sep`."""
     for op, at, arg in edits:
         if op == "head":
             lines = lines[:at]
@@ -865,9 +882,9 @@ def _damaged_csv(lines: list[str], edits, garbage) -> bytes:
         elif op == "cut":
             lines[at] = lines[at][:arg]
         elif op == "cell":
-            cells = lines[at].split(",")
+            cells = lines[at].split(sep)
             cells[arg[0] % len(cells)] = arg[1]
-            lines[at] = ",".join(cells)
+            lines[at] = sep.join(cells)
         elif op == "delete":
             del lines[at]
         elif op == "repeat":
@@ -877,13 +894,14 @@ def _damaged_csv(lines: list[str], edits, garbage) -> bytes:
     return payload[:at] + junk + payload[at:]
 
 
-def _exits_cleanly(command: list[str], payload: bytes) -> None:
-    """`command` on the payload as its --input exits 0, or 2 with no --out."""
+def _exits_cleanly(command: list[str], flag: str, payload: bytes) -> None:
+    """`command` given the payload's file by `flag` exits 0, or 2 with no
+    --out."""
     with tempfile.TemporaryDirectory() as scratch:
-        table = Path(scratch) / "input.csv"
-        table.write_bytes(payload)
+        path = Path(scratch) / flag.lstrip("-")
+        path.write_bytes(payload)
         out = Path(scratch) / "out"
-        code = main(command + ["--input", str(table), "--out", str(out)])
+        code = main(command + [flag, str(path), "--out", str(out)])
         assert code in (0, 2)
         if code == 2:
             assert not out.exists()
@@ -897,7 +915,7 @@ def _exits_cleanly(command: list[str], payload: bytes) -> None:
 )
 def test_mutated_samples_csv_never_internal_error(unit_last, edits, garbage):
     lines = [",".join(row[::-1] if unit_last else row) for row in _SAMPLES_ROWS]
-    _exits_cleanly(["stats"], _damaged_csv(lines, edits, garbage))
+    _exits_cleanly(["stats"], "--input", _damaged(lines, edits, garbage))
 
 
 # The published aggregate table as a user might damage it: cut to its first
@@ -916,7 +934,8 @@ _TABLE_EDIT = st.one_of(
         st.just("replace"), st.integers(0, 40),
         st.sampled_from([
             "", "A", "A,5,1,1,1,1", "A,0,1,1,1,1", "A,-2,1,1,1,1", "A,5,-1,1,1,1",
-            "A,5,1e400,1,1,1", "A,5,1e-400,1,1,1", "A,5,1/0,1,1,1", "A,5,nan,1,1,1",
+            "A,5,1e400,1,1,1", "A,5,1e-400,1,1,1", "A,5,1e-999999999,1,1,1",
+            "A,5,1/0,1,1,1", "A,5,nan,1,1,1",
             "A,5.5,1,1,1,1", '"A,5', "A,5,1,1,1,1,1", ",5,1,1,1,1",
             "A,1" + "0" * 400 + ",1,1,1,1", "A,5,1,1,1," + "9" * 140_000,
         ]) | _TEXT,
@@ -936,4 +955,48 @@ _TABLE_EDIT = st.one_of(
 def test_mutated_aggregate_table_never_internal_error(edits, garbage):
     data = Path(__file__).parent / "data"
     lines = (data / "table1.csv").read_text(encoding="utf-8").splitlines()
-    _exits_cleanly(["report", "--format", "aggregate"], _damaged_csv(lines, edits, garbage))
+    _exits_cleanly(
+        ["report", "--format", "aggregate"], "--input", _damaged(lines, edits, garbage)
+    )
+
+
+# The Tsinghua units file as a user might damage it: lines replaced by other
+# definitions (some past the parser's bounds) or any text, cut short,
+# deleted or repeated, one word set to a query token or any text, and a few
+# random bytes inserted.
+_UNITS_EDIT = st.one_of(
+    st.tuples(
+        st.just("replace"), st.integers(0, 20),
+        st.sampled_from([
+            "", "# note", "A := ad=(x)", "A ad=(x)", ":= ad=(x)", "A := ad=(x) minus",
+            "A := ad=(x) minus Ghost", "A := ad=(x) minus A", "A := ad=(x", "A := ad=)",
+            "A := py=2005 same py=2006", "A := ad=(univ) and py=²", "A := py=" + "9" * 5000,
+            "A := " + "(" * 400 + "ad=(univ)" + ")" * 400,
+            "A := ad=(" + "(" * 300 + "univ" + ")" * 300 + ")",
+            "A := " + " or ".join(["ad=(univ)"] * 3000),
+        ]) | _TEXT,
+    ),
+    st.tuples(st.just("cut"), st.integers(0, 20), st.integers(0, 400)),
+    st.tuples(
+        st.just("cell"), st.integers(0, 20),
+        st.tuples(
+            st.integers(0, 80),
+            st.sampled_from(["(", ")", "=", "and", "or", "same", "not", "minus", ":=", "²"])
+            | _TEXT,
+        ),
+    ),
+    st.tuples(st.just("delete"), st.integers(0, 20), st.none()),
+    st.tuples(st.just("repeat"), st.integers(0, 20), st.none()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(_UNITS_EDIT, max_size=4),
+    garbage=st.tuples(st.integers(0, 2000), st.binary(max_size=3)),
+)
+def test_mutated_units_file_never_internal_error(edits, garbage):
+    data = Path(__file__).parent / "data"
+    lines = (data / "units_tsinghua.txt").read_text(encoding="utf-8").splitlines()
+    command = ["assign", "--input", str(data / "toy_corpus.jsonl")]
+    _exits_cleanly(command, "--units", _damaged(lines, edits, garbage, sep=" "))

@@ -464,6 +464,20 @@ class TestAggregateTable:
         with pytest.raises(NonNumericCell, match="line 2: cell too large for a float"):
             load_aggregate_table(text)
 
+    @pytest.mark.parametrize("count", ["1e-999999999", "2E+1_000_000", "1.5e-10001"])
+    def test_count_exponent_far_beyond_float_range(self, count):
+        text = f"unit,P,IC3,FC3,IC5,FC5\nB,6,2,1,3,2\nA,5,1,{count},1,1\n"
+        with pytest.raises(NonNumericCell, match="line 3: count exponent far beyond"):
+            load_aggregate_table(text)
+
+    def test_small_exponents_still_accepted(self):
+        text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1e-400,1E-10000,2.5e3,1e-0000400\n"
+        (row,) = load_aggregate_table(text)
+        assert row.counts == {
+            "ic3": Fraction(1, 10**400), "fc3": Fraction(1, 10**10000),
+            "ic5": Fraction(2500), "fc5": Fraction(1, 10**400),
+        }
+
     def test_duplicate_unit_rejected(self):
         text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n"
         with pytest.raises(DuplicateId, match="line 4"):

@@ -80,14 +80,6 @@ class TestLevene:
         shifted = levene([[v + 100.0 for v in g] for g in groups])
         assert shifted.p_value == pytest.approx(base.p_value)
 
-    def test_median_center_option(self):
-        groups = [[1.0, 2.0, 10.0], [3.0, 4.0, 5.0]]
-        from scipy.stats import levene as scipy_levene
-
-        ref = scipy_levene(*groups, center="median")
-        result = levene(groups, center="median")
-        assert result.statistic == pytest.approx(ref.statistic, abs=1e-10)
-
     def test_degenerate_all_deviations_equal(self):
         result = levene([[1, 1], [2, 2]])
         assert result.p_value == 1.0

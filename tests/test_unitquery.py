@@ -8,6 +8,8 @@ from citefrac.errors import CyclicMinus, QuerySyntaxError, UnknownUnitInMinus
 from citefrac.unitquery import (
     And,
     FieldScope,
+    MAX_DEPTH,
+    MAX_NESTING,
     Not,
     Or,
     Phrase,
@@ -95,6 +97,40 @@ class TestParse:
             assert exc.position == 11
         else:
             pytest.fail("expected QuerySyntaxError")
+
+    def test_nesting_bound_is_inclusive(self):
+        inner = "(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1)
+        assert parse_query(f"ad=({inner})") == FieldScope("ad", Phrase(("a",)))
+        with pytest.raises(QuerySyntaxError, match="nested deeper") as info:
+            parse_query(f"ad=(({inner}))")
+        assert info.value.position == 3 + MAX_NESTING
+
+    def test_depth_bound_is_inclusive(self):
+        terms = ["ad=(a)", "py=2005"] * MAX_DEPTH
+        ast = parse_query(" or ".join(terms[: MAX_DEPTH + 1]))
+        assert parse_query(to_text(ast)) == ast
+        assert match_record(ast, rec("a"))
+        text = " or ".join(terms[: MAX_DEPTH + 2])
+        with pytest.raises(QuerySyntaxError, match="more than") as info:
+            parse_query(text)
+        assert info.value.position == text.rindex(" or ") + 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ad=(a same b or c)",
+            "ad=(a same (b or c) not (d not e))",
+            "ad=(x) and (py=2005 or py=2006) and py=(2005 or 2006)",
+        ],
+    )
+    def test_to_text_parenthesizes_only_where_needed(self, text):
+        assert to_text(parse_query(text)) == text
+
+    def test_year_must_be_decimal_digits(self):
+        assert parse_query("py=٢٠٠٥") == YearEquals(2005)
+        for text in ("py=²", "py=+5", "py=5_0", "py=(2005 or ²)"):
+            with pytest.raises(QuerySyntaxError, match="expected a year"):
+                parse_query(text)
 
     def test_parse_count_three_token_expression(self):
         # Under the precedence ladder "a same b or c" has exactly one parse.
@@ -283,6 +319,20 @@ class TestDefinitionsAndAssignment:
         ]
         with pytest.raises(CyclicMinus):
             assign_units(build_corpus([], []), defs)
+
+    def test_long_minus_chain(self):
+        # Each unit subtracts the next, so membership alternates down the chain.
+        n = 3000
+        corpus = build_corpus(
+            [PublicationRecord(id="P", year=2005, addresses=("Univ X",))], []
+        )
+        defs = [
+            UnitDefinition(f"U{i}", parse_query("ad=(x)"), minus=(f"U{i + 1}",))
+            for i in range(n)
+        ] + [UnitDefinition(f"U{n}", parse_query("ad=(x)"))]
+        assignment = assign_units(corpus, defs)
+        assert all(assignment[f"U{i}"] == ({"P"} if (n - i) % 2 == 0 else set())
+                   for i in range(n + 1))
 
     def test_minus_disjointness_property(self):
         corpus = build_corpus(
