@@ -268,11 +268,12 @@ def _aggregate_keys(suffixes: list[str]) -> list[tuple[str, bool]]:
 
 def _count_pipeline(config: RunConfig, tree: dict[str, str]):
     """Load, assign, count every window, and add aggregates.csv to the tree:
-    one row per kept unit with its ic_<window> and fc_<window> totals."""
-    loaded = _load_corpus(config, config.format)
+    one row per kept unit with its ic_<window> and fc_<window> totals. The
+    windows and the units file are checked before the corpus is read."""
     if not config.windows:
         raise UsageError("at least one --window is required")
     defs = _unit_definitions(config)
+    loaded = _load_corpus(config, config.format)
     assignment = assign_units(loaded, defs)
 
     per_window = {}
@@ -361,6 +362,18 @@ def _stats_battery(
     tree["pairwise.csv"] = report.format_decisions_csv(decisions)
     graph = report.build_homogeneity_graph(decisions)
     tree["homogeneity.dot"] = report.emit_graph_dot(graph)
+
+
+def _battery_skip_reason(groups: dict[str, list[float]]) -> str | None:
+    """Why the statistics battery cannot run on these per-unit samples, or
+    None: it compares at least 2 units, each of at least 2 papers."""
+    if len(groups) < 2:
+        kept = f"only unit {next(iter(groups))!r}" if groups else "no unit"
+        return f"{kept} kept, the tests need at least 2 units"
+    for unit, sample in groups.items():
+        if len(sample) < 2:
+            return f"unit {unit!r} has {len(sample)} paper(s), the tests need at least 2"
+    return None
 
 
 def cmd_stats(config: RunConfig) -> dict[str, str]:
@@ -458,8 +471,11 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
     groups = {
         row.unit: per_paper_samples(assignment, scores, row.unit) for row in rows
     }
-    if len(groups) >= 2 and all(len(g) >= 2 for g in groups.values()):
+    skip = _battery_skip_reason(groups)
+    if skip is None:
         _stats_battery(tree, groups, config.alpha)
+    else:
+        print(f"statistics skipped: {skip}", file=sys.stderr)
     tree["scores.csv"] = counting.export_scores_csv(scores, assignment)
     tree["manifest.txt"] = _manifest(config, [config.input, config.units])
     return tree

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     DuplicateId,
@@ -117,6 +117,27 @@ def build_corpus(
             raise DuplicateId(f"duplicate citing id {rec.id!r}")
         citing_map[rec.id] = rec
     return Corpus(cited=cited_map, citing=citing_map)
+
+
+# The loaders split a text into lines one block of about this many
+# characters at a time, so they hold one block's lines, never one object per
+# line of the whole file (2.6 times the text on a WoS export).
+_BLOCK_CHARS = 1 << 20
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split one block at a time.
+
+    Each block ends just after a "\\n". A "\\n" always ends a line, and it
+    is the last character of a "\\r\\n", so no line and no line break is
+    cut between blocks.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK_CHARS - 1)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[start:end].splitlines()
+        start = end
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +255,7 @@ def parse_tagged(text: str) -> TaggedParseResult:
     in_record = False
     saw_ef = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         tag = raw[:2]
         if raw[2:3] == " " and tag in _TAGS and not (
             (tag == "ER" or tag == "EF") and raw.rstrip() == tag
@@ -293,8 +314,8 @@ def parse_tagged(text: str) -> TaggedParseResult:
 
 # A tuple, so that `in` compares a side of any JSON type without hashing it.
 _SIDES = ("cited", "citing", "both")
-# One encoder for every line; it writes tuples as JSON arrays.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# The string encoder that json.JSONEncoder(ensure_ascii=False) uses.
+_quote = json.encoder.encode_basestring
 
 
 def _strings(obj: dict, key: str, rec_id: str, lineno: int) -> tuple[str, ...]:
@@ -323,12 +344,10 @@ def load_canonical(text: str) -> Corpus:
     missing or null doctype reads as Article; any other doctype, ``""``
     included, is kept, as a tagged record without DT keeps ``""``.
     """
-    lines = text.splitlines()
-
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -398,32 +417,33 @@ def load_canonical(text: str) -> Corpus:
     return build_corpus(cited, citing)
 
 
+def _array(strings: tuple[str, ...]) -> str:
+    return f"[{', '.join(map(_quote, strings))}]"
+
+
 def write_canonical(corpus: Corpus) -> str:
-    """Serialize a corpus to the canonical format; round-trip stable."""
-    out_lines: list[str] = []
-    all_ids = sorted(set(corpus.cited) | set(corpus.citing))
-    for rec_id in all_ids:
-        if rec_id in corpus.cited and rec_id in corpus.citing:
-            side = "both"
-            rec = corpus.cited[rec_id]
-        elif rec_id in corpus.cited:
-            side = "cited"
-            rec = corpus.cited[rec_id]
+    """Serialize a corpus to the canonical format; round-trip stable.
+
+    Each line holds the bytes ``json.dumps(record, ensure_ascii=False)``
+    gives for the record's dict, in key order id, side, year, doctype,
+    addresses, nrefs, cites, doi; they are formatted here directly.
+    """
+    cited, citing = corpus.cited, corpus.citing
+    lines: list[str] = []
+    for rec_id in sorted(cited.keys() | citing.keys()):
+        if rec_id in cited:
+            rec = cited[rec_id]
+            side = "both" if rec_id in citing else "cited"
         else:
-            side = "citing"
-            rec = corpus.citing[rec_id]
-        obj = {
-            "id": rec.id,
-            "side": side,
-            "year": rec.year,
-            "doctype": rec.doctype,
-            "addresses": rec.addresses,
-            "nrefs": rec.nrefs,
-            "cites": rec.cited_ids,
-            "doi": rec.doi,
-        }
-        out_lines.append(_encode(obj))
-    return "\n".join(out_lines) + ("\n" if out_lines else "")
+            rec, side = citing[rec_id], "citing"
+        nrefs = "null" if rec.nrefs is None else rec.nrefs
+        doi = "null" if rec.doi is None else _quote(rec.doi)
+        lines.append(
+            f'{{"id": {_quote(rec.id)}, "side": "{side}", "year": {rec.year}, '
+            f'"doctype": {_quote(rec.doctype)}, "addresses": {_array(rec.addresses)}, '
+            f'"nrefs": {nrefs}, "cites": {_array(rec.cited_ids)}, "doi": {doi}}}\n'
+        )
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

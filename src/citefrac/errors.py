@@ -63,11 +63,20 @@ class QuerySyntaxError(CitefracError):
         super().__init__(f"{where}: {message}")
 
 
-class UnknownUnitInMinus(CitefracError):
+class MinusError(CitefracError):
+    """A ``minus`` that cannot be resolved; ``unit`` names the definition
+    whose ``minus`` list is at fault."""
+
+    def __init__(self, message: str, unit: str):
+        self.unit = unit
+        super().__init__(message)
+
+
+class UnknownUnitInMinus(MinusError):
     pass
 
 
-class CyclicMinus(CitefracError):
+class CyclicMinus(MinusError):
     pass
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import Corpus, PublicationRecord
-from .errors import CyclicMinus, QuerySyntaxError, UnknownUnitInMinus
+from .errors import CyclicMinus, MinusError, QuerySyntaxError, UnknownUnitInMinus
 
 # ---------------------------------------------------------------------------
 # AST
@@ -374,9 +374,12 @@ def _split_minus(rhs: str) -> tuple[str, list[str]]:
 
 def parse_unit_definitions(text: str) -> list[UnitDefinition]:
     """Parse a unit-definitions file: one `name := query [minus a,b]` per
-    line, `#` comments, blank lines ignored."""
+    line, `#` comments, blank lines ignored. A `minus` may name a unit
+    defined further down, but every name must be defined and no chain may
+    lead back to a unit on it."""
     defs: list[UnitDefinition] = []
-    seen: set[str] = set()
+    # Unit name -> its line and the column where its `minus` starts.
+    minus_at: dict[str, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -387,18 +390,57 @@ def parse_unit_definitions(text: str) -> list[UnitDefinition]:
         name = name.strip()
         if not name:
             raise QuerySyntaxError("empty unit name", 0, lineno)
-        if name in seen:
+        if name in minus_at:
             raise QuerySyntaxError(f"duplicate unit {name!r}", 0, lineno)
-        seen.add(name)
+        # The body starts right after the first ':=' of the raw line.
+        body_at = raw.index(":=") + 2
         try:
             query_text, minus = _split_minus(rhs)
             query = parse_query(query_text)
         except QuerySyntaxError as exc:
-            # The body starts right after the first ':=' of the raw line.
-            offset = raw.index(":=") + 2 + exc.position
-            raise QuerySyntaxError(exc.message, offset, lineno) from None
+            raise QuerySyntaxError(exc.message, body_at + exc.position, lineno) from None
+        minus_at[name] = (lineno, body_at + len(query_text))
         defs.append(UnitDefinition(name, query, tuple(minus)))
+    try:
+        _minus_order(defs)
+    except MinusError as exc:
+        lineno, column = minus_at[exc.unit]
+        raise QuerySyntaxError(str(exc), column, lineno) from None
     return defs
+
+
+def _minus_order(defs: Iterable[UnitDefinition]) -> list[UnitDefinition]:
+    """The definitions, each after every unit its `minus` names.
+
+    Depth first with a stack of the units waiting on others, so that a long
+    minus chain does not recurse. Raises UnknownUnitInMinus for a name no
+    definition has and CyclicMinus for a chain that leads back to a unit on
+    it, each naming the unit whose `minus` holds that name.
+    """
+    by_name: Mapping[str, UnitDefinition] = {d.name: d for d in defs}
+    order: list[UnitDefinition] = []
+    placed: set[str] = set()
+    for d in by_name.values():
+        waiting = [] if d.name in placed else [d]
+        on_stack = {d.name}
+        while waiting:
+            top = waiting[-1]
+            other = next((o for o in top.minus if o not in placed), None)
+            if other is None:
+                order.append(top)
+                placed.add(top.name)
+                on_stack.discard(top.name)
+                waiting.pop()
+            elif other not in by_name:
+                raise UnknownUnitInMinus(
+                    f"unit {top.name!r} subtracts undefined unit {other!r}", top.name
+                )
+            elif other in on_stack:
+                raise CyclicMinus(f"cyclic minus chain through {other!r}", top.name)
+            else:
+                waiting.append(by_name[other])
+                on_stack.add(other)
+    return order
 
 
 def assign_units(
@@ -411,30 +453,13 @@ def assign_units(
     to several units.
     """
     defs = list(defs)
-    by_name: Mapping[str, UnitDefinition] = {d.name: d for d in defs}
     index = _AddressIndex(corpus.cited.values())
     base = {d.name: frozenset(index.records(d.query)) for d in defs}
 
     resolved: dict[str, frozenset[str]] = {}
-    for d in by_name.values():
-        # Depth first with a stack of the units waiting on others, so that a
-        # long minus chain does not recurse.
-        waiting = [d] if d.name not in resolved else []
-        while waiting:
-            top = waiting[-1]
-            other = next((o for o in top.minus if o not in resolved), None)
-            if other is None:
-                result = base[top.name]
-                for o in top.minus:
-                    result -= resolved[o]
-                resolved[top.name] = result
-                waiting.pop()
-            elif other not in by_name:
-                raise UnknownUnitInMinus(
-                    f"unit {top.name!r} subtracts undefined unit {other!r}"
-                )
-            elif any(w.name == other for w in waiting):
-                raise CyclicMinus(f"cyclic minus chain through {other!r}")
-            else:
-                waiting.append(by_name[other])
+    for d in _minus_order(defs):
+        result = base[d.name]
+        for o in d.minus:
+            result -= resolved[o]
+        resolved[d.name] = result
     return {d.name: resolved[d.name] for d in defs}

@@ -1,8 +1,10 @@
 """Shared test utilities: random corpora, brute-force counting oracle,
 random query ASTs, per-record query-matching oracle, scalar
-studentized-range oracle, per-line regex tagged-file parser oracle."""
+studentized-range oracle, per-line regex tagged-file parser oracle,
+per-record JSON-encoder canonical writer oracle."""
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -371,3 +373,38 @@ def reference_parse_tagged(text: str) -> TaggedParseResult:
             UnterminatedRecord("record open at EF marker", start_line)
         )
     return result
+
+
+# ---------------------------------------------------------------------------
+# Canonical writer oracle: a dict per record, serialized by the json module's
+# own encoder.
+# ---------------------------------------------------------------------------
+
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def reference_write_canonical(corpus: Corpus) -> str:
+    out_lines: list[str] = []
+    all_ids = sorted(set(corpus.cited) | set(corpus.citing))
+    for rec_id in all_ids:
+        if rec_id in corpus.cited and rec_id in corpus.citing:
+            side = "both"
+            rec = corpus.cited[rec_id]
+        elif rec_id in corpus.cited:
+            side = "cited"
+            rec = corpus.cited[rec_id]
+        else:
+            side = "citing"
+            rec = corpus.citing[rec_id]
+        obj = {
+            "id": rec.id,
+            "side": side,
+            "year": rec.year,
+            "doctype": rec.doctype,
+            "addresses": rec.addresses,
+            "nrefs": rec.nrefs,
+            "cites": rec.cited_ids,
+            "doi": rec.doi,
+        }
+        out_lines.append(_encode(obj))
+    return "\n".join(out_lines) + ("\n" if out_lines else "")

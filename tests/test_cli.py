@@ -132,9 +132,10 @@ class TestCountAndEvaluate:
             "--min-pubs", "2", "--out", str(out), *extra,
         )
 
-    def test_full_pipeline_outputs(self, data_dir, tmp_path):
+    def test_full_pipeline_outputs(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert self.evaluate_toy(data_dir, out) == 0
+        assert "statistics skipped" not in capsys.readouterr().err
         expected = [
             "aggregates.csv",
             "ranking_ic_2005_2009.csv",
@@ -185,6 +186,61 @@ class TestCountAndEvaluate:
             "--units", str(data_dir / "toy_units.txt"), "--out", str(tmp_path),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["count", "evaluate"])
+    def test_windows_and_units_checked_before_corpus(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("not json\n", encoding="utf-8")
+        units = tmp_path / "units.txt"
+        units.write_text("A := ad=(x) minus Ghost\n", encoding="utf-8")
+        argv = [command, "--input", str(corpus), "--units", str(units),
+                "--out", str(tmp_path / "out")]
+        assert run(*argv) == 2
+        assert "at least one --window is required" in capsys.readouterr().err
+        assert run(*argv, "--window", "2005:2009") == 2
+        err = capsys.readouterr().err
+        assert "units.txt, line 1, column 13: unit 'A' subtracts undefined unit 'Ghost'" in err
+        assert "corpus.jsonl" not in err
+
+    @pytest.mark.parametrize(
+        "min_pubs, reason",
+        [
+            ("6", "only unit 'Unit Alpha' kept, the tests need at least 2 units"),
+            ("7", "no unit kept, the tests need at least 2 units"),
+        ],
+        ids=["one_unit", "no_unit"],
+    )
+    def test_skipped_statistics_say_why(self, data_dir, tmp_path, capsys, min_pubs, reason):
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--min-pubs", min_pubs, "--out", str(out),
+        )
+        assert code == 0
+        assert f"statistics skipped: {reason}\n" in capsys.readouterr().err
+        assert not (out / "tests.csv").exists()
+
+    def test_statistics_skipped_for_a_one_paper_unit(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id": "A1", "side": "cited", "year": 2005, "addresses": ["Univ, Dep A"]}\n'
+            '{"id": "A2", "side": "cited", "year": 2005, "addresses": ["Univ, Dep A"]}\n'
+            '{"id": "B1", "side": "cited", "year": 2005, "addresses": ["Univ, Dep B"]}\n'
+            '{"id": "X", "side": "citing", "year": 2006, "nrefs": 2, "cites": ["A1", "B1"]}\n',
+            encoding="utf-8",
+        )
+        units = tmp_path / "units.txt"
+        units.write_text("A := ad=(dep a)\nB := ad=(dep b)\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--input", str(corpus), "--units", str(units),
+            "--window", "2005:2009", "--min-pubs", "1", "--out", str(out),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "statistics skipped: unit 'B' has 1 paper(s), the tests need at least 2\n" in err
+        assert (out / "scores.csv").is_file() and not (out / "tests.csv").exists()
 
     def test_evaluate_deterministic(self, data_dir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -458,11 +514,15 @@ class TestConfigAndValidation:
              "line 2, column 59: parentheses nested deeper than 50"),
             ("Good := ad=(x)\nA := " + " or ".join(["ad=(univ)"] * 3000) + "\n",
              "line 2, column 2616: more than 200 operators nested in one query"),
+            ("Good := ad=(x)\nA := ad=(x) minus Ghost\n",
+             "line 2, column 13: unit 'A' subtracts undefined unit 'Ghost'"),
+            ("A := ad=(x) minus B\nB := ad=(y) minus A\n",
+             "line 2, column 13: cyclic minus chain through 'A'"),
         ],
         ids=[
             "query", "missing_assign", "empty_name", "duplicate_name", "bare_minus",
             "superscript_year", "year_beyond_int_digits", "deep_parens",
-            "deep_parens_in_ad", "long_or_chain",
+            "deep_parens_in_ad", "long_or_chain", "undefined_minus", "cyclic_minus",
         ],
     )
     def test_units_syntax_error_names_line_and_column(

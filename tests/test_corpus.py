@@ -1,16 +1,20 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citefrac import corpus as corpus_module
 from citefrac.corpus import (
     ARTICLE,
     PROCEEDINGS_PAPER,
     REVIEW,
     PublicationRecord,
     _cited_doi,
+    _lines,
     build_corpus,
     load_aggregate_table,
     load_canonical,
@@ -25,7 +29,12 @@ from citefrac.errors import (
     NonPositiveP,
     UnterminatedRecord,
 )
-from helpers import _DOI_SUFFIX_RE, random_corpus, reference_parse_tagged
+from helpers import (
+    _DOI_SUFFIX_RE,
+    random_corpus,
+    reference_parse_tagged,
+    reference_write_canonical,
+)
 
 
 def test_record_is_an_unchecked_slotted_value():
@@ -417,6 +426,114 @@ class TestCanonical:
             for citing_id, cited_id in corpus.links:
                 assert cited_id in corpus.cited
                 assert citing_id in corpus.citing
+
+
+# Every line break str.splitlines accepts.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.lists(st.sampled_from(["a", "bc", " ", *_BREAKS])).map("".join),
+    block=st.integers(1, 6),
+)
+def test_lines_split_blocks_as_splitlines(text, block):
+    with mock.patch.object(corpus_module, "_BLOCK_CHARS", block):
+        assert list(_lines(text)) == text.splitlines()
+
+
+def _transient_bytes(load, text):
+    """Peak traced memory of load(text) less what its result retains."""
+    tracemalloc.start()
+    try:
+        result = load(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - retained
+
+
+def _tagged_export(records: int) -> str:
+    lines = ["FN Thomson Reuters Web of Science", "VR 1.0"]
+    for i in range(records):
+        lines += [
+            "PT J",
+            f"UT WOS:{i:015d}",
+            f"DI 10.1000/rec.{i}",
+            "PY 2005",
+            "NR 3",
+            "DT Article",
+            f"C1 [Li, W; Chen, X] Tsinghua Univ, Dep Phys {i % 7}, Beijing, Peoples R China.",
+            "   Peking Univ, Sch Life Sci, Beijing, Peoples R China.",
+            f"CR Smith J, 2001, J PHYS, V1, P{i}, DOI 10.1000/rec.{i // 2}",
+            "   ANON, 1999, OLD J, V1, P1",
+            "ER",
+            "",
+        ]
+    return "\n".join(lines + ["EF"]) + "\n"
+
+
+class TestTransientMemory:
+    """The loaders hold one block of lines at a time, not one object per line
+    of the whole text: a ~4 MB input spans several blocks."""
+
+    def test_parse_tagged(self):
+        text = _tagged_export(16_000)
+        assert len(text) > 3 * corpus_module._BLOCK_CHARS
+        assert _transient_bytes(parse_tagged, text) < len(text)
+
+    def test_load_canonical(self):
+        records = parse_tagged(_tagged_export(16_000)).records
+        text = write_canonical(build_corpus(records))
+        assert len(text) > 3 * corpus_module._BLOCK_CHARS
+        assert _transient_bytes(load_canonical, text) < len(text)
+
+
+class TestWriterOracle:
+    def test_random_corpora(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            corpus = random_corpus(rng, max_records=40)
+            assert write_canonical(corpus) == reference_write_canonical(corpus)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "Ümeå 清华大学",
+         "line\u2028para\u2029end", "\ud800 lone surrogate", ""],
+        ids=["quotes", "backslash", "control", "non_ascii", "separators", "surrogate",
+             "empty"],
+    )
+    def test_escaped_strings(self, text):
+        records = [
+            PublicationRecord(
+                id=f"A{text}", year=2005, doctype=text, addresses=(text, "x"),
+                nrefs=None, doi=text,
+            ),
+            PublicationRecord(
+                id=f"B{text}", year=2006, doctype=text, addresses=(), nrefs=0,
+                cited_ids=(f"A{text}", text), doi=None,
+            ),
+            PublicationRecord(id=f"C{text}", year=7, addresses=(), cited_ids=()),
+        ]
+        corpus = build_corpus(records[:2], records[1:])
+        assert set(corpus.cited) & set(corpus.citing)
+        assert write_canonical(corpus) == reference_write_canonical(corpus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        strings=st.lists(st.text(max_size=8), min_size=4, max_size=4),
+        numbers=st.tuples(st.integers(1, 10**6), st.none() | st.integers(0, 10**6)),
+    )
+    def test_any_text(self, strings, numbers):
+        rec_id, doctype, address, doi = strings
+        rec = PublicationRecord(
+            id=rec_id, year=numbers[0], doctype=doctype, addresses=(address,),
+            nrefs=numbers[1], cited_ids=(doi,), doi=doi or None,
+        )
+        corpus = build_corpus([rec], [rec])
+        assert write_canonical(corpus) == reference_write_canonical(corpus)
 
 
 class TestAggregateTable:

@@ -269,6 +269,43 @@ class TestDefinitionsAndAssignment:
         assert (info.value.line, info.value.position) == (2, text.index("minus"))
         assert "minus names no unit" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("B := ad=(y)\nA := ad=(x) minus B, Ghost\n", 2,
+             "unit 'A' subtracts undefined unit 'Ghost'"),
+            ("A := ad=(x) minus B\nB := ad=(y) minus A\n", 2,
+             "cyclic minus chain through 'A'"),
+            ("B := ad=(y)\nA := ad=(x) minus A\n", 2, "cyclic minus chain through 'A'"),
+            ("A := ad=(x) minus B\nB := ad=(y) minus C\nC := ad=(z) minus B\n", 3,
+             "cyclic minus chain through 'B'"),
+        ],
+        ids=["undefined", "cycle", "self", "cycle_below_start"],
+    )
+    def test_unresolvable_minus_rejected_with_line(self, text, line, message):
+        with pytest.raises(QuerySyntaxError) as info:
+            parse_unit_definitions(text)
+        raw = text.splitlines()[line - 1]
+        assert (info.value.line, info.value.position) == (line, raw.index("minus"))
+        assert info.value.message == message
+
+    def test_minus_may_name_a_later_unit(self):
+        defs = parse_unit_definitions(
+            "Chem := ad=(dep chem) minus Chem Engr\nChem Engr := ad=(dep chem engr)\n"
+        )
+        assert [(d.name, d.minus) for d in defs] == [
+            ("Chem", ("Chem Engr",)), ("Chem Engr", ()),
+        ]
+
+    def test_long_minus_chain_in_file(self):
+        # Each unit names the next, defined on the line below.
+        n = 3000
+        text = "".join(f"U{i} := ad=(x) minus U{i + 1}\n" for i in range(n))
+        defs = parse_unit_definitions(text + f"U{n} := ad=(x)\n")
+        assert len(defs) == n + 1
+        with pytest.raises(QuerySyntaxError, match=f"line {n}, .*undefined unit 'U{n}'"):
+            parse_unit_definitions(text)
+
     def test_minus_subtracts_result_set(self):
         corpus = build_corpus(
             [
