@@ -31,6 +31,7 @@ from .report import (
     emit_graph_dot,
     rank_change,
     rank_units,
+    unit_columns,
 )
 from .unitquery import (
     UnitDefinition,
@@ -69,5 +70,6 @@ __all__ = [
     "rank_change",
     "rank_units",
     "to_text",
+    "unit_columns",
     "write_canonical",
 ]

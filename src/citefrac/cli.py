@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 from . import corpus, counting, report
 from .corpus import (
     Corpus,
-    UnitRow,
     load_aggregate_table,
     load_canonical,
     parse_tagged,
@@ -173,22 +172,30 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--input is required")
     if not settings["input"].is_file():
         raise UsageError(f"input file not found: {settings['input']}")
-    return RunConfig(**settings)
+    config = RunConfig(**settings)
+    if config.out.exists() and not config.out.is_dir():
+        raise UsageError(f"--out {config.out} exists and is not a directory")
+    return config
 
 
-def _text(path: Path) -> str:
+def _text(path: Path, digests: list[tuple[Path, str]] | None = None) -> str:
+    """The file read once, as Path.read_text reads it (UTF-8, universal
+    newlines); the sha256 of its bytes goes into `digests` when given."""
+    data = path.read_bytes()
+    if digests is not None:
+        digests.append((path, hashlib.sha256(data).hexdigest()))
     try:
-        return path.read_text(encoding="utf-8")
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise UsageError(
             f"{path.name}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
 
 
-def _read(path: Path, load):
+def _read(path: Path, load, digests: list[tuple[Path, str]] | None = None):
     """Apply `load` to the text of the input file at `path`. An error that
     names a line is led by the file's name: `units.txt, line 3: ...`."""
-    text = _text(path)
+    text = _text(path, digests)
     try:
         return load(text)
     except (ParseError, QuerySyntaxError) as exc:
@@ -197,12 +204,12 @@ def _read(path: Path, load):
         raise UsageError(f"{path.name}, {exc}") from exc
 
 
-def _load_corpus(config: RunConfig, fmt: str) -> Corpus:
+def _load_corpus(config: RunConfig, fmt: str, digests=None) -> Corpus:
     if fmt == "canonical":
-        return _read(config.input, load_canonical)
+        return _read(config.input, load_canonical, digests)
     if fmt == "aggregate":
         raise UsageError("format aggregate is a unit table: run `citefrac report` on it")
-    result = _read(config.input, parse_tagged)
+    result = _read(config.input, parse_tagged, digests)
     if result.errors and config.strict:
         for err in result.errors:
             print(f"error: {config.input.name}, {err}", file=sys.stderr)
@@ -214,17 +221,15 @@ def _load_corpus(config: RunConfig, fmt: str) -> Corpus:
     return corpus.build_corpus(result.records)
 
 
-def _unit_definitions(config: RunConfig):
+def _unit_definitions(config: RunConfig, digests=None):
     if config.units is None or not config.units.is_file():
         raise UsageError("--units file is required and must exist")
-    return _read(config.units, parse_unit_definitions)
+    return _read(config.units, parse_unit_definitions, digests)
 
 
-def _manifest(config: RunConfig, inputs: list[Path]) -> str:
-    lines = []
-    for path in sorted(inputs):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines.append(f"input {path.name} sha256={digest}")
+def _manifest(config: RunConfig, digests: list[tuple[Path, str]]) -> str:
+    """The run's inputs, by the digests taken as they were read, and settings."""
+    lines = [f"input {path.name} sha256={digest}" for path, digest in sorted(digests)]
     lines.append(f"format = {config.format}")
     lines.append(f"min_pubs = {config.min_pubs}")
     lines.append(f"alpha = {config.alpha}")
@@ -251,63 +256,34 @@ def cmd_assign(config: RunConfig) -> dict[str, str]:
     return {"assignment.csv": report.csv_text(["unit", "paper_id"], rows)}
 
 
-def _label(window: Window) -> str:
-    """A window as it appears in column and file names: 2005_2009."""
-    return window.label().replace("-", "_")
-
-
-def _aggregate_keys(suffixes: list[str]) -> list[tuple[str, bool]]:
-    """aggregates.csv columns, (name, is_integer): IC, IC/P, FC and FC/P
-    for each window suffix in turn."""
-    return [
-        (f"{prefix}{suffix}", prefix == "ic")
-        for suffix in suffixes
-        for prefix in ("ic", "icp", "fc", "fcp")
-    ]
-
-
-def _count_pipeline(config: RunConfig, tree: dict[str, str]):
-    """Load, assign, count every window, and add aggregates.csv to the tree:
-    one row per kept unit with its ic_<window> and fc_<window> totals. The
-    windows and the units file are checked before the corpus is read."""
+def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list):
+    """Load, assign and count every window, and add aggregates.csv to the
+    tree: one row per kept unit with its totals per window, each window
+    named by the suffix of its columns and files (_2005_2009). The windows
+    and the units file are checked before the corpus is read."""
     if not config.windows:
         raise UsageError("at least one --window is required")
-    defs = _unit_definitions(config)
-    loaded = _load_corpus(config, config.format)
+    defs = _unit_definitions(config, digests)
+    loaded = _load_corpus(config, config.format, digests)
     assignment = assign_units(loaded, defs)
-
-    per_window = {}
+    scores = {}
     for window in config.windows:
-        scores = paper_scores(loaded, window, pub_years=config.py)
-        agg = aggregate_units(assignment, scores, min_pubs=config.min_pubs)
-        per_window[window] = (scores, agg)
-
-    # P does not depend on the window, so every window keeps the same
-    # units in the same (sorted) order.
-    rows = []
-    for per_unit in zip(*(agg.aggregates for _, agg in per_window.values())):
-        counts = {
-            f"{key}_{_label(window)}": total
-            for window, row in zip(per_window, per_unit)
-            for key, total in row.counts.items()
-        }
-        rows.append(UnitRow(per_unit[0].unit, per_unit[0].p, counts))
-    keys = _aggregate_keys([f"_{_label(window)}" for window in config.windows])
-    tree["aggregates.csv"] = report.format_aggregates_csv(rows, keys)
-    return assignment, per_window, rows
+        name = "_" + window.label().replace("-", "_")
+        scores[name] = paper_scores(loaded, window, pub_years=config.py)
+    rows, skipped = aggregate_units(assignment, scores, min_pubs=config.min_pubs)
+    tree["aggregates.csv"] = report.format_aggregates_csv(rows, list(scores))
+    return assignment, scores, rows, skipped
 
 
 def cmd_count(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
-    assignment, per_window, _ = _count_pipeline(config, tree)
-    for window, (scores, agg) in per_window.items():
-        label = _label(window)
-        tree[f"scores_{label}.csv"] = counting.export_scores_csv(scores, assignment)
-        if agg.skipped_units:
-            tree[f"skipped_units_{label}.csv"] = report.csv_text(
-                ["unit", "p"], agg.skipped_units
-            )
-    tree["manifest.txt"] = _manifest(config, [config.input, config.units])
+    digests: list[tuple[Path, str]] = []
+    assignment, scores, _, skipped = _count_pipeline(config, tree, digests)
+    for name, score_set in scores.items():
+        tree[f"scores{name}.csv"] = counting.export_scores_csv(score_set, assignment)
+        if skipped:
+            tree[f"skipped_units{name}.csv"] = report.csv_text(["unit", "p"], skipped)
+    tree["manifest.txt"] = _manifest(config, digests)
     return tree
 
 
@@ -378,37 +354,36 @@ def _battery_skip_reason(groups: dict[str, list[float]]) -> str | None:
 
 def cmd_stats(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
-    _stats_battery(tree, _read(config.input, _load_samples_csv), config.alpha)
-    tree["manifest.txt"] = _manifest(config, [config.input])
+    digests: list[tuple[Path, str]] = []
+    _stats_battery(tree, _read(config.input, _load_samples_csv, digests), config.alpha)
+    tree["manifest.txt"] = _manifest(config, digests)
     return tree
 
 
 def _unit_reports(
     tree: dict[str, str],
-    rows: list[UnitRow],
+    columns: dict[str, list],
     ranked: list[str],
     changes: dict[str, tuple[str, str, str, str]],
     correlations: dict[str, str],
 ) -> None:
-    """Add the rankings, rank changes and correlations of one unit table.
+    """Add the rankings, rank changes and correlations of one unit table,
+    given as its `report.unit_columns`.
 
     `ranked` names the columns to rank; `changes` maps a rank-change file
     name to (from column, to column, from label, to label); `correlations`
     maps a correlation label to its column. Fewer than three units give no
     correlations.
     """
-    rankings = {key: report.rank_units(rows, key) for key in ranked}
+    rankings = {key: report.rank_units(columns, key) for key in ranked}
     for key, ranking in rankings.items():
         tree[f"ranking_{key}.csv"] = report.format_ranking_csv(ranking)
     for name, (from_key, to_key, from_label, to_label) in changes.items():
         deltas = report.rank_change(rankings[from_key], rankings[to_key])
         tree[name] = report.format_rank_changes_csv(deltas, from_label, to_label)
-    if len(rows) >= 3:
+    if len(columns["unit"]) >= 3:
         pairs = correlation_matrix(
-            {
-                label: [float(getattr(row, key)) for row in rows]
-                for label, key in correlations.items()
-            }
+            {label: [float(v) for v in columns[key]] for label, key in correlations.items()}
         )
         tree["correlations.csv"] = report.format_correlation_csv(pairs)
 
@@ -420,13 +395,14 @@ def cmd_report(config: RunConfig) -> dict[str, str]:
             f"format {config.format} is a corpus: `citefrac report` reads a unit "
             "table, given with --format aggregate"
         )
-    rows = _read(config.input, load_aggregate_table)
-    keys = _aggregate_keys(["3", "5"])
-    tree = {"aggregates.csv": report.format_aggregates_csv(rows, keys)}
+    digests: list[tuple[Path, str]] = []
+    rows = _read(config.input, load_aggregate_table, digests)
+    tree = {"aggregates.csv": report.format_aggregates_csv(rows, ["3", "5"])}
+    columns = report.unit_columns(rows, ["3", "5"])
     _unit_reports(
         tree,
-        rows,
-        ranked=[key for key, _ in keys] + ["p"],
+        columns,
+        ranked=[key for key in columns if key != "unit"],
         changes={
             f"rank_changes_{a}_to_{b}.csv": (a, b, a, b)
             for a, b in (("ic5", "fc5"), ("icp5", "fcp5"))
@@ -439,45 +415,41 @@ def cmd_report(config: RunConfig) -> dict[str, str]:
             "FC (3y)": "fc3", "FC (5y)": "fc5",
         },
     )
-    tree["manifest.txt"] = _manifest(config, [config.input])
+    tree["manifest.txt"] = _manifest(config, digests)
     return tree
 
 
 def cmd_evaluate(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
-    assignment, per_window, rows = _count_pipeline(config, tree)
-    last = config.windows[-1]
-    suffix = f"_{_label(last)}"
+    digests: list[tuple[Path, str]] = []
+    assignment, scores, rows, _ = _count_pipeline(config, tree, digests)
+    windows = list(scores)
+    last = windows[-1]
     _unit_reports(
         tree,
-        rows,
-        ranked=[prefix + suffix for prefix in ("ic", "fc", "icp", "fcp")],
+        report.unit_columns(rows, windows),
+        ranked=[kind + last for kind in ("ic", "fc", "icp", "fcp")],
         changes={
-            f"rank_changes_{a}_to_{b}_{last.label()}.csv":
-                (a + suffix, b + suffix, a, b)
+            f"rank_changes_{a}_to_{b}_{config.windows[-1].label()}.csv":
+                (a + last, b + last, a, b)
             for a, b in (("ic", "fc"), ("icp", "fcp"))
         },
         correlations={
             "P": "p",
-            **{
-                f"{prefix}_{_label(window)}": f"{prefix}_{_label(window)}"
-                for prefix in ("icp", "fcp", "ic", "fc")
-                for window in config.windows
-            },
+            **{kind + w: kind + w for kind in ("icp", "fcp", "ic", "fc") for w in windows},
         },
     )
 
-    scores, _ = per_window[last]
     groups = {
-        row.unit: per_paper_samples(assignment, scores, row.unit) for row in rows
+        row.unit: per_paper_samples(assignment, scores[last], row.unit) for row in rows
     }
     skip = _battery_skip_reason(groups)
     if skip is None:
         _stats_battery(tree, groups, config.alpha)
     else:
         print(f"statistics skipped: {skip}", file=sys.stderr)
-    tree["scores.csv"] = counting.export_scores_csv(scores, assignment)
-    tree["manifest.txt"] = _manifest(config, [config.input, config.units])
+    tree["scores.csv"] = counting.export_scores_csv(scores[last], assignment)
+    tree["manifest.txt"] = _manifest(config, digests)
     return tree
 
 
@@ -519,7 +491,12 @@ def main(argv: list[str] | None = None) -> int:
         # Nothing is written until the whole tree is computed, so a run
         # that fails leaves no files.
         for name, text in tree.items():
-            report.write_text(config.out / name, text)
+            try:
+                report.write_text(config.out / name, text)
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot write {config.out / name}: {exc.strerror or exc}"
+                ) from exc
         return EXIT_OK
     except (UsageError, CitefracError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,10 +71,8 @@ class PublicationRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """The evaluated (cited) set and its citing documents; links are
-    derived from them. Immutable after construction; safe to share across
-    workers.
-    """
+    """The evaluated (cited) set and its citing documents, each a dict by
+    id; links are derived from them."""
 
     cited: dict[str, PublicationRecord]
     citing: dict[str, PublicationRecord]
@@ -125,19 +123,27 @@ def build_corpus(
 _BLOCK_CHARS = 1 << 20
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split one block at a time.
+def _lines(text: str, split=str.splitlines) -> Iterator[str]:
+    """The lines `split` gives of ``text``, split one block at a time.
 
-    Each block ends just after a "\\n". A "\\n" always ends a line, and it
-    is the last character of a "\\r\\n", so no line and no line break is
-    cut between blocks.
+    Each block ends just after a "\\n". A "\\n" ends a line for either
+    splitter, and it is the last character of a "\\r\\n", so no line and
+    no line break is cut between blocks.
     """
     start = 0
     while start < len(text):
         cut = text.find("\n", start + _BLOCK_CHARS - 1)
         end = len(text) if cut < 0 else cut + 1
-        yield from text[start:end].splitlines()
+        yield from split(text[start:end])
         start = end
+
+
+def _record_lines(block: str) -> list[str]:
+    """The lines of canonical text. Only "\\n", "\\r\\n" and "\\r" end
+    one: a JSON string may hold U+2028, U+0085 and the like raw, where
+    str.splitlines would cut the record."""
+    lines = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines if lines[-1] else lines[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +348,16 @@ def load_canonical(text: str) -> Corpus:
     Unknown fields are ignored. References to ids outside the cited set do
     not become links (but still count toward k via ``cites`` length). A
     missing or null doctype reads as Article; any other doctype, ``""``
-    included, is kept, as a tagged record without DT keeps ``""``.
+    included, is kept, as a tagged record without DT keeps ``""``. A record
+    whose strings escape a lone surrogate (``"\\ud800"``) is rejected, as
+    no output file could encode it.
     """
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_lines(text), start=1):
+    # Only a \ud800-\udfff escape makes a lone surrogate; without one, skip the check.
+    escapes = "\\ud" in text or "\\uD" in text
+    for lineno, line in enumerate(_lines(text, _record_lines), start=1):
         if not line.strip():
             continue
         try:
@@ -410,6 +420,13 @@ def load_canonical(text: str) -> Corpus:
             id=rec_id, year=year, doctype=doctype, addresses=addresses,
             nrefs=nrefs, cited_ids=cites, doi=doi,
         )
+        if escapes:
+            try:
+                "".join((rec_id, doctype, doi or "", *addresses, *cites)).encode()
+            except UnicodeEncodeError:
+                raise MalformedField(
+                    f"record {rec_id!r}: a string holds a lone surrogate", lineno
+                ) from None
         if side in ("cited", "both"):
             cited.append(rec)
         if side in ("citing", "both"):
@@ -450,38 +467,27 @@ def write_canonical(corpus: Corpus) -> str:
 # Pre-aggregated indicator tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitRow:
-    """One unit's row of the unit table: publication count P and exact
-    citation totals.
+    """One unit's row of the unit table: its publication count P and, per
+    citation window, its exact IC and FC totals.
 
-    `counts` maps ``ic``/``fc`` plus a window suffix (``ic3``,
-    ``fc_2005_2009``, or a bare ``ic``/``fc`` for a single window) to a
-    total. Attributes read a total (``row.ic5``) or derive its
-    per-publication ratio exactly (``row.fcp5`` is fc5 / P), never from
-    rounded display columns.
+    `ic` and `fc` map a window's name, the suffix its columns carry (``3``
+    and ``5`` in a published table, ``_2005_2009`` for a counted window),
+    to a total. `report.unit_columns` derives the per-publication ratios.
     """
 
     unit: str
     p: int
-    counts: dict[str, int | Fraction]
-
-    def __getattr__(self, name: str) -> int | Fraction:
-        if name.startswith("__") or name == "counts":
-            raise AttributeError(name)
-        if name in self.counts:
-            return self.counts[name]
-        base = name[:2] + name[3:]  # icp5 -> ic5, fcp_2005_2009 -> fc_2005_2009
-        if name[:3] in ("icp", "fcp") and base in self.counts:
-            return Fraction(self.counts[base], self.p)
-        raise AttributeError(f"unit row has no column {name!r}")
+    ic: dict[str, int | Fraction]
+    fc: dict[str, Fraction]
 
 
 _AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
 
 
 def load_aggregate_table(text: str) -> list[UnitRow]:
-    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows keyed ic3 … fc5.
+    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
 
     Every cell must be a number a float can hold, as the statistics read
     each column as floats."""
@@ -526,18 +532,18 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             )
         try:
             p = int(raw["P"])
-            cells = {c.lower(): raw[c] for c in _AGGREGATE_COLUMNS[2:]}
-            if any(map(_exponent_beyond_float, cells.values())):
+            cells = [raw[c] for c in _AGGREGATE_COLUMNS[2:]]
+            if any(map(_exponent_beyond_float, cells)):
                 raise NonNumericCell(
                     f"count exponent far beyond a float's range in row {raw!r}", lineno
                 )
-            counts = {key: Fraction(cell) for key, cell in cells.items()}
+            ic3, fc3, ic5, fc5 = counts = [Fraction(cell) for cell in cells]
         except (TypeError, ValueError, ZeroDivisionError):
             raise NonNumericCell(
                 f"missing or non-numeric cell in row {raw!r}", lineno
             ) from None
         try:
-            for value in (p, *counts.values()):
+            for value in (p, *counts):
                 float(value)
         except OverflowError:
             raise NonNumericCell(
@@ -548,5 +554,5 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
         if raw["unit"] in seen:
             raise DuplicateId(f"duplicate unit {raw['unit']!r}", lineno)
         seen.add(raw["unit"])
-        rows.append(UnitRow(unit=raw["unit"], p=p, counts=counts))
+        rows.append(UnitRow(raw["unit"], p, {"3": ic3, "5": ic5}, {"3": fc3, "5": fc5}))
     return rows

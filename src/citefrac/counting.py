@@ -106,36 +106,38 @@ def paper_scores(
     return ScoreSet(impacts=impacts, skipped_citing=sorted(skipped))
 
 
-@dataclass
-class AggregateResult:
-    aggregates: list[UnitRow]  # counts keyed bare ic and fc
-    skipped_units: list[tuple[str, int]]  # (unit, p) below the threshold
-
-
 def aggregate_units(
     assignment: Mapping[str, frozenset[str]],
-    scores: ScoreSet,
+    scores: Mapping[str, ScoreSet],
     min_pubs: int = 5,
-) -> AggregateResult:
-    """Sum per-paper impacts into unit rows.
+) -> tuple[list[UnitRow], list[tuple[str, int]]]:
+    """Sum per-paper impacts into unit rows, every window at once.
 
-    A paper assigned to several units contributes fully to each (whole
-    counting at the unit level). Units with fewer than `min_pubs` assigned
-    papers are excluded and listed separately.
+    `scores` maps each window's name to its `ScoreSet`; all must count the
+    same papers, so P is the same in each. A paper assigned to several units
+    contributes fully to each (whole counting at the unit level). Units with
+    fewer than `min_pubs` papers are left out and returned second, as
+    (unit, P) pairs.
     """
-    impacts = scores.impacts
-    aggregates: list[UnitRow] = []
+    papers = [score_set.impacts.keys() for score_set in scores.values()]
+    if not papers or any(keys != papers[0] for keys in papers):
+        raise ValueError("aggregate_units needs score sets that count the same papers")
+    counted = papers[0]
+    rows: list[UnitRow] = []
     skipped: list[tuple[str, int]] = []
     for unit in sorted(assignment):
-        paper_ids = [pid for pid in assignment[unit] if pid in impacts]
+        paper_ids = [pid for pid in assignment[unit] if pid in counted]
         p = len(paper_ids)
         if p < min_pubs:
             skipped.append((unit, p))
             continue
-        ic = sum(impacts[pid].ic for pid in paper_ids)
-        fc = sum((impacts[pid].fc for pid in paper_ids), Fraction(0))
-        aggregates.append(UnitRow(unit=unit, p=p, counts={"ic": ic, "fc": fc}))
-    return AggregateResult(aggregates=aggregates, skipped_units=skipped)
+        ic, fc = {}, {}
+        for window, score_set in scores.items():
+            impacts = score_set.impacts
+            ic[window] = sum(impacts[pid].ic for pid in paper_ids)
+            fc[window] = sum((impacts[pid].fc for pid in paper_ids), Fraction(0))
+        rows.append(UnitRow(unit, p, ic, fc))
+    return rows, skipped
 
 
 def per_paper_samples(

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import IncompletePairCoverage, UnitSetMismatch
 
 if TYPE_CHECKING:
+    from .corpus import UnitRow
     from .stats.results import PairwiseDecision, TestResult
 
 Number = Fraction | int | float
@@ -38,16 +39,28 @@ class Ranking:
         return frozenset(e.unit for e in self.entries)
 
 
-def rank_units(rows: Sequence[object], key: str) -> Ranking:
-    """Rank rows descending by the named attribute, ties broken by
-    ascending unit name. Ranks run 1..n with no gaps."""
-    decorated = sorted(
-        ((getattr(row, key), row.unit) for row in rows),
-        key=lambda pair: (-Fraction(pair[0]), pair[1]),
+def unit_columns(rows: Sequence[UnitRow], windows: Sequence[str]) -> dict[str, list]:
+    """The unit table as named columns: ``unit``, ``p``, then for each
+    window w its totals ``ic<w>`` and ``fc<w>``, each followed by its exact
+    ratio to P (``icp<w>``, ``fcp<w>``)."""
+    columns: dict[str, list] = {"unit": [r.unit for r in rows], "p": [r.p for r in rows]}
+    for w in windows:
+        for kind, totals in (("ic", [row.ic[w] for row in rows]),
+                             ("fc", [row.fc[w] for row in rows])):
+            columns[f"{kind}{w}"] = totals
+            columns[f"{kind}p{w}"] = [Fraction(t, p) for t, p in zip(totals, columns["p"])]
+    return columns
+
+
+def rank_units(columns: Mapping[str, Sequence], key: str) -> Ranking:
+    """Rank the units of `unit_columns` descending by the named column,
+    ties broken by ascending unit name. Ranks run 1..n with no gaps."""
+    ordered = sorted(
+        zip(columns[key], columns["unit"]), key=lambda pair: (-Fraction(pair[0]), pair[1])
     )
     entries = tuple(
         RankEntry(rank=i, unit=unit, value=value)
-        for i, (value, unit) in enumerate(decorated, start=1)
+        for i, (value, unit) in enumerate(ordered, start=1)
     )
     return Ranking(key=key, entries=entries)
 
@@ -172,20 +185,19 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
-def format_aggregates_csv(rows: Sequence[object], keys: Sequence[tuple[str, bool]]) -> str:
-    """Aggregate table CSV: per key a display column plus an `_exact` one.
-
-    `keys` lists (attribute, is_integer) pairs in emission order.
-    """
-    header = ["unit", "P"]
-    for key, _ in keys:
-        header += [key, f"{key}_exact"]
+def format_aggregates_csv(rows: Sequence[UnitRow], windows: Sequence[str]) -> str:
+    """Aggregate table CSV: unit, P, then each count column of
+    `unit_columns` as a display column (IC totals as integers) plus an
+    `_exact` one."""
+    columns = unit_columns(rows, windows)
+    units, ps = columns.pop("unit"), columns.pop("p")
+    integer = {f"ic{w}" for w in windows}
+    header = ["unit", "P"] + [name for key in columns for name in (key, f"{key}_exact")]
     body = []
-    for row in rows:
-        out = [row.unit, str(row.p)]
-        for key, integer in keys:
-            value = getattr(row, key)
-            out += [_display(value, integer), _exact(value)]
+    for i, (unit, p) in enumerate(zip(units, ps)):
+        out = [unit, str(p)]
+        for key, values in columns.items():
+            out += [_display(values[i], key in integer), _exact(values[i])]
         body.append(out)
     return csv_text(header, body)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from citefrac.cli import main
 from citefrac.corpus import EVALUATED_DOCTYPES, load_aggregate_table, load_canonical
 from citefrac.counting import Window, paper_scores
-from citefrac.report import rank_change, rank_units
+from citefrac.report import rank_change, rank_units, unit_columns
 from citefrac.stats import (
     correlation_matrix,
     dunnett_c,
@@ -44,10 +44,9 @@ def _verdict(n: int, label: str, failures: list[str]) -> None:
     assert not failures, f"criterion {n} ({label}): " + "; ".join(failures[:10])
 
 
-def _table1_rows(data_dir):
-    return load_aggregate_table(
-        (data_dir / "table1.csv").read_text(encoding="utf-8")
-    )
+def _table1_columns(data_dir):
+    rows = load_aggregate_table((data_dir / "table1.csv").read_text(encoding="utf-8"))
+    return unit_columns(rows, ["3", "5"])
 
 
 def _load_golden(path):
@@ -98,18 +97,8 @@ SPEARMAN_UPPER = {
 
 def test_criterion_1_correlation_matrix(data_dir):
     started = time.perf_counter()
-    rows = _table1_rows(data_dir)
-    columns = {
-        "P": [row.p for row in rows],
-        "ICP3": [float(row.icp3) for row in rows],
-        "ICP5": [float(row.icp5) for row in rows],
-        "FCP3": [float(row.fcp3) for row in rows],
-        "FCP5": [float(row.fcp5) for row in rows],
-        "IC3": [float(row.ic3) for row in rows],
-        "IC5": [float(row.ic5) for row in rows],
-        "FC3": [float(row.fc3) for row in rows],
-        "FC5": [float(row.fc5) for row in rows],
-    }
+    table = _table1_columns(data_dir)
+    columns = {label: [float(v) for v in table[label.lower()]] for label in LABELS}
     pairs = correlation_matrix(columns)
     assert list(columns) == LABELS
 
@@ -143,7 +132,7 @@ def test_criterion_1_correlation_matrix(data_dir):
 
 
 def test_criterion_2_ranking_reproduction(data_dir):
-    rows = _table1_rows(data_dir)
+    columns = _table1_columns(data_dir)
     failures = []
     for key, golden_name in (
         ("fc5", "golden_fc5_order.csv"),
@@ -151,7 +140,7 @@ def test_criterion_2_ranking_reproduction(data_dir):
         ("icp5", "golden_icp5_order.csv"),
     ):
         golden = _load_golden(data_dir / golden_name)
-        ranking = rank_units(rows, key)
+        ranking = rank_units(columns, key)
         by_rank = {e.rank: e.unit for e in ranking.entries}
         for rank, unit in golden.items():
             if by_rank.get(rank) != unit:
@@ -159,7 +148,7 @@ def test_criterion_2_ranking_reproduction(data_dir):
                     f"{key} rank {rank}: got {by_rank.get(rank)!r}, want {unit!r}"
                 )
     changes = dict(
-        rank_change(rank_units(rows, "icp5"), rank_units(rows, "fcp5"))
+        rank_change(rank_units(columns, "icp5"), rank_units(columns, "fcp5"))
     )
     for unit, expected in (
         ("Dep Chinese Language & Literature", 17),

@@ -180,6 +180,30 @@ class TestCountAndEvaluate:
         assert "windows = 2005-2009" in manifest
         assert "sha256=" in manifest
 
+    @pytest.mark.parametrize("command", ["count", "evaluate", "report", "ingest"])
+    def test_each_input_read_once(self, data_dir, tmp_path, monkeypatch, command):
+        # The manifest hashes the bytes the loader read; no input is opened
+        # a second time.
+        corpus, units = data_dir / "toy_corpus.jsonl", data_dir / "toy_units.txt"
+        counted = ["--units", str(units), "--window", "2005:2009", "--min-pubs", "2"]
+        inputs, extra = {
+            "count": ([corpus, units], counted),
+            "evaluate": ([corpus, units], counted),
+            "report": ([data_dir / "table1.csv"], ["--format", "aggregate"]),
+            "ingest": ([data_dir / "toy_good.tagged"], []),
+        }[command]
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self.name)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        out = str(tmp_path / "out")
+        assert run(command, "--input", str(inputs[0]), *extra, "--out", out) == 0
+        assert [opened.count(path.name) for path in inputs] == [1] * len(inputs)
+
     def test_window_required(self, data_dir, tmp_path, capsys):
         code = run(
             "count", "--input", str(data_dir / "toy_corpus.jsonl"),
@@ -407,6 +431,20 @@ class TestFailedRunWritesNothing:
         assert "constant input" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_naming_a_file_usage_exit(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "results"
+        out.write_bytes(b"keep me\n")
+        code = run(
+            "count", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--min-pubs", "2", "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--out {out} exists and is not a directory" in err
+        assert "internal error" not in err
+        assert out.read_bytes() == b"keep me\n"
+
 
 class TestConfigAndValidation:
     def test_config_file_supplies_flags(self, data_dir, tmp_path):
@@ -564,6 +602,8 @@ class TestConfigAndValidation:
             "[" * 100_000,
             '{"id": "Z", "side": "citing", "year": 2006, "nrefs": -1}',
             '{"id": "Z", "side": "citing", "year": 2006, "cites": ["A", "A"]}',
+            '{"id": "P0\\ud800", "side": "cited", "year": 2005}',
+            '{"id": "Z", "side": "cited", "year": 2005, "addresses": ["Tsinghua \\uDC00"]}',
         ],
         ids=[
             "year_zero", "missing_year", "nrefs_not_integer",
@@ -572,6 +612,7 @@ class TestConfigAndValidation:
             "year_bool", "nrefs_bool", "address_number", "cite_number",
             "cites_zero", "doctype_number", "doi_number", "year_5001_digits",
             "deep_nesting", "nrefs_negative", "cites_repeated",
+            "id_lone_surrogate", "address_lone_surrogate",
         ],
     )
     def test_bad_canonical_record_usage_exit(self, data_dir, tmp_path, capsys, record):
@@ -637,6 +678,19 @@ class TestConfigAndValidation:
         assert run("count", "--config", str(cfg)) == 0
         assert (out / "manifest.txt").is_file()
         assert not (tmp_path / "run").exists()
+
+    def test_failed_write_usage_exit_names_path(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "manifest.txt").mkdir(parents=True)
+        code = run(
+            "count", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--min-pubs", "2", "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out / 'manifest.txt'}:" in err
+        assert "internal error" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert run("ingest", "--input", "x", "--config", str(tmp_path / "no.cfg")) == 2

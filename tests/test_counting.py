@@ -15,6 +15,7 @@ from citefrac.counting import (
     per_paper_samples,
 )
 from citefrac.errors import UnknownUnit
+from citefrac.report import unit_columns
 from helpers import brute_force_scores, random_corpus
 
 ALL_DOCTYPES = frozenset(
@@ -100,34 +101,60 @@ class TestAggregateUnits:
             "P1": PaperImpact("P1", ic=2, fc=Fraction(1, 3)),
             "P2": PaperImpact("P2", ic=1, fc=Fraction(1, 4)),
         }
-        result = aggregate_units(
-            {"U": frozenset({"P1", "P2"})}, ScoreSet(impacts), min_pubs=2
+        (row,), _ = aggregate_units(
+            {"U": frozenset({"P1", "P2"})}, {"w": ScoreSet(impacts)}, min_pubs=2
         )
-        (agg,) = result.aggregates
-        assert agg.p == 2
-        assert agg.ic == 3
-        assert agg.fc == Fraction(7, 12)
-        assert agg.fcp == Fraction(7, 24)
+        assert row.p == 2
+        assert row.ic == {"w": 3}
+        assert row.fc == {"w": Fraction(7, 12)}
+        assert unit_columns([row], ["w"])["fcpw"] == [Fraction(7, 24)]
 
     def test_min_pubs_exclusion(self):
         impacts = {f"P{i}": PaperImpact(f"P{i}") for i in range(4)}
-        result = aggregate_units(
-            {"Small": frozenset(impacts)}, ScoreSet(impacts), min_pubs=5
+        rows, skipped = aggregate_units(
+            {"Small": frozenset(impacts)}, {"w": ScoreSet(impacts)}, min_pubs=5
         )
-        assert not result.aggregates
-        assert result.skipped_units == [("Small", 4)]
+        assert not rows
+        assert skipped == [("Small", 4)]
 
     def test_empty_assignment(self):
-        assert aggregate_units({}, ScoreSet({})).aggregates == []
+        assert aggregate_units({}, {"w": ScoreSet({})}) == ([], [])
 
     def test_shared_paper_counts_fully_in_both_units(self):
         impacts = {"P1": PaperImpact("P1", ic=5, fc=Fraction(1, 2))}
-        result = aggregate_units(
+        rows, _ = aggregate_units(
             {"U1": frozenset({"P1"}), "U2": frozenset({"P1"})},
-            ScoreSet(impacts),
+            {"w": ScoreSet(impacts)},
             min_pubs=1,
         )
-        assert [a.ic for a in result.aggregates] == [5, 5]
+        assert [row.ic for row in rows] == [{"w": 5}, {"w": 5}]
+
+
+    def test_every_window_at_once(self):
+        # P and the skipped units are resolved once; each window keeps its
+        # own totals.
+        early = {"P1": PaperImpact("P1", ic=1, fc=Fraction(1, 2)), "P2": PaperImpact("P2")}
+        late = {
+            "P1": PaperImpact("P1", ic=2, fc=Fraction(3, 4)),
+            "P2": PaperImpact("P2", ic=1, fc=Fraction(1, 3)),
+        }
+        (row,), skipped = aggregate_units(
+            {"U": frozenset({"P1", "P2"}), "V": frozenset({"P2", "P9"})},
+            {"_a": ScoreSet(early), "_b": ScoreSet(late)},
+            min_pubs=2,
+        )
+        assert (row.unit, row.p) == ("U", 2)
+        assert row.ic == {"_a": 1, "_b": 3}
+        assert row.fc == {"_a": Fraction(1, 2), "_b": Fraction(13, 12)}
+        assert skipped == [("V", 1)]
+
+    @pytest.mark.parametrize("scores", [
+        {},
+        {"_a": ScoreSet({"P1": PaperImpact("P1")}), "_b": ScoreSet({})},
+    ], ids=["no_window", "different_papers"])
+    def test_windows_must_count_the_same_papers(self, scores):
+        with pytest.raises(ValueError, match="count the same papers"):
+            aggregate_units({"U": frozenset({"P1"})}, scores)
 
 
 class TestPerPaperSamples:
@@ -156,10 +183,10 @@ class TestPerPaperSamples:
             corpus = random_corpus(rng, 30)
             scores = paper_scores(corpus, Window(2005, 2009), ALL_DOCTYPES)
             assignment = {"U": frozenset(scores.impacts)}
-            result = aggregate_units(assignment, scores, min_pubs=1)
-            if result.aggregates:
+            rows, _ = aggregate_units(assignment, {"w": scores}, min_pubs=1)
+            if rows:
                 samples = per_paper_samples(assignment, scores, "U")
-                assert len(samples) == result.aggregates[0].p
+                assert len(samples) == rows[0].p
 
 
 class TestCountingProperties:

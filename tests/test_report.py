@@ -23,8 +23,8 @@ def decision(a, b, significant):
 
 
 class TestRankUnits:
-    def test_fcp5_top_three(self, table1_rows):
-        ranking = rank_units(table1_rows, "fcp5")
+    def test_fcp5_top_three(self, table1_columns):
+        ranking = rank_units(table1_columns, "fcp5")
         top = [(e.rank, e.unit) for e in ranking.entries[:3]]
         assert top == [
             (1, "Dep Chem"),
@@ -33,45 +33,45 @@ class TestRankUnits:
         ]
         assert float(ranking.entries[0].value) == pytest.approx(0.411782, abs=1e-6)
 
-    def test_fc5_rank1(self, table1_rows):
-        ranking = rank_units(table1_rows, "fc5")
+    def test_fc5_rank1(self, table1_columns):
+        ranking = rank_units(table1_columns, "fc5")
         assert ranking.entries[0].unit == "Dep Chem"
         assert ranking.entries[0].value == Fraction("166.36")
 
-    def test_tie_broken_by_name(self, table1_rows):
+    def test_tie_broken_by_name(self, table1_columns):
         # Two units share FC5 = 6.9; the lexicographically smaller name
         # ranks first.
-        ranking = rank_units(table1_rows, "fc5")
+        ranking = rank_units(table1_columns, "fc5")
         by_unit = {e.unit: e.rank for e in ranking.entries}
         assert by_unit["Dep Civil Engn"] + 1 == by_unit["Inst Microelect"]
         assert by_unit["Dep Civil Engn"] == 16
 
-    def test_ranks_are_gapless(self, table1_rows):
-        ranking = rank_units(table1_rows, "icp3")
+    def test_ranks_are_gapless(self, table1_columns):
+        ranking = rank_units(table1_columns, "icp3")
         assert [e.rank for e in ranking.entries] == list(range(1, 28))
 
-    def test_values_non_increasing(self, table1_rows):
+    def test_values_non_increasing(self, table1_columns):
         for key in ("fc5", "fcp5", "icp5", "p"):
-            values = [Fraction(e.value) for e in rank_units(table1_rows, key).entries]
+            values = [Fraction(e.value) for e in rank_units(table1_columns, key).entries]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 class TestRankChange:
-    def test_chinese_language_plus_17(self, table1_rows):
-        a = rank_units(table1_rows, "icp5")
-        b = rank_units(table1_rows, "fcp5")
+    def test_chinese_language_plus_17(self, table1_columns):
+        a = rank_units(table1_columns, "icp5")
+        b = rank_units(table1_columns, "fcp5")
         deltas = dict(rank_change(a, b))
         assert deltas["Dep Chinese Language & Literature"] == 17
         assert deltas["Sch Life Sci"] == -6
         assert deltas["Dep Biomed Engn"] == -6
 
-    def test_identical_rankings(self, table1_rows):
-        a = rank_units(table1_rows, "fc5")
+    def test_identical_rankings(self, table1_columns):
+        a = rank_units(table1_columns, "fc5")
         assert all(d == 0 for _, d in rank_change(a, a))
 
-    def test_antisymmetry(self, table1_rows):
-        a = rank_units(table1_rows, "icp5")
-        b = rank_units(table1_rows, "fcp5")
+    def test_antisymmetry(self, table1_columns):
+        a = rank_units(table1_columns, "icp5")
+        b = rank_units(table1_columns, "fcp5")
         forward = dict(rank_change(a, b))
         backward = dict(rank_change(b, a))
         assert all(forward[u] == -backward[u] for u in forward)
@@ -209,23 +209,28 @@ class TestDotEmission:
 
 class TestCsvEmission:
     def test_display_and_exact_columns(self, table1_rows):
-        text = format_aggregates_csv(table1_rows, [("fcp5", False)])
+        text = format_aggregates_csv(table1_rows, ["5"])
         lines = text.splitlines()
-        assert lines[0] == "unit,P,fcp5,fcp5_exact"
+        assert lines[0] == (
+            "unit,P,ic5,ic5_exact,icp5,icp5_exact,fc5,fc5_exact,fcp5,fcp5_exact"
+        )
         chem = next(l for l in lines if l.startswith("Dep Chem,"))
         fields = chem.split(",")
-        assert fields[2] == "0.41"
-        assert fields[3].startswith("0.411782178218")
+        assert fields[:4] == ["Dep Chem", "404", "4950", "4950"]
+        assert fields[8] == "0.41"
+        assert fields[9].startswith("0.411782178218")
 
-    def test_deterministic(self, table1_rows):
-        ranking = rank_units(table1_rows, "fc5")
+    def test_deterministic(self, table1_columns):
+        ranking = rank_units(table1_columns, "fc5")
         assert format_ranking_csv(ranking) == format_ranking_csv(ranking)
 
     def test_empty_rows_header_only(self):
-        assert format_aggregates_csv([], [("fc5", False)]).strip() == "unit,P,fc5,fc5_exact"
+        assert format_aggregates_csv([], ["5"]).strip() == (
+            "unit,P,ic5,ic5_exact,icp5,icp5_exact,fc5,fc5_exact,fcp5,fcp5_exact"
+        )
 
-    def test_reranking_exact_column_reproduces_ranks(self, table1_rows):
-        ranking = rank_units(table1_rows, "fcp5")
+    def test_reranking_exact_column_reproduces_ranks(self, table1_columns):
+        ranking = rank_units(table1_columns, "fcp5")
         text = format_ranking_csv(ranking)
         rows = [line.split(",") for line in text.splitlines()[1:]]
         exact = [float(r[-1]) for r in rows]

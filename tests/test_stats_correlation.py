@@ -44,9 +44,9 @@ class TestPearson:
         with pytest.raises(LengthMismatch):
             pearson([1, 2], [3, 4])
 
-    def test_table1_icp_pair(self, table1_rows):
-        icp3 = [float(r.icp3) for r in table1_rows]
-        icp5 = [float(r.icp5) for r in table1_rows]
+    def test_table1_icp_pair(self, table1_columns):
+        icp3 = [float(v) for v in table1_columns["icp3"]]
+        icp5 = [float(v) for v in table1_columns["icp5"]]
         assert pearson(icp3, icp5).statistic == pytest.approx(0.967, abs=0.02)
 
 
@@ -61,9 +61,9 @@ class TestSpearman:
         # these ranks is exactly 0.
         assert spearman([1, 1, 2], [3, 5, 4]).statistic == pytest.approx(0.0)
 
-    def test_table1_icp_pair(self, table1_rows):
-        icp3 = [float(r.icp3) for r in table1_rows]
-        icp5 = [float(r.icp5) for r in table1_rows]
+    def test_table1_icp_pair(self, table1_columns):
+        icp3 = [float(v) for v in table1_columns["icp3"]]
+        icp5 = [float(v) for v in table1_columns["icp5"]]
         assert spearman(icp3, icp5).statistic == pytest.approx(0.942, abs=0.02)
 
     def test_invariant_under_increasing_transform(self):
