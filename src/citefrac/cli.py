@@ -16,6 +16,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -287,32 +288,46 @@ def cmd_count(config: RunConfig) -> dict[str, str]:
     return tree
 
 
+def _sample_value(cells: list[str]) -> float:
+    """A sample from its value cell, or from a scores export's fc_num and
+    fc_den cells as the float of that exact fraction, which is what
+    `per_paper_samples` gives; nan when the cells hold no such number."""
+    try:
+        if len(cells) == 1:
+            return float(cells[0])
+        num, den = map(int, cells)
+        return float(Fraction(num, den)) if den > 0 else math.nan
+    except (ValueError, OverflowError):  # OverflowError: too large for a float
+        return math.nan
+
+
 def _load_samples_csv(text: str) -> dict[str, list[float]]:
-    """Per-paper samples from a scores export (unit, fc_decimal) or from a
-    unit,value table."""
+    """Per-paper samples from a scores export (unit, fc_num, fc_den) or
+    from a unit,value table."""
     groups: dict[str, list[float]] = {}
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, [])
         if "unit" not in header:
             raise MalformedField("samples header lacks a 'unit' column", 1)
-        value_col = "fc_decimal" if "fc_decimal" in header else "value"
-        if value_col not in header:
+        for value_cols in (["fc_num", "fc_den"], ["fc_decimal"], ["value"]):
+            if all(col in header for col in value_cols):
+                break
+        else:
             raise MalformedField("samples header lacks a value column", 1)
-        unit_at, value_at = header.index("unit"), header.index(value_col)
+        unit_at = header.index("unit")
+        value_at = [header.index(col) for col in value_cols]
         for row in filter(None, reader):  # a blank line is no row
             if len(row) != len(header):
                 raise MalformedField(
                     f"row has {len(row)} cells, the header {len(header)}",
                     reader.line_num,
                 )
-            try:
-                value = float(row[value_at])
-            except ValueError:
-                value = math.nan
+            cells = [row[i] for i in value_at]
+            value = _sample_value(cells)
             if not math.isfinite(value):
                 raise NonNumericCell(
-                    f"{value_col} {row[value_at]!r} is not a finite number",
+                    f"{'/'.join(value_cols)} {'/'.join(cells)!r} is not a finite number",
                     reader.line_num,
                 )
             if not row[unit_at].strip():

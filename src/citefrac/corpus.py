@@ -342,6 +342,16 @@ def _strings(obj: dict, key: str, rec_id: str, lineno: int) -> tuple[str, ...]:
     )
 
 
+def _utf8_encodable(text: str) -> bool:
+    if text.isascii():  # as a corpus mostly is; encoding it would copy it
+        return True
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_canonical(text: str) -> Corpus:
     """Load a corpus from the canonical one-JSON-object-per-line format.
 
@@ -349,14 +359,15 @@ def load_canonical(text: str) -> Corpus:
     not become links (but still count toward k via ``cites`` length). A
     missing or null doctype reads as Article; any other doctype, ``""``
     included, is kept, as a tagged record without DT keeps ``""``. A record
-    whose strings escape a lone surrogate (``"\\ud800"``) is rejected, as
-    no output file could encode it.
+    whose strings hold a lone surrogate, raw or escaped (``"\\ud800"``), is
+    rejected, as no output file could encode it.
     """
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []
     seen: set[str] = set()
-    # Only a \ud800-\udfff escape makes a lone surrogate; without one, skip the check.
-    escapes = "\\ud" in text or "\\uD" in text
+    # A lone surrogate is a \ud800-\udfff escape or a raw character UTF-8
+    # cannot encode; a text with neither skips the per-record check.
+    surrogates = "\\ud" in text or "\\uD" in text or not _utf8_encodable(text)
     for lineno, line in enumerate(_lines(text, _record_lines), start=1):
         if not line.strip():
             continue
@@ -420,7 +431,7 @@ def load_canonical(text: str) -> Corpus:
             id=rec_id, year=year, doctype=doctype, addresses=addresses,
             nrefs=nrefs, cited_ids=cites, doi=doi,
         )
-        if escapes:
+        if surrogates:
             try:
                 "".join((rec_id, doctype, doi or "", *addresses, *cites)).encode()
             except UnicodeEncodeError:
@@ -479,7 +490,7 @@ class UnitRow:
 
     unit: str
     p: int
-    ic: dict[str, int | Fraction]
+    ic: dict[str, int]
     fc: dict[str, Fraction]
 
 
@@ -490,7 +501,7 @@ def load_aggregate_table(text: str) -> list[UnitRow]:
     """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
 
     Every cell must be a number a float can hold, as the statistics read
-    each column as floats."""
+    each column as floats, and IC3 and IC5, as counts, whole numbers."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         return _aggregate_rows(reader)
@@ -549,10 +560,14 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             raise NonNumericCell(
                 f"cell too large for a float in row {raw!r}", lineno
             ) from None
+        if ic3.denominator != 1 or ic5.denominator != 1:
+            raise NonNumericCell(f"IC must be a whole number in row {raw!r}", lineno)
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)
         if raw["unit"] in seen:
             raise DuplicateId(f"duplicate unit {raw['unit']!r}", lineno)
         seen.add(raw["unit"])
-        rows.append(UnitRow(raw["unit"], p, {"3": ic3, "5": ic5}, {"3": fc3, "5": fc5}))
+        rows.append(
+            UnitRow(raw["unit"], p, {"3": int(ic3), "5": int(ic5)}, {"3": fc3, "5": fc5})
+        )
     return rows

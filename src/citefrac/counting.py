@@ -40,9 +40,9 @@ class Window:
 
 @dataclass
 class PaperImpact:
-    """Citation tallies for one cited paper within a window."""
+    """Citation tallies for one cited paper within a window; a `ScoreSet`
+    keys them by the paper's id."""
 
-    paper_id: str
     ic: int = 0
     fc: Fraction = Fraction(0)
 
@@ -76,7 +76,7 @@ def paper_scores(
             continue
         if pub_years is not None and rec.year not in pub_years:
             continue
-        impacts[rec.id] = PaperImpact(rec.id)
+        impacts[rec.id] = PaperImpact()
 
     # Only integer work per link: tallies[cited id][k] counts in-window
     # citations from documents with k references.

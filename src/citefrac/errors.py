@@ -108,10 +108,6 @@ class AllValuesTied(StatsError):
     pass
 
 
-class DegenerateGroups(StatsError):
-    pass
-
-
 class ConvergenceFailure(StatsError):
     """Root finding hit its iteration cap; carries the achieved tolerance."""
 

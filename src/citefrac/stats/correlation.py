@@ -13,17 +13,11 @@ from .results import TestResult
 
 def rankdata(values: Sequence[float]) -> np.ndarray:
     """1-based ranks with ties given the mean of their rank positions."""
-    a = np.asarray(values, dtype=float)
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(len(a), dtype=float)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    # A run of t tied values ending at 1-based position c has mid-rank c - (t - 1)/2.
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True, return_counts=True
+    )
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def _corr_p(r: float, n: int) -> float:

@@ -1,13 +1,15 @@
 """Shared test utilities: random corpora, brute-force counting oracle,
 random query ASTs, per-record query-matching oracle, scalar
 studentized-range oracle, per-line regex tagged-file parser oracle,
-per-record JSON-encoder canonical writer oracle."""
+per-record JSON-encoder canonical writer oracle, textbook omnibus-test
+and loop mid-rank oracles."""
 from __future__ import annotations
 
 import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +32,7 @@ from citefrac.errors import (
     ParseError,
     UnterminatedRecord,
 )
-from citefrac.stats.distributions import _PHI_Z, _Z, _ZW, _chi_scale_grid
+from citefrac.stats.distributions import _PHI_Z, _Z, _ZW, _chi_scale_grid, chi2_sf, f_sf
 
 DOCTYPES = ["Article", "Review", "Proceedings Paper", "Editorial", "Letter"]
 
@@ -89,7 +91,7 @@ def brute_force_scores(
             continue
         if pub_years is not None and rec.year not in pub_years:
             continue
-        impact = PaperImpact(rec.id)
+        impact = PaperImpact()
         for citing in corpus.citing.values():
             if citing.year < window.start or citing.year > window.end:
                 continue
@@ -260,6 +262,60 @@ def reference_studentized_range_quantile(
     raise ConvergenceFailure(
         "studentized-range quantile did not converge", achieved
     )
+
+
+# ---------------------------------------------------------------------------
+# Omnibus-test oracles: a loop mid-ranker, Kruskal-Wallis from rank sums and a
+# Counter tie term, and Levene's W from its own sums of the deviations z.
+# ---------------------------------------------------------------------------
+
+
+def reference_rankdata(values) -> np.ndarray:
+    """1-based ranks, each run of ties given the mean of its positions."""
+    a = np.asarray(values, dtype=float)
+    order = np.argsort(a, kind="mergesort")
+    ranks = np.empty(len(a), dtype=float)
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_kruskal_wallis(groups) -> tuple[float, float]:
+    """(H, p): 12/(N(N+1))·Σ Rᵢ²/nᵢ - 3(N+1) over 1 - Σ(t³ - t)/(N³ - N)."""
+    pooled = [float(v) for g in groups for v in g]
+    n_total = len(pooled)
+    ranks = reference_rankdata(pooled)
+    h = 0.0
+    offset = 0
+    for g in groups:
+        r_sum = float(np.sum(ranks[offset : offset + len(g)]))
+        h += r_sum * r_sum / len(g)
+        offset += len(g)
+    h = 12.0 / (n_total * (n_total + 1)) * h - 3.0 * (n_total + 1)
+    tie_sum = sum(t**3 - t for t in Counter(pooled).values())
+    h = max(0.0, h / (1.0 - tie_sum / (n_total**3 - n_total)))
+    return h, chi2_sf(h, len(groups) - 1)
+
+
+def reference_levene(groups) -> tuple[float, float]:
+    """(W, p): W = (N - k)/(k - 1)·Σ nᵢ(z̄ᵢ - z̄)²/ΣΣ(zᵢⱼ - z̄ᵢ)², where
+    zᵢⱼ = |xᵢⱼ - x̄ᵢ|. Zero spread of z gives W = 0 if the z̄ᵢ agree, else inf."""
+    z = [np.abs(np.asarray(g, dtype=float) - float(np.mean(g))) for g in groups]
+    n_total = sum(len(g) for g in groups)
+    k = len(groups)
+    z_means = [float(np.mean(zi)) for zi in z]
+    z_grand = float(np.sum([np.sum(zi) for zi in z])) / n_total
+    numer = sum(len(g) * (zm - z_grand) ** 2 for g, zm in zip(groups, z_means))
+    denom = sum(float(np.sum((zi - zm) ** 2)) for zi, zm in zip(z, z_means))
+    if denom == 0.0:
+        return (0.0, 1.0) if numer == 0.0 else (math.inf, 0.0)
+    w = (n_total - k) / (k - 1) * numer / denom
+    return w, f_sf(w, k - 1, n_total - k)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import citefrac
-from citefrac.cli import _SETTINGS, UsageError, _build_config, build_parser, main
+from citefrac.cli import (
+    _SETTINGS, UsageError, _build_config, _load_samples_csv, build_parser, main,
+)
 from citefrac.corpus import load_canonical
 
 
@@ -266,6 +268,30 @@ class TestCountAndEvaluate:
         assert "statistics skipped: unit 'B' has 1 paper(s), the tests need at least 2\n" in err
         assert (out / "scores.csv").is_file() and not (out / "tests.csv").exists()
 
+    def test_levene_on_zero_deviation_spread(self, tmp_path):
+        # FC {1/2, 0} and {3/2, 0}: each unit's absolute deviations are
+        # equal (1/4 and 3/4), so Levene's W is inf with p = 0, as ANOVA's F.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                f'{{"id": "{pid}", "side": "cited", "year": 2005, '
+                f'"addresses": ["Univ, Dep {pid[0]}"]}}\n'
+                for pid in ("A1", "A2", "B1", "B2")
+            )
+            + '{"id": "X1", "side": "citing", "year": 2006, "nrefs": 2, "cites": ["A1", "B1"]}\n'
+            '{"id": "X2", "side": "citing", "year": 2006, "nrefs": 1, "cites": ["B1"]}\n',
+            encoding="utf-8",
+        )
+        units = tmp_path / "units.txt"
+        units.write_text("A := ad=(dep a)\nB := ad=(dep b)\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--input", str(corpus), "--units", str(units),
+            "--window", "2005:2009", "--min-pubs", "2", "--out", str(out),
+        )
+        assert code == 0
+        assert "levene,inf,1:2,0" in (out / "tests.csv").read_text(encoding="utf-8").splitlines()
+
     def test_evaluate_deterministic(self, data_dir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         self.evaluate_toy(data_dir, out_a)
@@ -375,6 +401,52 @@ class TestStatsSubcommand:
             dot = (tmp_path / out / "homogeneity.dot").read_text(encoding="utf-8")
             assert '  "Unit \\"Alpha\\", Sub";' in dot.splitlines()
 
+    def test_scores_export_gives_evaluate_statistics(self, data_dir, tmp_path):
+        evaluated, stats_out = tmp_path / "evaluate", tmp_path / "stats"
+        code = run(
+            "evaluate", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--min-pubs", "2", "--out", str(evaluated),
+        )
+        assert code == 0
+        # The equality needs every unit kept: scores.csv also lists units
+        # below --min-pubs, which evaluate leaves out of its statistics.
+        scores = evaluated / "scores.csv"
+        with scores.open(encoding="utf-8", newline="") as fh:
+            scored = {row["unit"] for row in csv.DictReader(fh)}
+        with (evaluated / "aggregates.csv").open(encoding="utf-8", newline="") as fh:
+            assert scored == {row["unit"] for row in csv.DictReader(fh)}
+        assert run("stats", "--input", str(scores), "--out", str(stats_out)) == 0
+        for name in ("tests.csv", "pairwise.csv", "homogeneity.dot"):
+            assert (stats_out / name).read_bytes() == (evaluated / name).read_bytes(), name
+
+    def test_scores_export_read_exactly(self):
+        text = "unit,fc_num,fc_den,fc_decimal\nA,1,3,0.333333333333\n"
+        assert _load_samples_csv(text) == {"A": [1 / 3]}
+
+    def test_levene_on_zero_deviation_spread(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("unit,value\nA,0\nA,2\nB,0\nB,4\n", encoding="utf-8")
+        assert run("stats", "--input", str(samples), "--out", str(tmp_path / "out")) == 0
+        tests = (tmp_path / "out" / "tests.csv").read_text(encoding="utf-8").splitlines()
+        assert "levene,inf,1:2,0" in tests
+
+    @pytest.mark.parametrize(
+        "row",
+        ["A,1.5,3,0.5", "A,1,x,0", "A,1,0,0", "A,1,-3,0", "A,1" + "0" * 400 + ",1,0"],
+        ids=["fractional_num", "non_numeric_den", "zero_den", "negative_den", "beyond_float"],
+    )
+    def test_bad_exact_scores_usage_exit(self, tmp_path, capsys, row):
+        samples = tmp_path / "scores.csv"
+        samples.write_text(
+            f"unit,fc_num,fc_den,fc_decimal\nA,1,2,0.5\nA,0,1,0\nB,1,1,1\nB,0,1,0\n{row}\n",
+            encoding="utf-8",
+        )
+        code = run("stats", "--input", str(samples), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scores.csv, line 6: fc_num/fc_den" in err
+        assert "internal error" not in err
 
     @pytest.mark.parametrize(
         "row", ["A,x", "A,nan", "A,inf", "A", ",5", "A," + "1" * 200_000],
@@ -507,10 +579,11 @@ class TestConfigAndValidation:
             "A,5,1,1,1,1\nB,5,2,1,2,1\nC,7,3,2,4," + "1" * 140_000 + "\n",
             "A,5,1e400,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
             "A,1" + "0" * 400 + ",1,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
+            "A,5,12.5,1,7,2\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
         ],
         ids=[
             "missing_cells", "duplicate_unit", "extra_cell", "field_over_csv_limit",
-            "count_beyond_float", "p_beyond_float",
+            "count_beyond_float", "p_beyond_float", "non_integral_ic",
         ],
     )
     def test_bad_aggregate_table_usage_exit(self, tmp_path, capsys, rows):

@@ -551,8 +551,15 @@ class TestWriterOracle:
         ]
         corpus = build_corpus(records[:2], records[1:])
         assert set(corpus.cited) & set(corpus.citing)
-        assert write_canonical(corpus) == reference_write_canonical(corpus)
-        assert load_canonical(write_canonical(corpus)) == corpus
+        written = write_canonical(corpus)
+        assert written == reference_write_canonical(corpus)
+        if "\ud800" in text:
+            # Written as is, but a str holding a lone surrogate is refused on
+            # load, raw as escaped, since no output file could encode it.
+            with pytest.raises(MalformedField, match="line 1: .* lone surrogate"):
+                load_canonical(written)
+        else:
+            assert load_canonical(written) == corpus
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -621,10 +628,16 @@ class TestAggregateTable:
             load_aggregate_table(text)
 
     def test_small_exponents_still_accepted(self):
-        text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1e-400,1E-10000,2.5e3,1e-0000400\n"
+        text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1000e-3,1E-10000,2.5e3,1e-0000400\n"
         (row,) = load_aggregate_table(text)
-        assert row.ic == {"3": Fraction(1, 10**400), "5": Fraction(2500)}
+        assert row.ic == {"3": 1, "5": 2500}
         assert row.fc == {"3": Fraction(1, 10**10000), "5": Fraction(1, 10**400)}
+
+    @pytest.mark.parametrize("ic3, ic5", [("12.5", "7"), ("12", "1e-400")])
+    def test_non_integral_ic_rejected(self, ic3, ic5):
+        text = f"unit,P,IC3,FC3,IC5,FC5\nB,6,2,1,3,2\nA,5,{ic3},1,{ic5},2\n"
+        with pytest.raises(NonNumericCell, match="line 3: IC must be a whole number"):
+            load_aggregate_table(text)
 
     def test_duplicate_unit_rejected(self):
         text = "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nA,6,3,1,3,1\n"

@@ -98,8 +98,8 @@ class TestPaperScores:
 class TestAggregateUnits:
     def test_exact_rational_sum(self):
         impacts = {
-            "P1": PaperImpact("P1", ic=2, fc=Fraction(1, 3)),
-            "P2": PaperImpact("P2", ic=1, fc=Fraction(1, 4)),
+            "P1": PaperImpact(ic=2, fc=Fraction(1, 3)),
+            "P2": PaperImpact(ic=1, fc=Fraction(1, 4)),
         }
         (row,), _ = aggregate_units(
             {"U": frozenset({"P1", "P2"})}, {"w": ScoreSet(impacts)}, min_pubs=2
@@ -110,7 +110,7 @@ class TestAggregateUnits:
         assert unit_columns([row], ["w"])["fcpw"] == [Fraction(7, 24)]
 
     def test_min_pubs_exclusion(self):
-        impacts = {f"P{i}": PaperImpact(f"P{i}") for i in range(4)}
+        impacts = {f"P{i}": PaperImpact() for i in range(4)}
         rows, skipped = aggregate_units(
             {"Small": frozenset(impacts)}, {"w": ScoreSet(impacts)}, min_pubs=5
         )
@@ -121,7 +121,7 @@ class TestAggregateUnits:
         assert aggregate_units({}, {"w": ScoreSet({})}) == ([], [])
 
     def test_shared_paper_counts_fully_in_both_units(self):
-        impacts = {"P1": PaperImpact("P1", ic=5, fc=Fraction(1, 2))}
+        impacts = {"P1": PaperImpact(ic=5, fc=Fraction(1, 2))}
         rows, _ = aggregate_units(
             {"U1": frozenset({"P1"}), "U2": frozenset({"P1"})},
             {"w": ScoreSet(impacts)},
@@ -133,10 +133,10 @@ class TestAggregateUnits:
     def test_every_window_at_once(self):
         # P and the skipped units are resolved once; each window keeps its
         # own totals.
-        early = {"P1": PaperImpact("P1", ic=1, fc=Fraction(1, 2)), "P2": PaperImpact("P2")}
+        early = {"P1": PaperImpact(ic=1, fc=Fraction(1, 2)), "P2": PaperImpact()}
         late = {
-            "P1": PaperImpact("P1", ic=2, fc=Fraction(3, 4)),
-            "P2": PaperImpact("P2", ic=1, fc=Fraction(1, 3)),
+            "P1": PaperImpact(ic=2, fc=Fraction(3, 4)),
+            "P2": PaperImpact(ic=1, fc=Fraction(1, 3)),
         }
         (row,), skipped = aggregate_units(
             {"U": frozenset({"P1", "P2"}), "V": frozenset({"P2", "P9"})},
@@ -150,7 +150,7 @@ class TestAggregateUnits:
 
     @pytest.mark.parametrize("scores", [
         {},
-        {"_a": ScoreSet({"P1": PaperImpact("P1")}), "_b": ScoreSet({})},
+        {"_a": ScoreSet({"P1": PaperImpact()}), "_b": ScoreSet({})},
     ], ids=["no_window", "different_papers"])
     def test_windows_must_count_the_same_papers(self, scores):
         with pytest.raises(ValueError, match="count the same papers"):
@@ -160,9 +160,9 @@ class TestAggregateUnits:
 class TestPerPaperSamples:
     def test_direct_conversion(self):
         impacts = {
-            "P1": PaperImpact("P1", ic=1, fc=Fraction(1, 2)),
-            "P2": PaperImpact("P2", ic=0, fc=Fraction(0)),
-            "P3": PaperImpact("P3", ic=1, fc=Fraction(1, 4)),
+            "P1": PaperImpact(ic=1, fc=Fraction(1, 2)),
+            "P2": PaperImpact(ic=0, fc=Fraction(0)),
+            "P3": PaperImpact(ic=1, fc=Fraction(1, 4)),
         }
         samples = per_paper_samples(
             {"U": frozenset({"P1", "P2", "P3"})}, ScoreSet(impacts), "U"
@@ -170,7 +170,7 @@ class TestPerPaperSamples:
         assert sorted(samples) == [0.0, 0.25, 0.5]
 
     def test_uncited_paper(self):
-        impacts = {"P1": PaperImpact("P1")}
+        impacts = {"P1": PaperImpact()}
         assert per_paper_samples({"U": frozenset({"P1"})}, ScoreSet(impacts), "U") == [0.0]
 
     def test_unknown_unit(self):
