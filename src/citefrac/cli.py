@@ -10,6 +10,7 @@ no file.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import hashlib
 import io
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import corpus, counting, report
 from .corpus import (
@@ -129,7 +130,7 @@ def _read_config_file(path: Path) -> dict[str, tuple[str, str]]:
     """Setting key -> (value, the file:line prefix of its error should it not
     parse). Only a line whose first non-blank character is '#' is a comment."""
     values: dict[str, tuple[str, str]] = {}
-    lines = _text(path).splitlines()
+    lines = _read(path, "".join).splitlines()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -179,30 +180,73 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _text(path: Path, digests: list[tuple[Path, str]] | None = None) -> str:
-    """The file read once, as Path.read_text reads it (UTF-8, universal
-    newlines); the sha256 of its bytes goes into `digests` when given."""
-    data = path.read_bytes()
-    if digests is not None:
-        digests.append((path, hashlib.sha256(data).hexdigest()))
-    try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    except UnicodeDecodeError as exc:
-        raise UsageError(
-            f"{path.name}: not UTF-8 text: {exc.reason} at byte {exc.start}"
-        ) from None
+# An input is read this many bytes at a time, each read hashed and decoded
+# as it passes, so that neither its whole bytes nor its whole text is held.
+# Smaller reads cut the peak further (256 KB: links-heavy 57 -> 55 MB) but
+# made paper27's studentized-range quantiles about 50% slower: glibc then
+# maps and faults in their numpy temporaries afresh on every call, as
+# freeing no buffer this large has raised its mmap threshold above them.
+_READ_BYTES = 1 << 20
+
+
+def _decoded(path: Path, file, sha) -> Iterator[str]:
+    """The text of the binary `file`, decoded as Path.read_text decodes
+    (UTF-8, universal newlines), one read at a time; each read goes into
+    the hash `sha` as it passes. At a byte that is not UTF-8, the text
+    before it comes first, so that a fault earlier in the file is the one
+    its loader reports."""
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")(), translate=True
+    )
+    offset = 0  # of the read's first byte in the file
+    final = False
+    while not final:
+        data = file.read(_READ_BYTES)
+        final = not data
+        sha.update(data)
+        held, flag = decoder.getstate()  # held: bytes of a character begun before
+        try:
+            text = decoder.decode(data, final)
+        except UnicodeDecodeError as exc:
+            # The failed decode left the state as it was; exc.start counts
+            # from the held bytes.
+            decoder.setstate((b"", flag))
+            yield decoder.decode((held + data)[:exc.start], True)
+            raise UsageError(
+                f"{path.name}: not UTF-8 text: {exc.reason} "
+                f"at byte {offset - len(held) + exc.start}"
+            ) from None
+        offset += len(data)
+        del data  # not held while the loader works on its text
+        if text:
+            yield text
 
 
 def _read(path: Path, load, digests: list[tuple[Path, str]] | None = None):
-    """Apply `load` to the text of the input file at `path`. An error that
-    names a line is led by the file's name: `units.txt, line 3: ...`."""
-    text = _text(path, digests)
-    try:
-        return load(text)
-    except (ParseError, QuerySyntaxError) as exc:
-        if exc.line is None:
-            raise
-        raise UsageError(f"{path.name}, {exc}") from exc
+    """Apply `load` to the text blocks of the input file at `path`, read
+    once. What `load` leaves unread (a tagged export ends at EF) is read
+    after it returns, so that every byte is checked to be UTF-8, and the
+    sha256 of them all goes into `digests` when given. An error that names
+    a line is led by the file's name: `units.txt, line 3: ...`."""
+    sha = hashlib.sha256()
+    with path.open("rb") as file:
+        blocks = _decoded(path, file, sha)
+        try:
+            result = load(blocks)
+        except (ParseError, QuerySyntaxError) as exc:
+            if exc.line is None:
+                raise
+            raise UsageError(f"{path.name}, {exc}") from exc
+        for _ in blocks:
+            pass
+    if digests is not None:
+        digests.append((path, sha.hexdigest()))
+    return result
+
+
+def _whole(load: Callable[[str], object]) -> Callable[[Iterable[str]], object]:
+    """`load` of a small input's text, its blocks joined."""
+    return lambda blocks: load("".join(blocks))
 
 
 def _load_corpus(config: RunConfig, fmt: str, digests=None) -> Corpus:
@@ -225,7 +269,7 @@ def _load_corpus(config: RunConfig, fmt: str, digests=None) -> Corpus:
 def _unit_definitions(config: RunConfig, digests=None):
     if config.units is None or not config.units.is_file():
         raise UsageError("--units file is required and must exist")
-    return _read(config.units, parse_unit_definitions, digests)
+    return _read(config.units, _whole(parse_unit_definitions), digests)
 
 
 def _manifest(config: RunConfig, digests: list[tuple[Path, str]]) -> str:
@@ -370,7 +414,8 @@ def _battery_skip_reason(groups: dict[str, list[float]]) -> str | None:
 def cmd_stats(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
     digests: list[tuple[Path, str]] = []
-    _stats_battery(tree, _read(config.input, _load_samples_csv, digests), config.alpha)
+    groups = _read(config.input, _whole(_load_samples_csv), digests)
+    _stats_battery(tree, groups, config.alpha)
     tree["manifest.txt"] = _manifest(config, digests)
     return tree
 
@@ -411,7 +456,7 @@ def cmd_report(config: RunConfig) -> dict[str, str]:
             "table, given with --format aggregate"
         )
     digests: list[tuple[Path, str]] = []
-    rows = _read(config.input, load_aggregate_table, digests)
+    rows = _read(config.input, _whole(load_aggregate_table), digests)
     tree = {"aggregates.csv": report.format_aggregates_csv(rows, ["3", "5"])}
     columns = report.unit_columns(rows, ["3", "5"])
     _unit_reports(

@@ -4,6 +4,12 @@ Holds the publication record type, the corpus (the one place that states
 the reference rule: a reference links iff it names a cited id), the parser
 for tagged flat-file exports, the canonical line-delimited JSON interchange
 format, and the loader for pre-aggregated indicator tables.
+
+Most of a corpus is its citing side, and it repeats itself: its records
+name the same cited ids, and a department's papers carry the same
+addresses. So both corpus loaders keep one object per distinct value across
+records: addresses, cited ids and doctypes go through sys.intern, and years
+through a dict per load.
 """
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from sys import intern
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -120,22 +127,45 @@ def build_corpus(
 # The loaders split a text into lines one block of about this many
 # characters at a time, so they hold one block's lines, never one object per
 # line of the whole file (2.6 times the text on a WoS export).
-_BLOCK_CHARS = 1 << 20
+_BLOCK_CHARS = 1 << 19
 
 
-def _lines(text: str, split=str.splitlines) -> Iterator[str]:
-    """The lines `split` gives of ``text``, split one block at a time.
+def _blocks(text: str | Iterable[str]) -> Iterator[str]:
+    """The text, given as one str or as pieces (a file as it is read), in
+    blocks of about `_BLOCK_CHARS` characters that each end just after a
+    "\\n", the last one excepted.
 
-    Each block ends just after a "\\n". A "\\n" ends a line for either
-    splitter, and it is the last character of a "\\r\\n", so no line and
-    no line break is cut between blocks.
+    A "\\n" ends a line for either splitter, and it is the last character
+    of a "\\r\\n", so no line and no line break is cut between blocks. A
+    line cut between pieces is carried into the next piece's first block;
+    only that line is joined, so each piece is copied once.
     """
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + _BLOCK_CHARS - 1)
-        end = len(text) if cut < 0 else cut + 1
-        yield from split(text[start:end])
-        start = end
+    carry: list[str] = []  # the parts of a line begun in earlier pieces
+    for piece in (text,) if isinstance(text, str) else text:
+        start = 0
+        if carry:
+            start = piece.find("\n") + 1
+            if not start:
+                carry.append(piece)
+                continue
+            carry.append(piece[:start])
+            yield "".join(carry)
+            carry = []
+        last = piece.rfind("\n") + 1  # the end of the piece's last whole line
+        while start < last:
+            end = piece.find("\n", start + _BLOCK_CHARS - 1) + 1 or last
+            yield piece[start:end]
+            start = end
+        if last < len(piece):
+            carry.append(piece[last:])
+    if carry:
+        yield "".join(carry)
+
+
+def _lines(text: str | Iterable[str], split=str.splitlines) -> Iterator[str]:
+    """The lines `split` gives of ``text``, split one block at a time."""
+    for block in _blocks(text):
+        yield from split(block)
 
 
 def _record_lines(block: str) -> list[str]:
@@ -176,7 +206,7 @@ def _split_addresses(c1_lines: list[str]) -> list[str]:
         for segment in _ADDRESS_RE.findall(line):
             segment = segment.strip()
             if segment:
-                addresses.append(segment)
+                addresses.append(intern(segment))
     return addresses
 
 
@@ -208,9 +238,15 @@ def _count_error(year: int, nrefs: int | None) -> str | None:
 
 
 def _finish_record(
-    first: dict[str, str], c1: list[str], cr: list[str], start_line: int
+    first: dict[str, str],
+    c1: list[str],
+    cr: list[str],
+    start_line: int,
+    years: dict[int, int],
 ) -> PublicationRecord | ParseError:
     """The record of one ER-terminated block, or the error that rejects it.
+    Its repeated values are shared, as the module docstring says; `years`
+    holds the year objects of the records before it.
 
     The error is returned, never raised, so it holds no frame of the parse
     (and through it the whole export).
@@ -230,11 +266,11 @@ def _finish_record(
     if (error := _count_error(numbers["PY"], numbers["NR"])) is not None:
         return MalformedField(error, start_line)
 
-    dois = [doi for doi in map(_cited_doi, cr) if doi is not None]
+    dois = [intern(doi) for doi in map(_cited_doi, cr) if doi is not None]
     return PublicationRecord(
         id=rec_id,
-        year=numbers["PY"],
-        doctype=normalize_doctype(first.get("DT") or ""),
+        year=years.setdefault(numbers["PY"], numbers["PY"]),
+        doctype=intern(normalize_doctype(first.get("DT") or "")),
         addresses=tuple(_split_addresses(c1)),
         nrefs=numbers["NR"],
         cited_ids=tuple(dict.fromkeys(dois)),
@@ -242,17 +278,19 @@ def _finish_record(
     )
 
 
-def parse_tagged(text: str) -> TaggedParseResult:
-    """Parse a tagged flat file into publication records.
+def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
+    """Parse a tagged flat file, given as one str or as an iterable of
+    blocks (see `_blocks`), into publication records.
 
     Records are delimited by ``ER`` lines; each field starts with a
     two-letter tag in column 1 and may continue on indented lines. The file
     ends with ``EF``. Malformed records, and a record repeating an earlier
     record's id, are rejected individually and reported in the result's
-    error list.
+    error list. Records share repeated values, as the module docstring says.
     """
     result = TaggedParseResult()
     first_lines: dict[str, int] = {}  # accepted record id -> its start line
+    years: dict[int, int] = {}
     first: dict[str, str] = {}
     c1: list[str] = []
     cr: list[str] = []
@@ -285,7 +323,7 @@ def parse_tagged(text: str) -> TaggedParseResult:
                 continued.append(value)
         elif (marker := raw.rstrip()) == "ER":
             if in_record:
-                rec = _finish_record(first, c1, cr, start_line)
+                rec = _finish_record(first, c1, cr, start_line, years)
                 if isinstance(rec, ParseError):
                     result.errors.append(rec)
                 elif (seen_at := first_lines.setdefault(rec.id, start_line)) == start_line:
@@ -325,16 +363,16 @@ _quote = json.encoder.encode_basestring
 
 
 def _strings(obj: dict, key: str, rec_id: str, lineno: int) -> tuple[str, ...]:
-    """The JSON list of strings under `key`; missing or null is empty."""
+    """The JSON list of strings under `key`, each interned; missing or null
+    is empty."""
     value = obj.get(key)
     if value is None:
         return ()
     if type(value) is list:
-        # str.join raises TypeError on any item that is not a str; of the
-        # checks tried, it costs a large corpus load the least.
+        # sys.intern raises TypeError on any item that is not a str, so it
+        # checks the items as it shares them.
         try:
-            "".join(value)
-            return tuple(value)
+            return tuple(map(intern, value))
         except TypeError:
             pass
     raise MalformedField(
@@ -352,96 +390,105 @@ def _utf8_encodable(text: str) -> bool:
     return True
 
 
-def load_canonical(text: str) -> Corpus:
-    """Load a corpus from the canonical one-JSON-object-per-line format.
+def load_canonical(text: str | Iterable[str]) -> Corpus:
+    """Load a corpus from the canonical one-JSON-object-per-line format,
+    given as one str or as an iterable of blocks (see `_blocks`).
 
     Unknown fields are ignored. References to ids outside the cited set do
     not become links (but still count toward k via ``cites`` length). A
     missing or null doctype reads as Article; any other doctype, ``""``
     included, is kept, as a tagged record without DT keeps ``""``. A record
     whose strings hold a lone surrogate, raw or escaped (``"\\ud800"``), is
-    rejected, as no output file could encode it.
+    rejected, as no output file could encode it. Records share repeated
+    values, as the module docstring says.
     """
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []
     seen: set[str] = set()
-    # A lone surrogate is a \ud800-\udfff escape or a raw character UTF-8
-    # cannot encode; a text with neither skips the per-record check.
-    surrogates = "\\ud" in text or "\\uD" in text or not _utf8_encodable(text)
-    for lineno, line in enumerate(_lines(text, _record_lines), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
-        except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
-            raise ParseError(f"invalid JSON: {exc}", lineno) from None
-        if type(obj) is not dict:
-            raise ParseError("a record must be a JSON object", lineno)
-        side = obj.get("side")
-        if side not in _SIDES:
-            raise ParseError(f"invalid side {side!r}", lineno)
-        rec_id = obj.get("id")
-        if not rec_id:
-            raise MissingId("missing id", lineno)
-        if type(rec_id) is not str:
-            raise MalformedField(f"id must be a string, got {rec_id!r}", lineno)
-        if rec_id in seen:
-            raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
-        seen.add(rec_id)
-        year = obj.get("year")
-        if year is None:
-            raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
-        # int() would read 2005.7 as 2005 and true as 1; a numeric string is
-        # read, and int() names a bad one ("invalid literal").
-        if type(year) is str:
+    years: dict[int, int] = {}  # one int object per distinct year
+    lineno = 0
+    for block in _blocks(text):
+        # A lone surrogate is a \ud800-\udfff escape or a raw character
+        # UTF-8 cannot encode; a block with neither skips the per-record
+        # check. An escape never straddles two blocks, as each ends at "\n".
+        surrogates = "\\ud" in block or "\\uD" in block or not _utf8_encodable(block)
+        for line in _record_lines(block):
+            lineno += 1
+            if not line.strip():
+                continue
             try:
-                year = int(year)
-            except ValueError as exc:
-                raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
-        elif type(year) is not int:
-            raise MalformedField(
-                f"record {rec_id!r}: year must be an integer, got {year!r}", lineno
-            )
-        nrefs = obj.get("nrefs")
-        if nrefs is not None and type(nrefs) is not int:
-            raise MalformedField(
-                f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
-            )
-        doctype = obj.get("doctype")
-        if doctype is None:
-            doctype = ARTICLE
-        elif type(doctype) is not str:
-            raise MalformedField(
-                f"record {rec_id!r}: doctype must be a string, got {doctype!r}", lineno
-            )
-        doi = obj.get("doi")
-        if doi is not None and type(doi) is not str:
-            raise MalformedField(
-                f"record {rec_id!r}: doi must be a string, got {doi!r}", lineno
-            )
-        addresses = _strings(obj, "addresses", rec_id, lineno)
-        cites = _strings(obj, "cites", rec_id, lineno)
-        if (error := _count_error(year, nrefs)) is not None:
-            raise MalformedField(f"record {rec_id!r}: {error}", lineno)
-        if len(set(cites)) != len(cites):
-            raise MalformedField(f"record {rec_id!r}: cites contains duplicates", lineno)
-        rec = PublicationRecord(
-            id=rec_id, year=year, doctype=doctype, addresses=addresses,
-            nrefs=nrefs, cited_ids=cites, doi=doi,
-        )
-        if surrogates:
-            try:
-                "".join((rec_id, doctype, doi or "", *addresses, *cites)).encode()
-            except UnicodeEncodeError:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+            except (ValueError, RecursionError) as exc:  # huge integer, deep nesting
+                raise ParseError(f"invalid JSON: {exc}", lineno) from None
+            if type(obj) is not dict:
+                raise ParseError("a record must be a JSON object", lineno)
+            side = obj.get("side")
+            if side not in _SIDES:
+                raise ParseError(f"invalid side {side!r}", lineno)
+            rec_id = obj.get("id")
+            if not rec_id:
+                raise MissingId("missing id", lineno)
+            if type(rec_id) is not str:
+                raise MalformedField(f"id must be a string, got {rec_id!r}", lineno)
+            if rec_id in seen:
+                raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
+            seen.add(rec_id)
+            year = obj.get("year")
+            if year is None:
+                raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
+            # int() would read 2005.7 as 2005 and true as 1; a numeric string
+            # is read, and int() names a bad one ("invalid literal").
+            if type(year) is str:
+                try:
+                    year = int(year)
+                except ValueError as exc:
+                    raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
+            elif type(year) is not int:
                 raise MalformedField(
-                    f"record {rec_id!r}: a string holds a lone surrogate", lineno
-                ) from None
-        if side in ("cited", "both"):
-            cited.append(rec)
-        if side in ("citing", "both"):
-            citing.append(rec)
+                    f"record {rec_id!r}: year must be an integer, got {year!r}", lineno
+                )
+            nrefs = obj.get("nrefs")
+            if nrefs is not None and type(nrefs) is not int:
+                raise MalformedField(
+                    f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
+                )
+            doctype = obj.get("doctype")
+            if doctype is None:
+                doctype = ARTICLE
+            elif type(doctype) is not str:
+                raise MalformedField(
+                    f"record {rec_id!r}: doctype must be a string, got {doctype!r}", lineno
+                )
+            doi = obj.get("doi")
+            if doi is not None and type(doi) is not str:
+                raise MalformedField(
+                    f"record {rec_id!r}: doi must be a string, got {doi!r}", lineno
+                )
+            addresses = _strings(obj, "addresses", rec_id, lineno)
+            cites = _strings(obj, "cites", rec_id, lineno)
+            if (error := _count_error(year, nrefs)) is not None:
+                raise MalformedField(f"record {rec_id!r}: {error}", lineno)
+            if len(set(cites)) != len(cites):
+                raise MalformedField(
+                    f"record {rec_id!r}: cites contains duplicates", lineno
+                )
+            rec = PublicationRecord(
+                id=rec_id, year=years.setdefault(year, year), doctype=intern(doctype),
+                addresses=addresses, nrefs=nrefs, cited_ids=cites, doi=doi,
+            )
+            if surrogates:
+                try:
+                    "".join((rec_id, doctype, doi or "", *addresses, *cites)).encode()
+                except UnicodeEncodeError:
+                    raise MalformedField(
+                        f"record {rec_id!r}: a string holds a lone surrogate", lineno
+                    ) from None
+            if side in ("cited", "both"):
+                cited.append(rec)
+            if side in ("citing", "both"):
+                citing.append(rec)
     return build_corpus(cited, citing)
 
 
@@ -501,7 +548,8 @@ def load_aggregate_table(text: str) -> list[UnitRow]:
     """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
 
     Every cell must be a number a float can hold, as the statistics read
-    each column as floats, and IC3 and IC5, as counts, whole numbers."""
+    each column as floats. IC3, FC3, IC5 and FC5 are counts, so none may be
+    negative, and IC3 and IC5 must be whole numbers."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         return _aggregate_rows(reader)
@@ -562,6 +610,8 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             ) from None
         if ic3.denominator != 1 or ic5.denominator != 1:
             raise NonNumericCell(f"IC must be a whole number in row {raw!r}", lineno)
+        if min(counts) < 0:
+            raise NonNumericCell(f"IC and FC must not be negative in row {raw!r}", lineno)
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)
         if raw["unit"] in seen:

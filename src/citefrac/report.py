@@ -258,7 +258,16 @@ def format_decisions_csv(decisions: Sequence[PairwiseDecision]) -> str:
     )
 
 
+# A file's text is encoded and written this many characters at a time, so
+# that no encoded copy of a whole output is held.
+_WRITE_CHARS = 1 << 20
+
+
 def write_text(path: Path, content: str) -> Path:
+    """Write `content` to `path` as Path.write_text writes it (UTF-8),
+    one slice of `_WRITE_CHARS` characters at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as file:
+        for start in range(0, len(content), _WRITE_CHARS):
+            file.write(content[start:start + _WRITE_CHARS])
     return path

@@ -2,6 +2,7 @@
 three on one split of the sum of squares into between and within groups."""
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -58,23 +59,45 @@ def kruskal_wallis(groups: Groups) -> TestResult:
 
 def levene(groups: Groups) -> TestResult:
     """Levene's homogeneity-of-variance test, classic mean-centered: the
-    one-way ANOVA of each value's absolute deviation from its group mean."""
+    one-way ANOVA of each value's absolute deviation from its group mean.
+    The deviations carry the rounding of the values they come from."""
     _check_groups(groups, min_group_size=2)
-    return one_way_anova([np.abs(np.asarray(g, dtype=float) - np.mean(g)) for g in groups])
+    arrays = [np.asarray(g, dtype=float) for g in groups]
+    return _f_test([np.abs(a - np.mean(a)) for a in arrays], _magnitude(arrays))
 
 
 def one_way_anova(groups: Groups) -> TestResult:
     """One-way fixed-effects ANOVA F test. With zero within-group spread,
     F is 0 (p = 1) when the group means agree too, else inf (p = 0)."""
     _check_groups(groups)
+    return _f_test(groups, _magnitude(groups))
+
+
+# A sum of squares over N values is rounding, not spread, when its root mean
+# square is at most this many times eps·max|x|: each value's deviation from
+# a mean computed in floating point is off by a few eps·max|x|, where max|x|
+# is the largest magnitude of the values the deviations come from.
+_ROUNDING_EPS = 8
+
+
+def _magnitude(groups: Groups) -> float:
+    """max|x| over every value of the groups."""
+    return max(float(np.max(np.abs(np.asarray(g, dtype=float)))) for g in groups)
+
+
+def _f_test(groups: Groups, magnitude: float) -> TestResult:
+    """The ANOVA F test of the groups, whose values have their rounding
+    from values of at most `magnitude`. A sum of squares at rounding level
+    counts as zero."""
     n_total = sum(len(g) for g in groups)
     k = len(groups)
     if n_total <= k:
         raise TooFewGroups("need N > k observations in total")
     ssb, ssw = _sums_of_squares(groups)
     df = (k - 1, n_total - k)
-    if ssw == 0.0:
-        if ssb == 0.0:
+    rounding = _ROUNDING_EPS * np.finfo(float).eps * magnitude
+    if math.sqrt(ssw / n_total) <= rounding:
+        if math.sqrt(ssb / n_total) <= rounding:
             return TestResult(
                 statistic=0.0, df=df, p_value=1.0, note="degenerate: all values equal"
             )

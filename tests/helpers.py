@@ -304,7 +304,13 @@ def reference_kruskal_wallis(groups) -> tuple[float, float]:
 
 def reference_levene(groups) -> tuple[float, float]:
     """(W, p): W = (N - k)/(k - 1)·Σ nᵢ(z̄ᵢ - z̄)²/ΣΣ(zᵢⱼ - z̄ᵢ)², where
-    zᵢⱼ = |xᵢⱼ - x̄ᵢ|. Zero spread of z gives W = 0 if the z̄ᵢ agree, else inf."""
+    zᵢⱼ = |xᵢⱼ - x̄ᵢ|. Zero spread of z gives W = 0 if the z̄ᵢ agree, else inf;
+    whether z has zero spread is decided in exact arithmetic on the values
+    as given, where rounding cannot hide it."""
+    exact = [[Fraction(v) for v in g] for g in groups]
+    exact_z = [{abs(v - sum(g) / len(g)) for v in g} for g in exact]
+    if all(len(zi) == 1 for zi in exact_z):
+        return (0.0, 1.0) if len(set().union(*exact_z)) == 1 else (math.inf, 0.0)
     z = [np.abs(np.asarray(g, dtype=float) - float(np.mean(g))) for g in groups]
     n_total = sum(len(g) for g in groups)
     k = len(groups)

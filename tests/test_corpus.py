@@ -458,6 +458,65 @@ def test_canonical_lines_end_only_at_newlines(text, block):
         assert list(_lines(text, _record_lines)) == expected
 
 
+def _cut(text: str, cuts: list[int]) -> list[str]:
+    """`text` cut at the given offsets, as a file is read in blocks."""
+    at = sorted({0, len(text), *(c % (len(text) + 1) for c in cuts)})
+    return [text[a:b] for a, b in zip(at, at[1:])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=st.lists(st.sampled_from(["a", "bc", " ", *_BREAKS])).map("".join),
+    cuts=st.lists(st.integers(0, 60), max_size=8),
+)
+def test_lines_of_blocks_as_of_the_whole_text(text, cuts):
+    # A line or a "\r\n" cut between two blocks is carried into the next.
+    blocks = _cut(text, cuts)
+    assert list(_lines(iter(blocks))) == text.splitlines()
+    expected = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
+    assert list(_lines(iter(blocks), _record_lines)) == expected
+
+
+def test_loaders_take_blocks():
+    # Both loaders give from a text's blocks what they give from the text.
+    rng = random.Random(3)
+    for _ in range(20):
+        text = write_canonical(random_corpus(rng, max_records=20))
+        blocks = _cut(text, [rng.randrange(len(text) + 1) for _ in range(6)])
+        assert load_canonical(iter(blocks)) == load_canonical(text)
+    text = _tagged_export(40)
+    blocks = _cut(text, list(range(7, len(text), 97)))
+    assert parse_tagged(iter(blocks)) == parse_tagged(text)
+
+
+class TestSharedValues:
+    """Records that repeat an address, a cited id, a doctype or a year hold
+    one object for it."""
+
+    def _assert_shared(self, a: PublicationRecord, b: PublicationRecord) -> None:
+        assert a.addresses[0] == b.addresses[0] and a.addresses[0] is b.addresses[0]
+        assert a.cited_ids[0] == b.cited_ids[0] and a.cited_ids[0] is b.cited_ids[0]
+        assert a.doctype == b.doctype and a.doctype is b.doctype
+        assert a.year == b.year and a.year is b.year
+
+    def test_canonical(self):
+        line = (
+            '{{"id": "{}", "side": "citing", "year": 2007, "doctype": "Letter", '
+            '"addresses": ["Tsinghua Univ, Dep Phys"], "cites": ["10.1/x"]}}\n'
+        )
+        corpus = load_canonical(line.format("A") + line.format("B"))
+        self._assert_shared(corpus.citing["A"], corpus.citing["B"])
+
+    def test_tagged(self):
+        record = (
+            "PT J\nUT WOS:{}\nPY 2007\nDT Editorial Material\n"
+            "C1 [Li, W] Tsinghua Univ, Dep Phys, Beijing.\n"
+            "CR Smith J, 2001, J PHYS, V1, P1, DOI 10.1/x\nER\n"
+        )
+        a, b = parse_tagged(record.format("A") + record.format("B") + "EF\n").records
+        self._assert_shared(a, b)
+
+
 @pytest.mark.parametrize("block", [1, 2, 5, 64, 1 << 20])
 def test_canonical_separators_stay_in_strings(block):
     # U+2028, U+2029 and U+0085 inside a JSON string do not end its record,
@@ -637,6 +696,12 @@ class TestAggregateTable:
     def test_non_integral_ic_rejected(self, ic3, ic5):
         text = f"unit,P,IC3,FC3,IC5,FC5\nB,6,2,1,3,2\nA,5,{ic3},1,{ic5},2\n"
         with pytest.raises(NonNumericCell, match="line 3: IC must be a whole number"):
+            load_aggregate_table(text)
+
+    @pytest.mark.parametrize("row", ["A,5,-3,-1,7,2", "A,5,3,1,7,-0.5"], ids=["ic", "fc"])
+    def test_negative_count_rejected(self, row):
+        text = f"unit,P,IC3,FC3,IC5,FC5\nB,6,2,1,3,2\n{row}\n"
+        with pytest.raises(NonNumericCell, match="line 3: IC and FC must not be negative"):
             load_aggregate_table(text)
 
     def test_duplicate_unit_rejected(self):

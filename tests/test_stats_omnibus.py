@@ -83,6 +83,14 @@ class TestLevene:
         assert result.p_value == 1.0
         assert result.note is not None
 
+    def test_rounding_level_spread_is_zero(self):
+        # Each group's deviations are equal (1/7, 5/14, 1/7), but float
+        # rounding leaves a within-group sum of squares of about 6e-33.
+        result = levene([[6 / 7, 4 / 7], [5 / 7, 0.0], [0.0, 2 / 7]])
+        assert result.statistic == float("inf")
+        assert result.p_value == 0.0
+        assert result.note == "zero within-group variance"
+
 
 class TestAnova:
     def test_identical_groups(self):
@@ -108,3 +116,15 @@ class TestAnova:
         result = one_way_anova([[1, 1], [2, 2]])
         assert result.p_value == 0.0
         assert result.note is not None
+
+    def test_small_spread_above_rounding_is_kept(self):
+        # SSW = 1e-12 is far above rounding at this scale: F stays finite.
+        result = one_way_anova([[1, 1 + 1e-6], [2, 2 + 1e-6]])
+        assert math.isfinite(result.statistic) and result.note is None
+        assert result.statistic == pytest.approx(2e12, rel=1e-6)
+
+    def test_rounding_level_spread_on_both_sides_is_degenerate(self):
+        # Means and values agree up to rounding: F = 0, as for equal values.
+        result = one_way_anova([[0.1 + 0.2, 0.3], [0.3, 0.3]])
+        assert result.statistic == 0.0 and result.p_value == 1.0
+        assert result.note == "degenerate: all values equal"

@@ -37,7 +37,8 @@ def test_omnibus_matches_oracles_on_tied_samples():
         if len(set(pooled)) > 1:
             pairs.append((kruskal_wallis(groups), reference_kruskal_wallis(groups)))
         for got, (statistic, p_value) in pairs:
-            # Deviations that are equal but for rounding make W as large as
-            # 1e31; there the two formulas agree to an ulp, not to 1e-12.
+            # Deviations that are equal but for rounding give W = inf in
+            # both: the kernel counts rounding-level spread as zero, and
+            # the oracle decides zero spread exactly.
             assert got.statistic == pytest.approx(statistic, rel=1e-12, abs=1e-12), groups
             assert got.p_value == pytest.approx(p_value, abs=1e-12), groups
