@@ -50,7 +50,6 @@ class RunConfig:
     input: Path
     format: str = "canonical"
     units: Path | None = None
-    py: frozenset[int] | None = None
     windows: list[Window] = field(default_factory=list)
     min_pubs: int = 5
     alpha: float = 0.05
@@ -69,14 +68,15 @@ def _checked(convert: Callable[[str], object], rule: str, ok) -> Callable:
 
 
 def _parse_windows(text: str) -> list[Window]:
-    """A comma-separated list of START:END windows, each given once."""
+    """A comma-separated list of START:END windows, each given once; a
+    window that parses but breaks `Window`'s rule fails with its reason."""
     windows: list[Window] = []
     for part in filter(str.strip, text.split(",")):
         try:
-            start, end = part.split(":")
-            window = Window(int(start), int(end))
+            start, end = map(int, part.split(":"))
         except ValueError:
             raise ValueError(f"invalid window {part!r}, expected START:END") from None
+        window = Window(start, end)
         if window in windows:
             raise ValueError(f"window {window.label()} given twice")
         windows.append(window)
@@ -110,10 +110,6 @@ _SETTINGS = {
         "input format: tagged, canonical or aggregate",
     ),
     "units": _Setting("units", Path, "unit definitions file"),
-    "py": _Setting(
-        "py", lambda text: frozenset(int(y) for y in text.split(",") if y.strip()),
-        "publication year(s), comma-separated",
-    ),
     "window": _Setting("windows", _parse_windows, "citation window, repeatable",
                        {"action": "append", "metavar": "START:END"}),
     "min_pubs": _Setting("min_pubs", _checked(int, "be >= 1", lambda v: v >= 1),
@@ -279,8 +275,6 @@ def _manifest(config: RunConfig, digests: list[tuple[Path, str]]) -> str:
     lines.append(f"min_pubs = {config.min_pubs}")
     lines.append(f"alpha = {config.alpha}")
     lines.append("windows = " + ",".join(w.label() for w in config.windows))
-    if config.py:
-        lines.append("py = " + ",".join(str(y) for y in sorted(config.py)))
     return "\n".join(lines) + "\n"
 
 
@@ -314,7 +308,7 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list):
     scores = {}
     for window in config.windows:
         name = "_" + window.label().replace("-", "_")
-        scores[name] = paper_scores(loaded, window, pub_years=config.py)
+        scores[name] = paper_scores(loaded, window)
     rows, skipped = aggregate_units(assignment, scores, min_pubs=config.min_pubs)
     tree["aggregates.csv"] = report.format_aggregates_csv(rows, list(scores))
     return assignment, scores, rows, skipped

@@ -135,10 +135,11 @@ def _blocks(text: str | Iterable[str]) -> Iterator[str]:
     blocks of about `_BLOCK_CHARS` characters that each end just after a
     "\\n", the last one excepted.
 
-    A "\\n" ends a line for either splitter, and it is the last character
-    of a "\\r\\n", so no line and no line break is cut between blocks. A
-    line cut between pieces is carried into the next piece's first block;
-    only that line is joined, so each piece is copied once.
+    A "\\n" ends a line for str.splitlines and `_record_lines` alike, and
+    it is the last character of a "\\r\\n", so no line and no line break
+    is cut between blocks. A line cut between pieces is carried into the
+    next piece's first block; only that line is joined, so each piece is
+    copied once.
     """
     carry: list[str] = []  # the parts of a line begun in earlier pieces
     for piece in (text,) if isinstance(text, str) else text:
@@ -162,10 +163,10 @@ def _blocks(text: str | Iterable[str]) -> Iterator[str]:
         yield "".join(carry)
 
 
-def _lines(text: str | Iterable[str], split=str.splitlines) -> Iterator[str]:
-    """The lines `split` gives of ``text``, split one block at a time."""
+def _lines(text: str | Iterable[str]) -> Iterator[str]:
+    """The lines str.splitlines gives of ``text``, split one block at a time."""
     for block in _blocks(text):
-        yield from split(block)
+        yield from block.splitlines()
 
 
 def _record_lines(block: str) -> list[str]:

@@ -22,12 +22,15 @@ from .report import csv_text
 
 @dataclass(frozen=True, order=True)
 class Window:
-    """Inclusive range of citing-publication years."""
+    """Inclusive range of citing-publication years: 1 <= start <= end, as a
+    record's year is positive."""
 
     start: int
     end: int
 
     def __post_init__(self):
+        if self.start < 1:
+            raise ValueError(f"window start must be >= 1, got {self.start}")
         if self.start > self.end:
             raise ValueError(f"window start {self.start} > end {self.end}")
 
@@ -60,23 +63,21 @@ def paper_scores(
     corpus: Corpus,
     window: Window,
     eligible_doctypes: frozenset[str] = EVALUATED_DOCTYPES,
-    pub_years: frozenset[int] | None = None,
 ) -> ScoreSet:
     """Count integer and fractional citations per cited paper.
 
-    The cited side is filtered to `eligible_doctypes` and, when given, to
-    `pub_years`. A citing link contributes iff the citing record's year
+    The cited side is filtered to `eligible_doctypes`; the papers of one
+    publication year are picked by the units file (``py=``), through the
+    assignment. A citing link contributes iff the citing record's year
     falls in `window`; citing documents are not type-filtered. Papers with
     no in-window citations appear with ic = 0, fc = 0. An in-window citing
     document with k = 0 that cites an eligible paper is skipped and listed.
     """
-    impacts: dict[str, PaperImpact] = {}
-    for rec in corpus.cited.values():
-        if rec.doctype not in eligible_doctypes:
-            continue
-        if pub_years is not None and rec.year not in pub_years:
-            continue
-        impacts[rec.id] = PaperImpact()
+    impacts = {
+        rec.id: PaperImpact()
+        for rec in corpus.cited.values()
+        if rec.doctype in eligible_doctypes
+    }
 
     # Only integer work per link: tallies[cited id][k] counts in-window
     # citations from documents with k references.

@@ -82,14 +82,11 @@ def brute_force_scores(
     corpus: Corpus,
     window: Window,
     eligible_doctypes: frozenset[str],
-    pub_years: frozenset[int] | None = None,
 ) -> dict[str, PaperImpact]:
     """Naive per-link reimplementation of the counting rules."""
     out: dict[str, PaperImpact] = {}
     for rec in corpus.cited.values():
         if rec.doctype not in eligible_doctypes:
-            continue
-        if pub_years is not None and rec.year not in pub_years:
             continue
         impact = PaperImpact()
         for citing in corpus.citing.values():

@@ -561,14 +561,41 @@ class TestConfigAndValidation:
         )
         assert code == 2
 
-    def test_bad_py_usage_exit(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("2009:2005", "window start 2009 > end 2005"),
+            ("-5:2005", "window start must be >= 1, got -5"),
+        ],
+        ids=["start_after_end", "start_below_one"],
+    )
+    def test_window_rule_gives_its_reason(self, data_dir, tmp_path, capsys, window, message):
+        out = tmp_path / "out"
         code = run(
             "count", "--input", str(data_dir / "toy_corpus.jsonl"),
             "--units", str(data_dir / "toy_units.txt"),
-            "--window", "2005:2009", "--py", "20x5", "--out", str(tmp_path),
+            f"--window={window}", "--out", str(out),
         )
         assert code == 2
-        assert "internal error" not in capsys.readouterr().err
+        assert f"error: invalid --window value {window!r}: {message}\n" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_py_setting_is_gone(self, data_dir, tmp_path, capsys):
+        # A unit's papers are picked by year in the units file (py=) alone.
+        argv = [
+            "count", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--out", str(tmp_path / "out"),
+        ]
+        assert run(*argv, "--py", "2005") == 2
+        assert "unrecognized arguments: --py 2005" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min-pubs = 2\npy = 2005\n", encoding="utf-8")
+        assert run(*argv, "--config", str(cfg)) == 2
+        assert "run.cfg, line 2: unknown setting 'py'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "rows",
@@ -629,11 +656,16 @@ class TestConfigAndValidation:
              "line 2, column 13: unit 'A' subtracts undefined unit 'Ghost'"),
             ("A := ad=(x) minus B\nB := ad=(y) minus A\n",
              "line 2, column 13: cyclic minus chain through 'A'"),
+            ("U := py=\n", "line 1, column 9: unexpected end of query"),
+            ("U := (ad=(x)\n", "line 1, column 6: unbalanced parenthesis"),
+            ("U := ad=(and)\n", "line 1, column 10: expected a phrase"),
+            ("U := ad=(x) )\n", "line 1, column 13: trailing input ')'"),
         ],
         ids=[
             "query", "missing_assign", "empty_name", "duplicate_name", "bare_minus",
             "superscript_year", "year_beyond_int_digits", "deep_parens",
             "deep_parens_in_ad", "long_or_chain", "undefined_minus", "cyclic_minus",
+            "year_missing", "unclosed_paren", "operator_as_phrase", "trailing_paren",
         ],
     )
     def test_units_syntax_error_names_line_and_column(
@@ -795,7 +827,6 @@ SETTING_SAMPLES = {
     "input": ("{data}/toy_corpus.jsonl", None),
     "format": ("tagged", "tagdged"),
     "units": ("{data}/toy_units.txt", None),
-    "py": ("2005,2006", "20x5"),
     "window": ("2005:2007,2005:2009", "2005:2007,2005-2009"),
     "min_pubs": ("3", "0"),
     "alpha": ("0.01", "nan"),
@@ -880,7 +911,7 @@ _CONFIG_LINE = st.one_of(
     st.tuples(_KEYS, _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     _TEXT,
 )
-_FLAG = st.sampled_from(["--min-pubs", "--alpha", "--py", "--window", "--format"])
+_FLAG = st.sampled_from(["--min-pubs", "--alpha", "--window", "--format"])
 
 
 @settings(max_examples=80, deadline=None)

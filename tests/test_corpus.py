@@ -14,6 +14,7 @@ from citefrac.corpus import (
     PROCEEDINGS_PAPER,
     REVIEW,
     PublicationRecord,
+    _blocks,
     _cited_doi,
     _lines,
     _record_lines,
@@ -347,6 +348,14 @@ class TestCanonical:
         )
         assert sorted(corpus.links) == [("X", "A"), ("X", "B")]
 
+    @pytest.mark.parametrize("side", ["cited", "citing"])
+    def test_build_corpus_rejects_repeated_id(self, side):
+        records = [PublicationRecord(id="A", year=2005), PublicationRecord(id="A", year=2006)]
+        cited = records if side == "cited" else []
+        citing = records if side == "citing" else []
+        with pytest.raises(DuplicateId, match=f"duplicate {side} id 'A'"):
+            build_corpus(cited, citing)
+
     def test_duplicate_id_rejected(self):
         lines = (
             '{"id": "A", "side": "cited", "year": 2005}\n'
@@ -455,7 +464,7 @@ def test_canonical_lines_end_only_at_newlines(text, block):
     # Universal newlines: only "\n", "\r\n" and "\r" end a line.
     expected = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
     with mock.patch.object(corpus_module, "_BLOCK_CHARS", block):
-        assert list(_lines(text, _record_lines)) == expected
+        assert [line for b in _blocks(text) for line in _record_lines(b)] == expected
 
 
 def _cut(text: str, cuts: list[int]) -> list[str]:
@@ -474,7 +483,7 @@ def test_lines_of_blocks_as_of_the_whole_text(text, cuts):
     blocks = _cut(text, cuts)
     assert list(_lines(iter(blocks))) == text.splitlines()
     expected = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
-    assert list(_lines(iter(blocks), _record_lines)) == expected
+    assert [line for b in _blocks(iter(blocks)) for line in _record_lines(b)] == expected
 
 
 def test_loaders_take_blocks():

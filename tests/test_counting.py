@@ -76,13 +76,6 @@ class TestPaperScores:
         assert "A" not in scores.impacts
         assert scores.impacts["B"].ic == 1
 
-    def test_pub_year_filter(self):
-        corpus = build_corpus([cited("A", year=2004), cited("B", year=2005)], [])
-        scores = paper_scores(
-            corpus, Window(2005, 2009), pub_years=frozenset({2005})
-        )
-        assert set(scores.impacts) == {"B"}
-
     def test_zero_k_citing_skipped_with_warning(self):
         corpus = build_corpus([cited("A")], [citing("X", 2006, 0, ["A"])])
         scores = paper_scores(corpus, Window(2005, 2009))
@@ -239,7 +232,6 @@ class TestCountingProperties:
         # (1990, 1991) holds no citing year of random_corpus, so no link.
         windows = [Window(1990, 1991), Window(2005, 2005), Window(2005, 2008),
                    Window(2004, 2011)]
-        pub_year_sets = [None, frozenset({2005}), frozenset({2004, 2006})]
         for _ in range(100):
             corpus = random_corpus(rng, 20)
             # Give a share of the citing documents k = 0 while they keep
@@ -251,11 +243,11 @@ class TestCountingProperties:
                     for rec in corpus.citing.values()
                 ],
             )
-            for window, pub_years, doctypes in itertools.product(
-                windows, pub_year_sets, [EVALUATED_DOCTYPES, ALL_DOCTYPES]
+            for window, doctypes in itertools.product(
+                windows, [EVALUATED_DOCTYPES, ALL_DOCTYPES]
             ):
-                scores = paper_scores(corpus, window, doctypes, pub_years)
-                oracle = brute_force_scores(corpus, window, doctypes, pub_years)
+                scores = paper_scores(corpus, window, doctypes)
+                oracle = brute_force_scores(corpus, window, doctypes)
                 assert set(scores.impacts) == set(oracle)
                 for pid in oracle:
                     assert scores.impacts[pid].ic == oracle[pid].ic

@@ -100,12 +100,10 @@ class TestStudentizedRange:
         with pytest.raises(ValueError):
             studentized_range_quantile(0.05, 3, nan)
 
-    def test_no_convergence_raises(self):
-        with pytest.raises(ConvergenceFailure):
-            studentized_range_quantile(0.05, 3, 10, max_iter=1)
-        # A start at the root leaves the bisection's step count unchanged.
-        with pytest.raises(ConvergenceFailure):
-            studentized_range_quantile(0.05, 3, 10, max_iter=1, near=3.8772)
+    def test_unbracketable_quantile_raises(self):
+        # The root lies beyond the bracket's last doubling of hi.
+        with pytest.raises(ConvergenceFailure, match="could not bracket"):
+            studentized_range_quantile(1e-17, 27, 10)
 
     @pytest.mark.parametrize("near", [0.0, -1.0, math.nan, math.inf])
     def test_bad_start_rejected(self, near):
