@@ -36,7 +36,6 @@ from .report import (
 from .unitquery import (
     UnitDefinition,
     assign_units,
-    match_record,
     parse_query,
     parse_unit_definitions,
     to_text,
@@ -61,7 +60,6 @@ __all__ = [
     "emit_graph_dot",
     "load_aggregate_table",
     "load_canonical",
-    "match_record",
     "paper_scores",
     "parse_query",
     "parse_tagged",

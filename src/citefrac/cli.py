@@ -48,7 +48,6 @@ class UsageError(Exception):
 @dataclass
 class RunConfig:
     input: Path
-    format: str = "canonical"
     units: Path | None = None
     windows: list[Window] = field(default_factory=list)
     min_pubs: int = 5
@@ -103,12 +102,6 @@ class _Setting(NamedTuple):
 # --strict switch gives the text "true".
 _SETTINGS = {
     "input": _Setting("input", Path, "input file"),
-    "format": _Setting(
-        "format",
-        _checked(str, "be tagged, canonical or aggregate",
-                 lambda v: v in ("tagged", "canonical", "aggregate")),
-        "input format: tagged, canonical or aggregate",
-    ),
     "units": _Setting("units", Path, "unit definitions file"),
     "window": _Setting("windows", _parse_windows, "citation window, repeatable",
                        {"action": "append", "metavar": "START:END"}),
@@ -245,12 +238,37 @@ def _whole(load: Callable[[str], object]) -> Callable[[Iterable[str]], object]:
     return lambda blocks: load("".join(blocks))
 
 
-def _load_corpus(config: RunConfig, fmt: str, digests=None) -> Corpus:
-    if fmt == "canonical":
-        return _read(config.input, load_canonical, digests)
-    if fmt == "aggregate":
-        raise UsageError("format aggregate is a unit table: run `citefrac report` on it")
-    result = _read(config.input, parse_tagged, digests)
+def _unit_definitions(config: RunConfig, digests=None):
+    if config.units is None or not config.units.is_file():
+        raise UsageError("--units file is required and must exist")
+    return _read(config.units, _whole(parse_unit_definitions), digests)
+
+
+def _manifest(config: RunConfig, fmt: str, digests: list[tuple[Path, str]]) -> str:
+    """The run's inputs, by the digests taken as they were read, the format
+    of its --input, and its settings."""
+    lines = [f"input {path.name} sha256={digest}" for path, digest in sorted(digests)]
+    lines.append(f"format = {fmt}")
+    lines.append(f"min_pubs = {config.min_pubs}")
+    lines.append(f"alpha = {config.alpha}")
+    lines.append("windows = " + ",".join(w.label() for w in config.windows))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Subcommands: each maps the resolved RunConfig to its output tree, a dict of
+# file name -> text. Only main writes the tree, once it is complete. Each
+# reads one input format: ingest a tagged export, assign, count and evaluate
+# a canonical corpus, stats a samples CSV and report a unit table.
+# ---------------------------------------------------------------------------
+
+
+def _ingested(config: RunConfig) -> Corpus:
+    """The corpus of the tagged export at --input. Only the corpus outlives
+    this call, so the parse result is freed before the corpus is written."""
+    result = _read(config.input, parse_tagged)
+    if not result.records and not result.errors:
+        raise UsageError(f"{config.input.name}: no tagged record found")
     if result.errors and config.strict:
         for err in result.errors:
             print(f"error: {config.input.name}, {err}", file=sys.stderr)
@@ -262,35 +280,13 @@ def _load_corpus(config: RunConfig, fmt: str, digests=None) -> Corpus:
     return corpus.build_corpus(result.records)
 
 
-def _unit_definitions(config: RunConfig, digests=None):
-    if config.units is None or not config.units.is_file():
-        raise UsageError("--units file is required and must exist")
-    return _read(config.units, _whole(parse_unit_definitions), digests)
-
-
-def _manifest(config: RunConfig, digests: list[tuple[Path, str]]) -> str:
-    """The run's inputs, by the digests taken as they were read, and settings."""
-    lines = [f"input {path.name} sha256={digest}" for path, digest in sorted(digests)]
-    lines.append(f"format = {config.format}")
-    lines.append(f"min_pubs = {config.min_pubs}")
-    lines.append(f"alpha = {config.alpha}")
-    lines.append("windows = " + ",".join(w.label() for w in config.windows))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Subcommands: each maps the resolved RunConfig to its output tree, a dict of
-# file name -> text. Only main writes the tree, once it is complete.
-# ---------------------------------------------------------------------------
-
-
 def cmd_ingest(config: RunConfig) -> dict[str, str]:
-    return {"corpus.jsonl": write_canonical(_load_corpus(config, "tagged"))}
+    return {"corpus.jsonl": write_canonical(_ingested(config))}
 
 
 def cmd_assign(config: RunConfig) -> dict[str, str]:
     defs = _unit_definitions(config)
-    assignment = assign_units(_load_corpus(config, config.format), defs)
+    assignment = assign_units(_read(config.input, load_canonical), defs)
     rows = ([u, pid] for u in sorted(assignment) for pid in sorted(assignment[u]))
     return {"assignment.csv": report.csv_text(["unit", "paper_id"], rows)}
 
@@ -303,7 +299,7 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list):
     if not config.windows:
         raise UsageError("at least one --window is required")
     defs = _unit_definitions(config, digests)
-    loaded = _load_corpus(config, config.format, digests)
+    loaded = _read(config.input, load_canonical, digests)
     assignment = assign_units(loaded, defs)
     scores = {}
     for window in config.windows:
@@ -322,7 +318,7 @@ def cmd_count(config: RunConfig) -> dict[str, str]:
         tree[f"scores{name}.csv"] = counting.export_scores_csv(score_set, assignment)
         if skipped:
             tree[f"skipped_units{name}.csv"] = report.csv_text(["unit", "p"], skipped)
-    tree["manifest.txt"] = _manifest(config, digests)
+    tree["manifest.txt"] = _manifest(config, "canonical", digests)
     return tree
 
 
@@ -409,8 +405,11 @@ def cmd_stats(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
     digests: list[tuple[Path, str]] = []
     groups = _read(config.input, _whole(_load_samples_csv), digests)
+    skip = _battery_skip_reason(groups)
+    if skip is not None:
+        raise UsageError(f"{config.input.name}: {skip}")
     _stats_battery(tree, groups, config.alpha)
-    tree["manifest.txt"] = _manifest(config, digests)
+    tree["manifest.txt"] = _manifest(config, "samples", digests)
     return tree
 
 
@@ -444,11 +443,6 @@ def _unit_reports(
 
 def cmd_report(config: RunConfig) -> dict[str, str]:
     """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
-    if config.format != "aggregate":
-        raise UsageError(
-            f"format {config.format} is a corpus: `citefrac report` reads a unit "
-            "table, given with --format aggregate"
-        )
     digests: list[tuple[Path, str]] = []
     rows = _read(config.input, _whole(load_aggregate_table), digests)
     tree = {"aggregates.csv": report.format_aggregates_csv(rows, ["3", "5"])}
@@ -469,7 +463,7 @@ def cmd_report(config: RunConfig) -> dict[str, str]:
             "FC (3y)": "fc3", "FC (5y)": "fc5",
         },
     )
-    tree["manifest.txt"] = _manifest(config, digests)
+    tree["manifest.txt"] = _manifest(config, "aggregate", digests)
     return tree
 
 
@@ -503,7 +497,7 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
     else:
         print(f"statistics skipped: {skip}", file=sys.stderr)
     tree["scores.csv"] = counting.export_scores_csv(scores[last], assignment)
-    tree["manifest.txt"] = _manifest(config, digests)
+    tree["manifest.txt"] = _manifest(config, "canonical", digests)
     return tree
 
 

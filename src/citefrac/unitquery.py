@@ -336,11 +336,6 @@ class _AddressIndex:
         return op(self.records(node.left), self.records(node.right))
 
 
-def match_record(node: Node, rec: PublicationRecord) -> bool:
-    """Decide whether a record satisfies a query. Total function."""
-    return bool(_AddressIndex([rec]).records(node))
-
-
 # ---------------------------------------------------------------------------
 # Unit definitions and assignment
 # ---------------------------------------------------------------------------

@@ -168,6 +168,12 @@ def _match_address(node: uq.Node, address: tuple[str, ...]) -> bool:
     raise TypeError(f"{type(node).__name__} cannot appear inside an address scope")
 
 
+def index_match_record(node: uq.Node, rec: PublicationRecord) -> bool:
+    """Whether a record satisfies a query, by the evaluator `assign_units`
+    runs, over an index of that one record."""
+    return bool(uq._AddressIndex([rec]).records(node))
+
+
 def reference_match_record(node: uq.Node, rec: PublicationRecord) -> bool:
     """Decide whether a record satisfies a query. Total function."""
     addresses = [uq.normalize_address(a) for a in rec.addresses]

@@ -22,29 +22,22 @@ def run(*argv):
 
 class TestIngest:
     def test_tagged_and_ingested_corpus_count_alike(self, data_dir, tmp_path):
-        # A record without DT has doctype "" (not evaluated), in the export
-        # and in the corpus.jsonl that ingest writes from it.
+        # A tagged record without DT has doctype "" (not evaluated) in the
+        # corpus.jsonl that ingest writes, so count leaves it out as the
+        # export's own doctype would.
         text = (data_dir / "toy_good.tagged").read_text(encoding="utf-8")
         export = tmp_path / "export.tagged"
         export.write_text(text.replace("DT Proceedings Paper\n", ""), encoding="utf-8")
-        assert run("ingest", "--input", str(export), "--out", str(tmp_path / "ingested")) == 0
-        trees = []
-        for fmt, path in (
-            ("tagged", export), ("canonical", tmp_path / "ingested" / "corpus.jsonl")
-        ):
-            out = tmp_path / fmt
-            code = run(
-                "count", "--input", str(path), "--format", fmt,
-                "--units", str(data_dir / "toy_units.txt"),
-                "--window", "2005:2009", "--min-pubs", "1", "--out", str(out),
-            )
-            assert code == 0
-            trees.append({
-                f.name: f.read_text(encoding="utf-8")
-                for f in out.iterdir() if f.name != "manifest.txt"
-            })
-        assert trees[0] == trees[1]
-        assert "Unit Alpha,1," in trees[0]["aggregates.csv"]
+        ingested = tmp_path / "ingested"
+        assert run("ingest", "--input", str(export), "--out", str(ingested)) == 0
+        out = tmp_path / "count"
+        code = run(
+            "count", "--input", str(ingested / "corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--min-pubs", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert "Unit Alpha,1," in (out / "aggregates.csv").read_text(encoding="utf-8")
 
     def test_good_file(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -73,6 +66,19 @@ class TestIngest:
     def test_missing_input(self, tmp_path, capsys):
         code = run("ingest", "--input", str(tmp_path / "nope.tagged"), "--out", str(tmp_path))
         assert code == 2
+
+    def test_input_without_tagged_record_usage_exit(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("ingest", "--input", str(data_dir / "toy_corpus.jsonl"), "--out", str(out))
+        assert code == 2
+        assert "error: toy_corpus.jsonl: no tagged record found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_export_is_one_rejected_record(self, tmp_path, capsys):
+        export = tmp_path / "export.tagged"
+        export.write_text("FN x\nVR 1\nEF\n", encoding="utf-8")
+        assert run("ingest", "--input", str(export), "--out", str(tmp_path / "out")) == 0
+        assert "ingested 0 record(s), rejected 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "record, message",
@@ -191,7 +197,7 @@ class TestCountAndEvaluate:
         inputs, extra = {
             "count": ([corpus, units], counted),
             "evaluate": ([corpus, units], counted),
-            "report": ([data_dir / "table1.csv"], ["--format", "aggregate"]),
+            "report": ([data_dir / "table1.csv"], []),
             "ingest": ([data_dir / "toy_good.tagged"], []),
         }[command]
         opened = []
@@ -306,8 +312,7 @@ class TestAggregateTableMode:
     def test_report_subcommand(self, data_dir, tmp_path):
         out = tmp_path / "out"
         code = run(
-            "report", "--input", str(data_dir / "table1.csv"),
-            "--format", "aggregate", "--out", str(out),
+            "report", "--input", str(data_dir / "table1.csv"), "--out", str(out),
         )
         assert code == 0
         top = (out / "ranking_fcp5.csv").read_text(encoding="utf-8").splitlines()[1]
@@ -315,33 +320,21 @@ class TestAggregateTableMode:
         changes = (out / "rank_changes_icp5_to_fcp5.csv").read_text(encoding="utf-8")
         assert "Dep Chinese Language & Literature,+17" in changes.replace('"', "")
 
-    @pytest.mark.parametrize("fmt", ["tagged", "canonical", None])
-    def test_report_refuses_corpus_formats(self, fmt, data_dir, tmp_path, capsys):
-        out = tmp_path / "out"
-        argv = ["report", "--input", str(data_dir / "table1.csv"), "--out", str(out)]
-        code = run(*argv, *(["--format", fmt] if fmt else []))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"format {fmt or 'canonical'} is a corpus" in err
-        assert "--format aggregate" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["evaluate", "count", "assign"])
     def test_corpus_commands_refuse_unit_table(self, command, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(
-            command, "--input", str(data_dir / "table1.csv"), "--format", "aggregate",
+            command, "--input", str(data_dir / "table1.csv"),
             "--units", str(data_dir / "toy_units.txt"), "--window", "2005:2009",
             "--out", str(out),
         )
         assert code == 2
-        assert "run `citefrac report` on it" in capsys.readouterr().err
+        assert "table1.csv, line 1: invalid JSON: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_correlations_emitted(self, data_dir, tmp_path):
         out = tmp_path / "out"
-        run("report", "--input", str(data_dir / "table1.csv"), "--format", "aggregate",
-            "--out", str(out))
+        run("report", "--input", str(data_dir / "table1.csv"), "--out", str(out))
         text = (out / "correlations.csv").read_text(encoding="utf-8")
         row = next(
             l for l in text.splitlines()
@@ -424,6 +417,23 @@ class TestStatsSubcommand:
         text = "unit,fc_num,fc_den,fc_decimal\nA,1,3,0.333333333333\n"
         assert _load_samples_csv(text) == {"A": [1 / 3]}
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("unit,value\nA,1\nA,2\nB,3\n",
+             "unit 'B' has 1 paper(s), the tests need at least 2"),
+            ("unit,value\nA,1\nA,2\n", "only unit 'A' kept, the tests need at least 2 units"),
+        ],
+        ids=["one_value_unit", "one_unit"],
+    )
+    def test_too_few_samples_name_the_unit(self, tmp_path, capsys, text, reason):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("stats", "--input", str(samples), "--out", str(out)) == 2
+        assert f"error: samples.csv: {reason}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_levene_on_zero_deviation_spread(self, tmp_path):
         samples = tmp_path / "samples.csv"
         samples.write_text("unit,value\nA,0\nA,2\nB,0\nB,4\n", encoding="utf-8")
@@ -487,7 +497,7 @@ class TestFailedRunWritesNothing:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        code = run("report", "--input", str(table), "--format", "aggregate", "--out", str(out))
+        code = run("report", "--input", str(table), "--out", str(out))
         assert code == 2
         assert "constant input" in capsys.readouterr().err
         assert not out.exists()
@@ -597,6 +607,17 @@ class TestConfigAndValidation:
         assert "run.cfg, line 2: unknown setting 'py'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_format_setting_is_gone(self, data_dir, tmp_path, capsys):
+        # Each subcommand reads one input format; there is no --format.
+        code = run(
+            "count", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"), "--window", "2005:2009",
+            "--format", "canonical", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert "unrecognized arguments: --format canonical" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -616,10 +637,7 @@ class TestConfigAndValidation:
     def test_bad_aggregate_table_usage_exit(self, tmp_path, capsys, rows):
         table = tmp_path / "table.csv"
         table.write_text("unit,P,IC3,FC3,IC5,FC5\n" + rows, encoding="utf-8")
-        code = run(
-            "report", "--input", str(table), "--format", "aggregate",
-            "--out", str(tmp_path / "out"),
-        )
+        code = run("report", "--input", str(table), "--out", str(tmp_path / "out"))
         assert code == 2
         assert "table.csv, line " in capsys.readouterr().err
 
@@ -743,11 +761,7 @@ class TestConfigAndValidation:
             ("min-pubs = x", "run.cfg, line 3: invalid min-pubs value 'x'"),
             ("min-pubs = 0", "run.cfg, line 3: invalid min-pubs value '0': must be >= 1, got 0"),
             ("alpha = 2", "run.cfg, line 3: invalid alpha value '2': must lie in (0, 1), got 2.0"),
-            (
-                "format = tagdged",
-                "run.cfg, line 3: invalid format value 'tagdged': "
-                "must be tagged, canonical or aggregate, got tagdged",
-            ),
+            ("format = canonical", "run.cfg, line 3: unknown setting 'format'"),
         ],
         ids=[
             "unknown_key", "no_equals", "strict_not_boolean", "min_pubs_not_integer",
@@ -825,7 +839,6 @@ def test_console_entry_point(data_dir, tmp_path):
 # accepts every text). A setting missing here fails the completeness test.
 SETTING_SAMPLES = {
     "input": ("{data}/toy_corpus.jsonl", None),
-    "format": ("tagged", "tagdged"),
     "units": ("{data}/toy_units.txt", None),
     "window": ("2005:2007,2005:2009", "2005:2007,2005-2009"),
     "min_pubs": ("3", "0"),
@@ -911,7 +924,7 @@ _CONFIG_LINE = st.one_of(
     st.tuples(_KEYS, _VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     _TEXT,
 )
-_FLAG = st.sampled_from(["--min-pubs", "--alpha", "--window", "--format"])
+_FLAG = st.sampled_from(["--min-pubs", "--alpha", "--window"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -1173,9 +1186,7 @@ _TABLE_EDIT = st.one_of(
 def test_mutated_aggregate_table_never_internal_error(edits, garbage):
     data = Path(__file__).parent / "data"
     lines = (data / "table1.csv").read_text(encoding="utf-8").splitlines()
-    _exits_cleanly(
-        ["report", "--format", "aggregate"], "--input", _damaged(lines, edits, garbage)
-    )
+    _exits_cleanly(["report"], "--input", _damaged(lines, edits, garbage))
 
 
 # The Tsinghua units file as a user might damage it: lines replaced by other

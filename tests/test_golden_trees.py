@@ -64,7 +64,7 @@ CASES = {
         },
     ),
     "report_table1": (
-        ["report", "--input", "table1.csv", "--format", "aggregate"],
+        ["report", "--input", "table1.csv"],
         {
             **TABLE1_REPORTS,
             "manifest.txt": "d95cc7f652264e31df365b28a42cfb33569849439a38c78728c7c1639675e417",
@@ -99,8 +99,7 @@ def test_report_on_two_units_skips_correlations(tmp_path):
         encoding="utf-8",
     )
     out = tmp_path / "out"
-    assert main(["report", "--input", str(table), "--format", "aggregate",
-                 "--out", str(out)]) == 0
+    assert main(["report", "--input", str(table), "--out", str(out)]) == 0
     ranked = ["ic3", "icp3", "fc3", "fcp3", "ic5", "icp5", "fc5", "fcp5", "p"]
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["aggregates.csv", "manifest.txt",

@@ -137,22 +137,6 @@ def test_bad_byte_after_ef_exits_2(data_dir, tmp_path, monkeypatch, capsys, read
     assert not out.exists()
 
 
-def test_manifest_hashes_the_whole_tagged_export(data_dir, tmp_path, tiny_reads):
-    # The parser stops at EF; the text after it is still hashed.
-    data = (data_dir / "toy_good.tagged").read_bytes() + "after the end, 清华\n".encode()
-    export = tmp_path / "export.tagged"
-    export.write_bytes(data)
-    out = tmp_path / "out"
-    argv = [
-        "count", "--format", "tagged", "--input", str(export),
-        "--units", str(data_dir / "toy_units.txt"), "--window", "2005:2009",
-        "--min-pubs", "1", "--out", str(out),
-    ]
-    assert main(argv) == 0
-    manifest = (out / "manifest.txt").read_text(encoding="utf-8")
-    assert f"input export.tagged sha256={hashlib.sha256(data).hexdigest()}\n" in manifest
-
-
 def test_read_holds_less_than_the_file(tmp_path):
     # Neither the file's whole bytes nor its whole text is held while it
     # loads: beyond the corpus it returns, the read holds less than the file.

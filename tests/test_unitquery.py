@@ -17,12 +17,11 @@ from citefrac.unitquery import (
     UnitDefinition,
     YearEquals,
     assign_units,
-    match_record,
     parse_query,
     parse_unit_definitions,
     to_text,
 )
-from helpers import random_ast, random_record, reference_match_record
+from helpers import index_match_record, random_ast, random_record, reference_match_record
 
 
 def rec(*addresses, year=2005):
@@ -109,7 +108,7 @@ class TestParse:
         terms = ["ad=(a)", "py=2005"] * MAX_DEPTH
         ast = parse_query(" or ".join(terms[: MAX_DEPTH + 1]))
         assert parse_query(to_text(ast)) == ast
-        assert match_record(ast, rec("a"))
+        assert index_match_record(ast, rec("a"))
         text = " or ".join(terms[: MAX_DEPTH + 2])
         with pytest.raises(QuerySyntaxError, match="more than") as info:
             parse_query(text)
@@ -144,33 +143,33 @@ class TestParse:
 class TestMatch:
     def test_same_within_one_address(self):
         ast = parse_query("ad=(tsinghua univ same dep phys)")
-        assert match_record(
+        assert index_match_record(
             ast, rec("Tsinghua Univ, Dep Phys, Beijing, PR China")
         )
 
     def test_same_requires_cooccurrence(self):
         ast = parse_query("ad=(tsinghua univ same dep phys)")
-        assert not match_record(
+        assert not index_match_record(
             ast, rec("Tsinghua Univ, Beijing", "Peking Univ, Dep Phys")
         )
 
     def test_china_not_taiwan(self):
         ast = parse_query("ad=(china not taiwan)")
-        assert not match_record(ast, rec("Taipei, Taiwan, Republ of China"))
-        assert match_record(ast, rec("Beijing, Peoples R China"))
+        assert not index_match_record(ast, rec("Taipei, Taiwan, Republ of China"))
+        assert index_match_record(ast, rec("Beijing, Peoples R China"))
 
     def test_phrase_crosses_comma_boundary(self):
         # "univ dep" spans the comma between two address components.
         ast = parse_query("ad=(univ dep phys)")
-        assert match_record(ast, rec("Tsinghua Univ, Dep Phys, Beijing"))
+        assert index_match_record(ast, rec("Tsinghua Univ, Dep Phys, Beijing"))
 
     def test_year(self):
-        assert match_record(parse_query("py=2005"), rec("x", year=2005))
-        assert not match_record(parse_query("py=2005"), rec("x", year=2006))
+        assert index_match_record(parse_query("py=2005"), rec("x", year=2005))
+        assert not index_match_record(parse_query("py=2005"), rec("x", year=2006))
 
     def test_punctuation_stripped(self):
         ast = parse_query("ad=(umea univ)")
-        assert match_record(ast, rec("Umea Univ., (Dept. 5), Sweden"))
+        assert index_match_record(ast, rec("Umea Univ., (Dept. 5), Sweden"))
 
     def test_not_is_set_difference_property(self):
         rng = random.Random(5)
@@ -178,8 +177,8 @@ class TestMatch:
             left = random_ast(rng, 2)
             right = random_ast(rng, 2)
             record = random_record(rng)
-            assert match_record(Not(left, right), record) == (
-                match_record(left, record) and not match_record(right, record)
+            assert index_match_record(Not(left, right), record) == (
+                index_match_record(left, record) and not index_match_record(right, record)
             )
 
     def test_same_subset_of_and_property(self):
@@ -193,9 +192,9 @@ class TestMatch:
             record = random_record(rng)
             same = FieldScope("ad", Same(left, right))
             conj = FieldScope("ad", And(left, right))
-            if match_record(same, record):
+            if index_match_record(same, record):
                 hits += 1
-                assert match_record(conj, record)
+                assert index_match_record(conj, record)
         assert hits > 0  # the property was actually exercised
 
     def test_round_trip_random_asts(self):
@@ -225,31 +224,31 @@ class TestIndexEvaluator:
             )
             assert assignment["U"] == want, to_text(ast)
             for r in records:
-                assert match_record(ast, r) == (r.id in want), to_text(ast)
+                assert index_match_record(ast, r) == (r.id in want), to_text(ast)
             hits += len(want)
         assert hits > 100  # matches, not only misses, were compared
 
     def test_not_at_record_level_spans_addresses(self):
         # Some address has china, but another one has taiwan.
         ast = parse_query("ad=(china not taiwan)")
-        assert not match_record(ast, self.CHINA_TAIWAN)
+        assert not index_match_record(ast, self.CHINA_TAIWAN)
 
     def test_not_inside_same_is_per_address(self):
         ast = parse_query("ad=(dep phys same (china not taiwan))")
-        assert match_record(ast, self.CHINA_TAIWAN)
+        assert index_match_record(ast, self.CHINA_TAIWAN)
 
     def test_phrase_across_comma_matches(self):
-        assert match_record(parse_query("ad=(phys beijing)"), self.CHINA_TAIWAN)
+        assert index_match_record(parse_query("ad=(phys beijing)"), self.CHINA_TAIWAN)
 
     def test_phrase_split_across_addresses_does_not_match(self):
         # "china" ends the first address and "taipei" starts the second.
-        assert not match_record(parse_query("ad=(china taipei)"), self.CHINA_TAIWAN)
+        assert not index_match_record(parse_query("ad=(china taipei)"), self.CHINA_TAIWAN)
 
     def test_repeated_token_needs_consecutive_run(self):
         ast = parse_query("ad=(univ univ)")
-        assert match_record(ast, rec("Univ Univ Lab, Beijing"))
-        assert not match_record(ast, rec("Univ Lab, Univ Beijing"))
-        assert not match_record(ast, rec("Univ Lab", "Univ Beijing"))
+        assert index_match_record(ast, rec("Univ Univ Lab, Beijing"))
+        assert not index_match_record(ast, rec("Univ Lab, Univ Beijing"))
+        assert not index_match_record(ast, rec("Univ Lab", "Univ Beijing"))
 
 
 class TestDefinitionsAndAssignment:
@@ -393,7 +392,7 @@ class TestDefinitionsAndAssignment:
         base_engr = {
             r.id
             for r in corpus.cited.values()
-            if match_record(defs[0].query, r)
+            if index_match_record(defs[0].query, r)
         }
         assert not assignment["Chem"] & base_engr
 
