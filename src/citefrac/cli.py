@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error. Every
 setting is declared once, in ``_SETTINGS``: its flag, its key in a flat
-``key = value`` config file and the one parser that checks both. Flags
-given on the command line override the file. A subcommand computes its
-whole output tree before ``main`` writes any of it, so a failed run writes
-no file.
+``key = value`` config file and the one parser that checks both. Each
+subcommand takes only the settings it reads, as ``_COMMANDS`` lists them.
+Flags given on the command line override the file. A subcommand computes
+its whole output tree before ``main`` writes any of it, so a failed run
+writes no file.
 """
 from __future__ import annotations
 
@@ -54,6 +55,7 @@ class RunConfig:
     alpha: float = 0.05
     out: Path = Path("out")
     strict: bool = False
+    read: tuple[str, ...] = ()  # the keys of the settings its subcommand reads
 
 
 def _checked(convert: Callable[[str], object], rule: str, ok) -> Callable:
@@ -95,16 +97,17 @@ class _Setting(NamedTuple):
     parse: Callable[[str], object]
     help: str
     flag: dict = {}  # further add_argument keywords of its flag
+    required: bool = False  # by every subcommand that reads it
 
 
 # Config-file key (also the flag, --key with '-' for '_') -> its setting.
 # A repeated --window joins into the config file's comma list, and the bare
 # --strict switch gives the text "true".
 _SETTINGS = {
-    "input": _Setting("input", Path, "input file"),
-    "units": _Setting("units", Path, "unit definitions file"),
+    "input": _Setting("input", Path, "input file", required=True),
+    "units": _Setting("units", Path, "unit definitions file", required=True),
     "window": _Setting("windows", _parse_windows, "citation window, repeatable",
-                       {"action": "append", "metavar": "START:END"}),
+                       {"action": "append", "metavar": "START:END"}, required=True),
     "min_pubs": _Setting("min_pubs", _checked(int, "be >= 1", lambda v: v >= 1),
                          "smallest publication count P of a kept unit"),
     "alpha": _Setting("alpha", _checked(float, "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
@@ -115,10 +118,12 @@ _SETTINGS = {
 }
 
 
-def _read_config_file(path: Path) -> dict[str, tuple[str, str]]:
+def _read_config_file(path: Path, keys: tuple[str, ...]) -> dict[str, tuple[str, str]]:
     """Setting key -> (value, the file:line prefix of its error should it not
-    parse). Only a line whose first non-blank character is '#' is a comment."""
+    parse), for the settings in `keys` alone, each given once. Only a line whose
+    first non-blank character is '#' is a comment."""
     values: dict[str, tuple[str, str]] = {}
+    first: dict[str, int] = {}  # key -> the line that gave it
     lines = _read(path, "".join).splitlines()
     for number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -129,25 +134,28 @@ def _read_config_file(path: Path) -> dict[str, tuple[str, str]]:
             raise UsageError(f"{where}: config line without '=': {raw!r}")
         raw_key, value = map(str.strip, line.split("=", 1))
         key = raw_key.replace("-", "_")
-        if key not in _SETTINGS:
-            raise UsageError(
-                f"{where}: unknown setting {raw_key!r} (known: {', '.join(_SETTINGS)})"
-            )
+        if key not in keys:
+            raise UsageError(f"{where}: unknown setting {raw_key!r} (known: {', '.join(keys)})")
+        if key in first:
+            raise UsageError(f"{where}: {raw_key} given twice, first at line {first[key]}")
+        first[key] = number
         values[key] = (value, f"{where}: invalid {raw_key} value {value!r}: ")
     return values
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve every setting once: a flag wins over the --config file, and a
-    setting given neither way (or given empty) keeps its RunConfig default.
-    The file the subcommand reads must exist."""
+    """Resolve each setting the subcommand reads once: a flag wins over the
+    --config file, and a setting given neither way (or given empty) keeps
+    its RunConfig default. A required setting must be given, and a required
+    path must name a file; both are checked before any input is read."""
+    keys = _COMMANDS[args.command][1]
     given: dict[str, tuple[str, str]] = {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
-        given = _read_config_file(path)
-    for key in _SETTINGS:
+        given = _read_config_file(path, keys)
+    for key in keys:
         flag = getattr(args, key)
         if flag is not None:
             text = ",".join(flag) if isinstance(flag, list) else flag
@@ -159,11 +167,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 settings[_SETTINGS[key].field] = _SETTINGS[key].parse(text)
             except ValueError as exc:
                 raise UsageError(f"{where}{exc}") from exc
-    if "input" not in settings:
-        raise UsageError("--input is required")
-    if not settings["input"].is_file():
-        raise UsageError(f"input file not found: {settings['input']}")
-    config = RunConfig(**settings)
+    for key in (k for k in keys if _SETTINGS[k].required):
+        value = settings.get(_SETTINGS[key].field)
+        if not value:
+            raise UsageError(f"--{key} is required")
+        if isinstance(value, Path) and not value.is_file():
+            raise UsageError(f"{key} file not found: {value}")
+    config = RunConfig(read=keys, **settings)
     if config.out.exists() and not config.out.is_dir():
         raise UsageError(f"--out {config.out} exists and is not a directory")
     return config
@@ -238,20 +248,14 @@ def _whole(load: Callable[[str], object]) -> Callable[[Iterable[str]], object]:
     return lambda blocks: load("".join(blocks))
 
 
-def _unit_definitions(config: RunConfig, digests=None):
-    if config.units is None or not config.units.is_file():
-        raise UsageError("--units file is required and must exist")
-    return _read(config.units, _whole(parse_unit_definitions), digests)
-
-
 def _manifest(config: RunConfig, fmt: str, digests: list[tuple[Path, str]]) -> str:
     """The run's inputs, by the digests taken as they were read, the format
-    of its --input, and its settings."""
+    of its --input, and those of min_pubs, alpha and windows it read."""
     lines = [f"input {path.name} sha256={digest}" for path, digest in sorted(digests)]
     lines.append(f"format = {fmt}")
-    lines.append(f"min_pubs = {config.min_pubs}")
-    lines.append(f"alpha = {config.alpha}")
-    lines.append("windows = " + ",".join(w.label() for w in config.windows))
+    shown = {"min_pubs": config.min_pubs, "alpha": config.alpha,
+             "window": ",".join(w.label() for w in config.windows)}
+    lines += [f"{_SETTINGS[k].field} = {v}" for k, v in shown.items() if k in config.read]
     return "\n".join(lines) + "\n"
 
 
@@ -285,7 +289,7 @@ def cmd_ingest(config: RunConfig) -> dict[str, str]:
 
 
 def cmd_assign(config: RunConfig) -> dict[str, str]:
-    defs = _unit_definitions(config)
+    defs = _read(config.units, _whole(parse_unit_definitions))
     assignment = assign_units(_read(config.input, load_canonical), defs)
     rows = ([u, pid] for u in sorted(assignment) for pid in sorted(assignment[u]))
     return {"assignment.csv": report.csv_text(["unit", "paper_id"], rows)}
@@ -294,11 +298,9 @@ def cmd_assign(config: RunConfig) -> dict[str, str]:
 def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list):
     """Load, assign and count every window, and add aggregates.csv to the
     tree: one row per kept unit with its totals per window, each window
-    named by the suffix of its columns and files (_2005_2009). The windows
-    and the units file are checked before the corpus is read."""
-    if not config.windows:
-        raise UsageError("at least one --window is required")
-    defs = _unit_definitions(config, digests)
+    named by the suffix of its columns and files (_2005_2009). The units
+    file is parsed before the corpus is read."""
+    defs = _read(config.units, _whole(parse_unit_definitions), digests)
     loaded = _read(config.input, load_canonical, digests)
     assignment = assign_units(loaded, defs)
     scores = {}
@@ -344,7 +346,7 @@ def _load_samples_csv(text: str) -> dict[str, list[float]]:
         header = next(reader, [])
         if "unit" not in header:
             raise MalformedField("samples header lacks a 'unit' column", 1)
-        for value_cols in (["fc_num", "fc_den"], ["fc_decimal"], ["value"]):
+        for value_cols in (["fc_num", "fc_den"], ["value"]):
             if all(col in header for col in value_cols):
                 break
         else:
@@ -506,12 +508,16 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    for key, setting in _SETTINGS.items():
-        parser.add_argument(
-            f"--{key.replace('_', '-')}", dest=key, help=setting.help, **setting.flag
-        )
-    parser.add_argument("--config", help="flat key = value config file")
+# Subcommand -> (its function, the keys of the settings it reads). These
+# alone are its flags and its config keys; a manifest shows those it reads.
+_COMMANDS = {
+    "ingest": (cmd_ingest, ("input", "out", "strict")),
+    "assign": (cmd_assign, ("input", "units", "out")),
+    "count": (cmd_count, ("input", "units", "window", "min_pubs", "out")),
+    "stats": (cmd_stats, ("input", "alpha", "out")),
+    "report": (cmd_report, ("input", "out")),
+    "evaluate": (cmd_evaluate, ("input", "units", "window", "min_pubs", "alpha", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,10 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fractional citation counting and unit impact evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for func in (cmd_ingest, cmd_assign, cmd_count, cmd_stats, cmd_report, cmd_evaluate):
-        p = sub.add_parser(func.__name__.removeprefix("cmd_"))
-        _add_common(p)
-        p.set_defaults(func=func)
+    for name, (_, keys) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for key in keys:
+            setting = _SETTINGS[key]
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=setting.help,
+                           **setting.flag)
+        p.add_argument("--config", help="flat key = value config file")
     return parser
 
 
@@ -535,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         config = _build_config(args)
-        tree = args.func(config)
+        tree = _COMMANDS[args.command][0](config)
         # Nothing is written until the whole tree is computed, so a run
         # that fails leaves no files.
         for name, text in tree.items():

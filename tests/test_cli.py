@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -228,7 +229,7 @@ class TestCountAndEvaluate:
         argv = [command, "--input", str(corpus), "--units", str(units),
                 "--out", str(tmp_path / "out")]
         assert run(*argv) == 2
-        assert "at least one --window is required" in capsys.readouterr().err
+        assert "error: --window is required\n" in capsys.readouterr().err
         assert run(*argv, "--window", "2005:2009") == 2
         err = capsys.readouterr().err
         assert "units.txt, line 1, column 13: unit 'A' subtracts undefined unit 'Ghost'" in err
@@ -323,10 +324,10 @@ class TestAggregateTableMode:
     @pytest.mark.parametrize("command", ["evaluate", "count", "assign"])
     def test_corpus_commands_refuse_unit_table(self, command, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
+        windows = [] if command == "assign" else ["--window", "2005:2009"]
         code = run(
             command, "--input", str(data_dir / "table1.csv"),
-            "--units", str(data_dir / "toy_units.txt"), "--window", "2005:2009",
-            "--out", str(out),
+            "--units", str(data_dir / "toy_units.txt"), *windows, "--out", str(out),
         )
         assert code == 2
         assert "table1.csv, line 1: invalid JSON: " in capsys.readouterr().err
@@ -416,6 +417,17 @@ class TestStatsSubcommand:
     def test_scores_export_read_exactly(self):
         text = "unit,fc_num,fc_den,fc_decimal\nA,1,3,0.333333333333\n"
         assert _load_samples_csv(text) == {"A": [1 / 3]}
+
+    def test_decimal_column_alone_is_no_value_column(self, tmp_path, capsys):
+        # Every scores export has fc_num and fc_den beside fc_decimal.
+        samples = tmp_path / "samples.csv"
+        samples.write_text("unit,fc_decimal\nA,0.5\nA,1\nB,1\nB,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("stats", "--input", str(samples), "--out", str(out)) == 2
+        assert "error: samples.csv, line 1: samples header lacks a value column\n" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -641,6 +653,30 @@ class TestConfigAndValidation:
         assert code == 2
         assert "table.csv, line " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["window = 2005:2007", "window = 2005:2009"],
+             "run.cfg, line 3: window given twice, first at line 1"),
+            (["min-pubs = 3", "min_pubs = 2"],
+             "run.cfg, line 3: min_pubs given twice, first at line 1"),
+        ],
+        ids=["window", "min_pubs_spelt_two_ways"],
+    )
+    def test_config_key_given_twice_usage_exit(self, data_dir, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{lines[0]}\n# between\n{lines[1]}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        windows = [] if lines[0].startswith("window") else ["--window", "2005:2009"]
+        code = run(
+            "count", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"), *windows,
+            "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_window_usage_exit(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(
@@ -753,34 +789,35 @@ class TestConfigAndValidation:
         assert "internal error" not in err
 
     @pytest.mark.parametrize(
-        "line, message",
+        "command, line, message",
         [
-            ("min_pub = 3", "run.cfg, line 3: unknown setting 'min_pub'"),
-            ("min-pubs 3", "run.cfg, line 3: config line without '='"),
-            ("strict = ture", "run.cfg, line 3: invalid strict value 'ture'"),
-            ("min-pubs = x", "run.cfg, line 3: invalid min-pubs value 'x'"),
-            ("min-pubs = 0", "run.cfg, line 3: invalid min-pubs value '0': must be >= 1, got 0"),
-            ("alpha = 2", "run.cfg, line 3: invalid alpha value '2': must lie in (0, 1), got 2.0"),
-            ("format = canonical", "run.cfg, line 3: unknown setting 'format'"),
+            ("count", "min_pub = 3", "run.cfg, line 3: unknown setting 'min_pub'"),
+            ("count", "min-pubs 3", "run.cfg, line 3: config line without '='"),
+            ("ingest", "strict = ture", "run.cfg, line 3: invalid strict value 'ture'"),
+            ("count", "min-pubs = x", "run.cfg, line 3: invalid min-pubs value 'x'"),
+            ("count", "min-pubs = 0",
+             "run.cfg, line 3: invalid min-pubs value '0': must be >= 1, got 0"),
+            ("evaluate", "alpha = 2",
+             "run.cfg, line 3: invalid alpha value '2': must lie in (0, 1), got 2.0"),
+            ("count", "format = canonical", "run.cfg, line 3: unknown setting 'format'"),
         ],
         ids=[
             "unknown_key", "no_equals", "strict_not_boolean", "min_pubs_not_integer",
             "min_pubs_zero", "alpha_out_of_range", "format_unknown",
         ],
     )
-    def test_bad_config_usage_exit(self, data_dir, tmp_path, capsys, line, message):
+    def test_bad_config_usage_exit(self, data_dir, tmp_path, capsys, command, line, message):
         out = tmp_path / "out"
         cfg = tmp_path / "run.cfg"
+        tagged = command == "ingest"
         cfg.write_text(
-            f"input = {data_dir / 'toy_corpus.jsonl'}\n"
+            f"input = {data_dir / ('toy_good.tagged' if tagged else 'toy_corpus.jsonl')}\n"
             "# comment lines count toward the line number\n"
             f"{line}\n",
             encoding="utf-8",
         )
-        code = run(
-            "count", "--config", str(cfg), "--units", str(data_dir / "toy_units.txt"),
-            "--window", "2005:2009", "--out", str(out),
-        )
+        counted = ["--units", str(data_dir / "toy_units.txt"), "--window", "2005:2009"]
+        code = run(command, "--config", str(cfg), *([] if tagged else counted), "--out", str(out))
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -789,13 +826,12 @@ class TestConfigAndValidation:
         out = tmp_path / "run#1"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            f"  # indented comment\ninput = {data_dir / 'toy_corpus.jsonl'}\n"
-            f"units = {data_dir / 'toy_units.txt'}\n"
-            f"window = 2005:2009\nstrict = YES\nout = {out}\n",
+            f"  # indented comment\ninput = {data_dir / 'toy_good.tagged'}\n"
+            f"strict = YES\nout = {out}\n",
             encoding="utf-8",
         )
-        assert run("count", "--config", str(cfg)) == 0
-        assert (out / "manifest.txt").is_file()
+        assert run("ingest", "--config", str(cfg)) == 0
+        assert (out / "corpus.jsonl").is_file()
         assert not (tmp_path / "run").exists()
 
     def test_failed_write_usage_exit_names_path(self, data_dir, tmp_path, capsys):
@@ -853,7 +889,11 @@ def test_setting_samples_cover_every_setting():
 
 
 class TestSettingsDeclaredOnce:
-    """A flag and a config line reach a setting through the same parser."""
+    """A flag and a config line reach a setting through the same parser.
+
+    Each setting runs on a subcommand that reads it (ingest for --strict,
+    evaluate for the rest), with that subcommand's other required settings
+    given as flags."""
 
     def flag_argv(self, key, text):
         flag = "--" + key.replace("_", "-")
@@ -863,16 +903,24 @@ class TestSettingsDeclaredOnce:
             return [arg for window in text.split(",") for arg in (flag, window)]
         return [flag, text]
 
+    def base_argv(self, data_dir, key):
+        """The subcommand and its required settings other than `key`."""
+        if key == "strict":
+            return ["ingest", "--input", str(data_dir / "toy_good.tagged")]
+        required = {"input": str(data_dir / "toy_corpus.jsonl"),
+                    "units": str(data_dir / "toy_units.txt"), "window": "2005:2009"}
+        required.pop(key, None)
+        return ["evaluate", *(arg for k, v in required.items() for arg in (f"--{k}", v))]
+
     def from_flags(self, data_dir, key, text):
-        base = [] if key == "input" else ["--input", str(data_dir / "toy_corpus.jsonl")]
-        args = build_parser().parse_args(["count", *base, *self.flag_argv(key, text)])
-        return _build_config(args)
+        argv = [*self.base_argv(data_dir, key), *self.flag_argv(key, text)]
+        return _build_config(build_parser().parse_args(argv))
 
     def from_config(self, data_dir, tmp_path, key, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# {key}\n{key.replace('_', '-')} = {text}\n", encoding="utf-8")
-        base = [] if key == "input" else ["--input", str(data_dir / "toy_corpus.jsonl")]
-        return _build_config(build_parser().parse_args(["count", *base, "--config", str(cfg)]))
+        argv = [*self.base_argv(data_dir, key), "--config", str(cfg)]
+        return _build_config(build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("key", sorted(SETTING_SAMPLES))
     def test_flag_and_config_give_the_same_value(self, key, data_dir, tmp_path):
@@ -882,10 +930,8 @@ class TestSettingsDeclaredOnce:
         from_config = self.from_config(data_dir, tmp_path, key, text)
         assert getattr(from_flags, field) == getattr(from_config, field)
         assert from_flags == from_config
-        default = _build_config(build_parser().parse_args(
-            ["count", "--input", str(data_dir / "toy_corpus.jsonl")]
-        ))
-        if key != "input":
+        if key not in ("input", "units", "window"):  # each required: no default
+            default = _build_config(build_parser().parse_args(self.base_argv(data_dir, key)))
             assert getattr(from_flags, field) != getattr(default, field)
 
     @pytest.mark.parametrize(
@@ -902,6 +948,106 @@ class TestSettingsDeclaredOnce:
         assert flag.startswith(f"invalid --{name} value {bad!r}: ")
         assert config.startswith(f"run.cfg, line 2: invalid {name} value {bad!r}: ")
         assert flag.split(f"{bad!r}: ", 1)[1] == config.split(f"{bad!r}: ", 1)[1]
+
+
+# The settings each subcommand reads; no other setting is its flag or config key.
+READS = {
+    "ingest": ("input", "out", "strict"),
+    "assign": ("input", "units", "out"),
+    "count": ("input", "units", "window", "min_pubs", "out"),
+    "stats": ("input", "alpha", "out"),
+    "report": ("input", "out"),
+    "evaluate": ("input", "units", "window", "min_pubs", "alpha", "out"),
+}
+# Its manifest's name of each setting a manifest shows, in manifest order.
+MANIFEST_NAMES = {"min_pubs": "min_pubs", "alpha": "alpha", "window": "windows"}
+UNREAD = [(command, key) for command, keys in READS.items()
+          for key in _SETTINGS if key not in keys]
+
+
+class TestSettingsPerSubcommand:
+    """Each subcommand takes the settings it reads, and only those."""
+
+    def good_argv(self, command, data_dir, tmp_path):
+        """A run of `command` that succeeds, with its required settings."""
+        samples = tmp_path / "samples.csv"
+        samples.write_text("unit,value\nA,1\nA,2\nB,3\nB,5\n", encoding="utf-8")
+        corpus = ["--input", str(data_dir / "toy_corpus.jsonl"),
+                  "--units", str(data_dir / "toy_units.txt")]
+        return [command, *{
+            "ingest": ["--input", str(data_dir / "toy_good.tagged")],
+            "assign": corpus,
+            "count": [*corpus, "--window", "2005:2009"],
+            "stats": ["--input", str(samples)],
+            "report": ["--input", str(data_dir / "table1.csv")],
+            "evaluate": [*corpus, "--window", "2005:2009", "--min-pubs", "2"],
+        }[command]]
+
+    def test_table_covers_every_setting(self):
+        assert {key for keys in READS.values() for key in keys} == _SETTINGS.keys()
+        assert len(UNREAD) == 20
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_its_settings(self, command, capsys):
+        assert run(command, "--help") == 0
+        flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert sorted(flags) == sorted(
+            ["--config"] + ["--" + key.replace("_", "-") for key in READS[command]]
+        )
+
+    @pytest.mark.parametrize("command, key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_unread_setting_usage_exit(self, command, key, data_dir, tmp_path, capsys):
+        argv = self.good_argv(command, data_dir, tmp_path)
+        out = tmp_path / "out"
+        value = {"units": str(data_dir / "toy_units.txt"), "window": "2005:2009",
+                 "min_pubs": "2", "alpha": "0.05", "strict": "true"}[key]
+        flag = "--" + key.replace("_", "-")
+        flag_argv = [flag] if key == "strict" else [flag, value]
+        assert run(*argv, *flag_argv, "--out", str(out)) == 2
+        assert f"unrecognized arguments: {' '.join(flag_argv)}" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# {command}\n{key} = {value}\n", encoding="utf-8")
+        assert run(*argv, "--config", str(cfg), "--out", str(out)) == 2
+        known = ", ".join(READS[command])
+        assert f"error: run.cfg, line 2: unknown setting {key!r} (known: {known})\n" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["count", "stats", "report", "evaluate"])
+    def test_manifest_lists_the_settings_read(self, command, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run(*self.good_argv(command, data_dir, tmp_path), "--out", str(out)) == 0
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        names = [line.split(" = ")[0] for line in manifest if not line.startswith("input ")]
+        assert names == ["format"] + [
+            name for key, name in MANIFEST_NAMES.items() if key in READS[command]
+        ]
+
+    @pytest.mark.parametrize("command", ["ingest", "assign"])
+    def test_no_manifest(self, command, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run(*self.good_argv(command, data_dir, tmp_path), "--out", str(out)) == 0
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("assign", "units"), ("count", "units"), ("count", "window"), ("evaluate", "window"),
+         ("stats", "input"), ("ingest", "input")],
+    )
+    def test_required_setting(self, command, key, data_dir, tmp_path, capsys):
+        argv = self.good_argv(command, data_dir, tmp_path)
+        at = argv.index("--" + key)
+        out = tmp_path / "out"
+        assert run(*argv[:at], *argv[at + 2:], "--out", str(out)) == 2
+        assert f"error: --{key} is required\n" in capsys.readouterr().err
+        if key != "window":
+            missing = tmp_path / "nope.txt"
+            argv[at + 1] = str(missing)
+            assert run(*argv, "--out", str(out)) == 2
+            assert f"error: {key} file not found: {missing}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Config lines and flag values as a user might mistype them: a good value,
@@ -934,13 +1080,16 @@ _FLAG = st.sampled_from(["--min-pubs", "--alpha", "--window"])
 )
 def test_mutated_settings_never_internal_error(lines, flags):
     data = Path(__file__).parent / "data"
+    # A base line gives way to a fuzzed line of its key, which would
+    # otherwise stop at the given-twice rule before its value is parsed.
+    key = lambda line: line.split("=", 1)[0].strip().replace("-", "_")  # noqa: E731
+    base = [f"input = {data / 'toy_corpus.jsonl'}", f"units = {data / 'toy_units.txt'}",
+            "window = 2005:2009", "min-pubs = 2"]
+    fuzzed = {key(line) for line in lines}
     with tempfile.TemporaryDirectory() as scratch:
         cfg = Path(scratch) / "run.cfg"
         cfg.write_text(
-            "\n".join(
-                [f"input = {data / 'toy_corpus.jsonl'}", f"units = {data / 'toy_units.txt'}",
-                 "window = 2005:2009", "min-pubs = 2", *lines]
-            ) + "\n",
+            "\n".join([line for line in base if key(line) not in fuzzed] + lines) + "\n",
             encoding="utf-8",
         )
         out = Path(scratch) / "out"

@@ -56,7 +56,7 @@ CASES = {
          "--window", "2005:2007", "--window", "2005:2009", "--min-pubs", "5"],
         {
             "aggregates.csv": "1172c6719c4efbaac92d5e22abb28fd456b6332cb4e733463eca109f6aadf9c2",
-            "manifest.txt": "d37f13adb5f638003c463749bba720d1f1d42556cce4866ef0809873a8258c02",
+            "manifest.txt": "fb0a5509608d2b119c43861499ebfd662d840550a47b05d6bbfdf9bab88c52f2",
             "scores_2005_2007.csv": "78e2032ea41573fa5e5f8036f13ad2ad67f5988ed1ee406c0b637481e1e5d881",
             "scores_2005_2009.csv": "73bce53e504b4f410e7157c09f1c06de13c490b4f5dd7b455d8bfcf9506d11ee",
             "skipped_units_2005_2007.csv": "c5e62e29256801e4927c4a92bdb46c6a9145dd291e9dc330178e556c99cc1cfc",
@@ -67,12 +67,32 @@ CASES = {
         ["report", "--input", "table1.csv"],
         {
             **TABLE1_REPORTS,
-            "manifest.txt": "d95cc7f652264e31df365b28a42cfb33569849439a38c78728c7c1639675e417",
+            "manifest.txt": "74d1e9b60a330c3f198d45ee18a1d1147e9526e8e62fda697c1b0828af55368a",
         },
     ),
 }
 
 FIXTURES = {"toy_corpus.jsonl", "toy_units.txt", "table1.csv"}
+
+# The frozen manifests as text: each lists its inputs' digests, its input
+# format and only the settings its subcommand reads (count no alpha, report
+# none of min_pubs, alpha and windows).
+CORPUS_SHA = "a062e8e3a8358f6cf346896d015f6b87002776d0589ad72badc58d083f0b30b4"
+UNITS_SHA = "3f5f0f54594f1d76e2c2c2c5253fdd1f7a0f30062fecf0781219bc135f39b7f0"
+MANIFESTS = {
+    "evaluate_toy_two_windows": (
+        f"input toy_corpus.jsonl sha256={CORPUS_SHA}\ninput toy_units.txt sha256={UNITS_SHA}\n"
+        "format = canonical\nmin_pubs = 2\nalpha = 0.05\nwindows = 2005-2007,2005-2009\n"
+    ),
+    "count_toy_skipped_units": (
+        f"input toy_corpus.jsonl sha256={CORPUS_SHA}\ninput toy_units.txt sha256={UNITS_SHA}\n"
+        "format = canonical\nmin_pubs = 5\nwindows = 2005-2007,2005-2009\n"
+    ),
+    "report_table1": (
+        "input table1.csv sha256=b96d99f15b93e74d284861643ea70740d621851ded87dc72c3c9b4b4ed7b2141\n"
+        "format = aggregate\n"
+    ),
+}
 
 
 def covered_digests(out):
@@ -90,6 +110,7 @@ def test_output_tree_matches_frozen_digests(case, data_dir, tmp_path):
     argv = [str(data_dir / a) if a in FIXTURES else a for a in argv]
     assert main(argv + ["--out", str(out)]) == 0
     assert covered_digests(out) == expected
+    assert (out / "manifest.txt").read_text(encoding="utf-8") == MANIFESTS[case]
 
 
 def test_report_on_two_units_skips_correlations(tmp_path):
