@@ -9,18 +9,22 @@ Most of a corpus is its citing side, and it repeats itself: its records
 name the same cited ids, and a department's papers carry the same
 addresses. So both corpus loaders keep one object per distinct value across
 records: addresses, cited ids and doctypes go through sys.intern, and years
-through a dict per load.
+through a dict per load. The loaders build only acyclic objects, so they
+pause the cyclic garbage collector, which would otherwise rescan the growing
+corpus again and again.
 """
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from sys import intern
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateId,
@@ -54,10 +58,13 @@ def normalize_doctype(label: str) -> str:
     return _DOCTYPE_MAP.get(label.strip().lower(), label.strip())
 
 
-@dataclass(frozen=True, slots=True)
-class PublicationRecord:
+class PublicationRecord(NamedTuple):
     """One bibliographic record, either cited-side, citing-side, or both: a
-    plain value. The loaders check the record rule; this type does not."""
+    plain value, equal to the tuple of its fields and copied with
+    ``_replace``. The loaders check the record rule; this type does not.
+
+    A tuple, as the loaders build one per record: a frozen dataclass's
+    ``__init__`` sets each field through ``object.__setattr__``."""
 
     id: str
     year: int
@@ -163,6 +170,20 @@ def _blocks(text: str | Iterable[str]) -> Iterator[str]:
         yield "".join(carry)
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector, then restore its state. For
+    code that builds only acyclic objects, which reference counting frees;
+    as a decorator it applies to each call."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _lines(text: str | Iterable[str]) -> Iterator[str]:
     """The lines str.splitlines gives of ``text``, split one block at a time."""
     for block in _blocks(text):
@@ -184,9 +205,14 @@ def _record_lines(block: str) -> list[str]:
 # Every [A-Z][A-Z0-9] pair is a field tag. A record keeps the first value of
 # each _FIRST_TAGS tag and every value of C1 and CR, continuation lines
 # included; any other tag only opens a record and ends the previous field.
+# _FIELDS maps the first three characters of a field line, its tag and a
+# space, to the tag when the record keeps it and to "" when it does not. The
+# ER and EF markers map to themselves, so that a bare marker followed by
+# blanks is not read as a field; `_finish_record` reads no value of theirs.
 _UPPER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_TAGS = frozenset(a + b for a in _UPPER for b in _UPPER + "0123456789")
-_FIRST_TAGS = frozenset({"UT", "DI", "PY", "NR", "DT"})
+_FIRST_TAGS = ("UT", "DI", "PY", "NR", "DT")
+_FIELDS = {a + b + " ": "" for a in _UPPER for b in _UPPER + "0123456789"}
+_FIELDS.update((tag + " ", tag) for tag in (*_FIRST_TAGS, "C1", "CR", "ER", "EF"))
 # One C1 address per match: the bracket group naming its authors, which
 # separates several authors with ';' too, then the address up to the next ';'.
 _ADDRESS_RE = re.compile(r"\s*(?:\[[^\]]*\])?([^;]*);?")
@@ -269,16 +295,17 @@ def _finish_record(
 
     dois = [intern(doi) for doi in map(_cited_doi, cr) if doi is not None]
     return PublicationRecord(
-        id=rec_id,
-        year=years.setdefault(numbers["PY"], numbers["PY"]),
-        doctype=intern(normalize_doctype(first.get("DT") or "")),
-        addresses=tuple(_split_addresses(c1)),
-        nrefs=numbers["NR"],
-        cited_ids=tuple(dict.fromkeys(dois)),
-        doi=first.get("DI"),
+        rec_id,
+        years.setdefault(numbers["PY"], numbers["PY"]),
+        intern(normalize_doctype(first.get("DT") or "")),
+        tuple(_split_addresses(c1)),
+        numbers["NR"],
+        tuple(dict.fromkeys(dois)),
+        first.get("DI"),
     )
 
 
+@_collector_paused()
 def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
     """Parse a tagged flat file, given as one str or as an iterable of
     blocks (see `_blocks`), into publication records.
@@ -301,8 +328,8 @@ def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
     saw_ef = False
 
     for lineno, raw in enumerate(_lines(text), start=1):
-        tag = raw[:2]
-        if raw[2:3] == " " and tag in _TAGS and not (
+        tag = _FIELDS.get(raw[:3])
+        if tag is not None and not (
             (tag == "ER" or tag == "EF") and raw.rstrip() == tag
         ):
             if not in_record:
@@ -317,7 +344,7 @@ def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
             else:
                 # FN/VR and other file-header tags are harmless extras.
                 continued = None
-                if tag in _FIRST_TAGS and tag not in first:
+                if tag and tag not in first:
                     first[tag] = raw[3:]
         elif raw[:1].isspace():
             if continued is not None and (value := raw.strip()):
@@ -363,6 +390,42 @@ _SIDES = ("cited", "citing", "both")
 _quote = json.encoder.encode_basestring
 
 
+# A line in exactly the shape `write_canonical` writes, whose strings hold no
+# '"', no backslash and no control character, and whose integers have at
+# most 18 digits. JSON reads such a string as its text and such an integer
+# as int() does, so the loader takes a record's values from this one match;
+# it reads any other line as JSON, and checks both alike.
+_TEXT = r'"([^"\\\x00-\x1f]*)"'
+_TEXTS = r'\[((?:"[^"\\\x00-\x1f]*"(?:, "[^"\\\x00-\x1f]*")*)?)\]'
+_INTEGER = r"(-?(?:0|[1-9][0-9]{0,17}))"
+_written_line = re.compile(
+    rf'\{{"id": {_TEXT}, "side": "(cited|citing|both)", "year": {_INTEGER}, '
+    rf'"doctype": {_TEXT}, "addresses": {_TEXTS}, "nrefs": (?:{_INTEGER}|null), '
+    rf'"cites": {_TEXTS}, "doi": (?:{_TEXT}|null)\}}'
+).fullmatch
+
+
+def _texts(items: str) -> tuple[str, ...]:
+    """The strings of a `_TEXTS` match, each interned."""
+    return tuple(map(intern, items[1:-1].split('", "'))) if items else ()
+
+
+def _json_object(line: str, lineno: int) -> dict:
+    """The JSON object of a line, with a valid side."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
+    except (ValueError, RecursionError) as exc:  # huge integer, deep nesting
+        raise ParseError(f"invalid JSON: {exc}", lineno) from None
+    if type(obj) is not dict:
+        raise ParseError("a record must be a JSON object", lineno)
+    side = obj.get("side")
+    if side not in _SIDES:
+        raise ParseError(f"invalid side {side!r}", lineno)
+    return obj
+
+
 def _strings(obj: dict, key: str, rec_id: str, lineno: int) -> tuple[str, ...]:
     """The JSON list of strings under `key`, each interned; missing or null
     is empty."""
@@ -381,6 +444,47 @@ def _strings(obj: dict, key: str, rec_id: str, lineno: int) -> tuple[str, ...]:
     )
 
 
+def _json_fields(
+    obj: dict, rec_id: str, lineno: int
+) -> tuple[int, str, tuple[str, ...], int | None, tuple[str, ...], str | None]:
+    """A JSON record's year, doctype, addresses, nrefs, cites and doi, each
+    of its type."""
+    year = obj.get("year")
+    if year is None:
+        raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
+    # int() would read 2005.7 as 2005 and true as 1; a numeric string
+    # is read, and int() names a bad one ("invalid literal").
+    if type(year) is str:
+        try:
+            year = int(year)
+        except ValueError as exc:
+            raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
+    elif type(year) is not int:
+        raise MalformedField(
+            f"record {rec_id!r}: year must be an integer, got {year!r}", lineno
+        )
+    nrefs = obj.get("nrefs")
+    if nrefs is not None and type(nrefs) is not int:
+        raise MalformedField(
+            f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
+        )
+    doctype = obj.get("doctype")
+    if doctype is None:
+        doctype = ARTICLE
+    elif type(doctype) is not str:
+        raise MalformedField(
+            f"record {rec_id!r}: doctype must be a string, got {doctype!r}", lineno
+        )
+    doi = obj.get("doi")
+    if doi is not None and type(doi) is not str:
+        raise MalformedField(
+            f"record {rec_id!r}: doi must be a string, got {doi!r}", lineno
+        )
+    addresses = _strings(obj, "addresses", rec_id, lineno)
+    cites = _strings(obj, "cites", rec_id, lineno)
+    return year, doctype, addresses, nrefs, cites, doi
+
+
 def _utf8_encodable(text: str) -> bool:
     if text.isascii():  # as a corpus mostly is; encoding it would copy it
         return True
@@ -391,6 +495,7 @@ def _utf8_encodable(text: str) -> bool:
     return True
 
 
+@_collector_paused()
 def load_canonical(text: str | Iterable[str]) -> Corpus:
     """Load a corpus from the canonical one-JSON-object-per-line format,
     given as one str or as an iterable of blocks (see `_blocks`).
@@ -401,7 +506,9 @@ def load_canonical(text: str | Iterable[str]) -> Corpus:
     included, is kept, as a tagged record without DT keeps ``""``. A record
     whose strings hold a lone surrogate, raw or escaped (``"\\ud800"``), is
     rejected, as no output file could encode it. Records share repeated
-    values, as the module docstring says.
+    values, as the module docstring says. A line in the shape
+    `write_canonical` writes is read by one regex match, any other as JSON;
+    both pass the same checks.
     """
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []
@@ -415,20 +522,14 @@ def load_canonical(text: str | Iterable[str]) -> Corpus:
         surrogates = "\\ud" in block or "\\uD" in block or not _utf8_encodable(block)
         for line in _record_lines(block):
             lineno += 1
-            if not line.strip():
+            written = _written_line(line)
+            if written is not None:
+                rec_id, side, year, doctype, addresses, nrefs, cites, doi = written.groups()
+            elif line.strip():
+                obj = _json_object(line, lineno)
+                side, rec_id = obj["side"], obj.get("id")
+            else:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
-            except (ValueError, RecursionError) as exc:  # huge integer, deep nesting
-                raise ParseError(f"invalid JSON: {exc}", lineno) from None
-            if type(obj) is not dict:
-                raise ParseError("a record must be a JSON object", lineno)
-            side = obj.get("side")
-            if side not in _SIDES:
-                raise ParseError(f"invalid side {side!r}", lineno)
-            rec_id = obj.get("id")
             if not rec_id:
                 raise MissingId("missing id", lineno)
             if type(rec_id) is not str:
@@ -436,39 +537,13 @@ def load_canonical(text: str | Iterable[str]) -> Corpus:
             if rec_id in seen:
                 raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
             seen.add(rec_id)
-            year = obj.get("year")
-            if year is None:
-                raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
-            # int() would read 2005.7 as 2005 and true as 1; a numeric string
-            # is read, and int() names a bad one ("invalid literal").
-            if type(year) is str:
-                try:
-                    year = int(year)
-                except ValueError as exc:
-                    raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
-            elif type(year) is not int:
-                raise MalformedField(
-                    f"record {rec_id!r}: year must be an integer, got {year!r}", lineno
-                )
-            nrefs = obj.get("nrefs")
-            if nrefs is not None and type(nrefs) is not int:
-                raise MalformedField(
-                    f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
-                )
-            doctype = obj.get("doctype")
-            if doctype is None:
-                doctype = ARTICLE
-            elif type(doctype) is not str:
-                raise MalformedField(
-                    f"record {rec_id!r}: doctype must be a string, got {doctype!r}", lineno
-                )
-            doi = obj.get("doi")
-            if doi is not None and type(doi) is not str:
-                raise MalformedField(
-                    f"record {rec_id!r}: doi must be a string, got {doi!r}", lineno
-                )
-            addresses = _strings(obj, "addresses", rec_id, lineno)
-            cites = _strings(obj, "cites", rec_id, lineno)
+            if written is None:
+                year, doctype, addresses, nrefs, cites, doi = _json_fields(obj, rec_id, lineno)
+            else:
+                year = int(year)
+                addresses = _texts(addresses)
+                nrefs = None if nrefs is None else int(nrefs)
+                cites = _texts(cites)
             if (error := _count_error(year, nrefs)) is not None:
                 raise MalformedField(f"record {rec_id!r}: {error}", lineno)
             if len(set(cites)) != len(cites):
@@ -476,8 +551,8 @@ def load_canonical(text: str | Iterable[str]) -> Corpus:
                     f"record {rec_id!r}: cites contains duplicates", lineno
                 )
             rec = PublicationRecord(
-                id=rec_id, year=years.setdefault(year, year), doctype=intern(doctype),
-                addresses=addresses, nrefs=nrefs, cited_ids=cites, doi=doi,
+                rec_id, years.setdefault(year, year), intern(doctype), addresses, nrefs,
+                cites, doi,
             )
             if surrogates:
                 try:

@@ -109,11 +109,8 @@ class AllValuesTied(StatsError):
 
 
 class ConvergenceFailure(StatsError):
-    """Root finding hit its iteration cap; carries the achieved tolerance."""
-
-    def __init__(self, message: str, achieved_tolerance: float):
-        self.achieved_tolerance = achieved_tolerance
-        super().__init__(f"{message} (achieved tolerance {achieved_tolerance:g})")
+    """Root finding failed. The package raises it only when the
+    studentized-range quantile cannot be bracketed."""
 
 
 # -- reporting -------------------------------------------------------------

@@ -205,9 +205,7 @@ def studentized_range_quantile(
         lo, hi = hi, hi * 2.0
         it += 1
         if it > 60:
-            raise ConvergenceFailure(
-                "could not bracket studentized-range quantile", hi
-            )
+            raise ConvergenceFailure("could not bracket studentized-range quantile")
     while True:
         mid = 0.5 * (lo + hi)
         if below(mid):

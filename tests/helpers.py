@@ -250,9 +250,7 @@ def reference_studentized_range_quantile(
         lo, hi = hi, hi * 2.0
         it += 1
         if it > 60:
-            raise ConvergenceFailure(
-                "could not bracket studentized-range quantile", hi
-            )
+            raise ConvergenceFailure("could not bracket studentized-range quantile")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if cdf(mid, k, df) < target:
@@ -261,9 +259,8 @@ def reference_studentized_range_quantile(
             hi = mid
         if hi - lo <= rel_tol * mid:
             return 0.5 * (lo + hi)
-    achieved = (hi - lo) / max(lo, 1e-300)
     raise ConvergenceFailure(
-        "studentized-range quantile did not converge", achieved
+        f"studentized-range quantile did not converge (bracket [{lo:g}, {hi:g}])"
     )
 
 

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -239,7 +238,7 @@ class TestCountingProperties:
             corpus = build_corpus(
                 corpus.cited.values(),
                 [
-                    replace(rec, nrefs=0) if rng.random() < 0.2 else rec
+                    rec._replace(nrefs=0) if rng.random() < 0.2 else rec
                     for rec in corpus.citing.values()
                 ],
             )

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -214,7 +213,7 @@ class TestIndexEvaluator:
         hits = 0
         for _ in range(2000):
             records = [
-                dataclasses.replace(random_record(rng), id=f"R{i}")
+                random_record(rng)._replace(id=f"R{i}")
                 for i in range(rng.randint(0, 6))
             ]
             ast = random_ast(rng)
