@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import corpus, counting, report
 from .corpus import (
     Corpus,
+    UnitRow,
     load_aggregate_table,
     load_canonical,
     parse_tagged,
@@ -415,31 +416,23 @@ def cmd_stats(config: RunConfig) -> dict[str, str]:
     return tree
 
 
-def _unit_reports(
-    tree: dict[str, str],
-    columns: dict[str, list],
-    ranked: list[str],
-    changes: dict[str, tuple[str, str, str, str]],
-    correlations: dict[str, str],
-) -> None:
+def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str]) -> None:
     """Add the rankings, rank changes and correlations of one unit table,
-    given as its `report.unit_columns`.
-
-    `ranked` names the columns to rank; `changes` maps a rank-change file
-    name to (from column, to column, from label, to label); `correlations`
-    maps a correlation label to its column. Fewer than three units give no
-    correlations.
-    """
-    rankings = {key: report.rank_units(columns, key) for key in ranked}
+    each named by its column key: every column of `report.unit_columns`
+    but ``unit`` is ranked and correlated, in that order, and the last
+    window's IC -> FC and IC/P -> FC/P rank changes are written. Fewer than
+    three units give no correlations."""
+    columns = report.unit_columns(rows, windows)
+    keys = [key for key in columns if key != "unit"]
+    rankings = {key: report.rank_units(columns, key) for key in keys}
     for key, ranking in rankings.items():
         tree[f"ranking_{key}.csv"] = report.format_ranking_csv(ranking)
-    for name, (from_key, to_key, from_label, to_label) in changes.items():
-        deltas = report.rank_change(rankings[from_key], rankings[to_key])
-        tree[name] = report.format_rank_changes_csv(deltas, from_label, to_label)
-    if len(columns["unit"]) >= 3:
-        pairs = correlation_matrix(
-            {label: [float(v) for v in columns[key]] for label, key in correlations.items()}
-        )
+    for a, b in (("ic", "fc"), ("icp", "fcp")):
+        a, b = a + windows[-1], b + windows[-1]
+        deltas = report.rank_change(rankings[a], rankings[b])
+        tree[f"rank_changes_{a}_to_{b}.csv"] = report.format_rank_changes_csv(deltas, a, b)
+    if len(rows) >= 3:
+        pairs = correlation_matrix({key: [float(v) for v in columns[key]] for key in keys})
         tree["correlations.csv"] = report.format_correlation_csv(pairs)
 
 
@@ -448,23 +441,7 @@ def cmd_report(config: RunConfig) -> dict[str, str]:
     digests: list[tuple[Path, str]] = []
     rows = _read(config.input, _whole(load_aggregate_table), digests)
     tree = {"aggregates.csv": report.format_aggregates_csv(rows, ["3", "5"])}
-    columns = report.unit_columns(rows, ["3", "5"])
-    _unit_reports(
-        tree,
-        columns,
-        ranked=[key for key in columns if key != "unit"],
-        changes={
-            f"rank_changes_{a}_to_{b}.csv": (a, b, a, b)
-            for a, b in (("ic5", "fc5"), ("icp5", "fcp5"))
-        },
-        correlations={
-            "P": "p",
-            "IC/P (3y)": "icp3", "IC/P (5y)": "icp5",
-            "FC/P (3y)": "fcp3", "FC/P (5y)": "fcp5",
-            "IC (3y)": "ic3", "IC (5y)": "ic5",
-            "FC (3y)": "fc3", "FC (5y)": "fc5",
-        },
-    )
+    _unit_reports(tree, rows, ["3", "5"])
     tree["manifest.txt"] = _manifest(config, "aggregate", digests)
     return tree
 
@@ -475,20 +452,7 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
     assignment, scores, rows, _ = _count_pipeline(config, tree, digests)
     windows = list(scores)
     last = windows[-1]
-    _unit_reports(
-        tree,
-        report.unit_columns(rows, windows),
-        ranked=[kind + last for kind in ("ic", "fc", "icp", "fcp")],
-        changes={
-            f"rank_changes_{a}_to_{b}_{config.windows[-1].label()}.csv":
-                (a + last, b + last, a, b)
-            for a, b in (("ic", "fc"), ("icp", "fcp"))
-        },
-        correlations={
-            "P": "p",
-            **{kind + w: kind + w for kind in ("icp", "fcp", "ic", "fc") for w in windows},
-        },
-    )
+    _unit_reports(tree, rows, windows)
 
     groups = {
         row.unit: per_paper_samples(assignment, scores[last], row.unit) for row in rows

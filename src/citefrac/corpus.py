@@ -623,9 +623,10 @@ _AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
 def load_aggregate_table(text: str) -> list[UnitRow]:
     """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
 
-    Every cell must be a number a float can hold, as the statistics read
-    each column as floats. IC3, FC3, IC5 and FC5 are counts, so none may be
-    negative, and IC3 and IC5 must be whole numbers."""
+    A unit must be named, once. Every other cell must be a number a float
+    can hold, as the statistics read each column as floats. IC3, FC3, IC5
+    and FC5 are counts, so none may be negative, and IC3 and IC5 must be
+    whole numbers."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         return _aggregate_rows(reader)
@@ -690,6 +691,8 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             raise NonNumericCell(f"IC and FC must not be negative in row {raw!r}", lineno)
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)
+        if not raw["unit"].strip():
+            raise MalformedField("empty unit", lineno)
         if raw["unit"] in seen:
             raise DuplicateId(f"duplicate unit {raw['unit']!r}", lineno)
         seen.add(raw["unit"])

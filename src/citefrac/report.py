@@ -1,8 +1,11 @@
 """Rankings, rank changes, homogeneity graph, and file emission.
 
-All ranking and graph logic consumes exact values; the 2-decimal rounding
-in emitted tables is presentation only, with full-precision values carried
-in parallel ``*_exact`` columns.
+All ranking and graph logic consumes exact values. An emitted table shows
+an integer (P, an IC total) as an integer and any other number (FC, a
+ratio) rounded to 2 decimals; beside it, an ``*_exact`` column gives the
+value's float to 12 significant digits, so 47/24 reads ``1.95833333333``.
+That ``_exact`` format is not full precision; it stays as it is while
+``perfbench/check.py`` compares aggregates at ``.12g``.
 """
 from __future__ import annotations
 
@@ -165,10 +168,8 @@ def emit_graph_dot(graph: HomogeneityGraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _display(value: Number, integer: bool = False) -> str:
-    if integer:
-        return str(int(value))
-    return f"{float(value):.2f}"
+def _display(value: Number) -> str:
+    return str(value) if type(value) is int else f"{float(value):.2f}"
 
 
 def _exact(value: Number) -> str:
@@ -187,17 +188,15 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
 
 def format_aggregates_csv(rows: Sequence[UnitRow], windows: Sequence[str]) -> str:
     """Aggregate table CSV: unit, P, then each count column of
-    `unit_columns` as a display column (IC totals as integers) plus an
-    `_exact` one."""
+    `unit_columns` as a display column plus an `_exact` one."""
     columns = unit_columns(rows, windows)
     units, ps = columns.pop("unit"), columns.pop("p")
-    integer = {f"ic{w}" for w in windows}
     header = ["unit", "P"] + [name for key in columns for name in (key, f"{key}_exact")]
     body = []
     for i, (unit, p) in enumerate(zip(units, ps)):
         out = [unit, str(p)]
-        for key, values in columns.items():
-            out += [_display(values[i], key in integer), _exact(values[i])]
+        for values in columns.values():
+            out += [_display(values[i]), _exact(values[i])]
         body.append(out)
     return csv_text(header, body)
 

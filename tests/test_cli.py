@@ -15,6 +15,7 @@ from citefrac.cli import (
     _SETTINGS, UsageError, _build_config, _load_samples_csv, build_parser, main,
 )
 from citefrac.corpus import load_canonical
+from citefrac.report import unit_columns
 
 
 def run(*argv):
@@ -147,12 +148,11 @@ class TestCountAndEvaluate:
         assert "statistics skipped" not in capsys.readouterr().err
         expected = [
             "aggregates.csv",
-            "ranking_ic_2005_2009.csv",
-            "ranking_fc_2005_2009.csv",
-            "ranking_icp_2005_2009.csv",
-            "ranking_fcp_2005_2009.csv",
-            "rank_changes_ic_to_fc_2005-2009.csv",
-            "rank_changes_icp_to_fcp_2005-2009.csv",
+            "ranking_p.csv",
+            *(f"ranking_{kind}_2005_{end}.csv"
+              for end in ("2007", "2009") for kind in ("ic", "icp", "fc", "fcp")),
+            "rank_changes_ic_2005_2009_to_fc_2005_2009.csv",
+            "rank_changes_icp_2005_2009_to_fcp_2005_2009.csv",
             "correlations.csv",
             "tests.csv",
             "pairwise.csv",
@@ -339,9 +339,44 @@ class TestAggregateTableMode:
         text = (out / "correlations.csv").read_text(encoding="utf-8")
         row = next(
             l for l in text.splitlines()
-            if l.startswith("IC/P (5y),IC/P (3y),pearson")
+            if l.startswith("icp5,icp3,pearson")
         )
         assert float(row.split(",")[3]) == pytest.approx(0.967, abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "argv, windows",
+    [
+        (["report", "--input", "table1.csv"], ["3", "5"]),
+        (["evaluate", "--input", "toy_corpus.jsonl", "--units", "toy_units.txt",
+          "--window", "2005:2007", "--window", "2005:2009", "--min-pubs", "2"],
+         ["_2005_2007", "_2005_2009"]),
+    ],
+    ids=["report", "evaluate"],
+)
+def test_unit_reports_named_by_column_key(argv, windows, data_dir, tmp_path):
+    # report and evaluate lay out their unit table by one rule: every column
+    # but unit is ranked and correlated under its key, and the last window's
+    # rank changes are named from its keys.
+    out = tmp_path / "out"
+    argv = [str(data_dir / a) if a.endswith((".csv", ".jsonl", ".txt")) else a for a in argv]
+    assert run(*argv, "--out", str(out)) == 0
+    keys = [key for key in unit_columns([], windows) if key != "unit"]
+    assert len(keys) == 9
+    ranked = sorted(p.name[len("ranking_"):-len(".csv")] for p in out.glob("ranking_*.csv"))
+    assert ranked == sorted(keys)
+    last = windows[-1]
+    changes = {
+        p.name: p.read_text(encoding="utf-8").splitlines()[0]
+        for p in out.glob("rank_changes_*.csv")
+    }
+    assert changes == {
+        f"rank_changes_{a}{last}_to_{b}{last}.csv": f"unit,delta_{a}{last}_to_{b}{last}"
+        for a, b in (("ic", "fc"), ("icp", "fcp"))
+    }
+    with (out / "correlations.csv").open(encoding="utf-8", newline="") as fh:
+        labels = [row["row"] for row in csv.DictReader(fh)]
+    assert list(dict.fromkeys(labels)) == keys
 
 
 class TestStatsSubcommand:
@@ -640,10 +675,11 @@ class TestConfigAndValidation:
             "A,5,1e400,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
             "A,1" + "0" * 400 + ",1,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
             "A,5,12.5,1,7,2\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
+            "A,5,1,1,1,1\n  ,6,2,1,3,2\nC,7,3,2,4,3\n",
         ],
         ids=[
             "missing_cells", "duplicate_unit", "extra_cell", "field_over_csv_limit",
-            "count_beyond_float", "p_beyond_float", "non_integral_ic",
+            "count_beyond_float", "p_beyond_float", "non_integral_ic", "blank_unit",
         ],
     )
     def test_bad_aggregate_table_usage_exit(self, tmp_path, capsys, rows):

@@ -19,18 +19,18 @@ COVERED = (
 
 TABLE1_REPORTS = {
     "aggregates.csv": "a28fed6c1573fe90a31d57ac329e85bdb2effaa8ee50fe9c6ec0aa0a9847246f",
-    "correlations.csv": "c6e716188ab0af62b3454200278cb832346be548389b3aa5888d04147a2958e6",
+    "correlations.csv": "477cd001f1e07fdf969619810bfc7bf9e046b688acd151a5c7e30baa989021ba",
     "rank_changes_ic5_to_fc5.csv": "78ad5aa84e5323fe8c41c9c63b070c2c14c331e8bf75a2db88152bf214a7e28d",
     "rank_changes_icp5_to_fcp5.csv": "660a156cebf849ab46ee1d79e2732048f3681408aa14eb961c5a3f71d3117a9d",
     "ranking_fc3.csv": "3cef2bb92fb6df519abc3ff02e8365d604d131900630b9de08c86edc17044d2b",
     "ranking_fc5.csv": "bee0cb3735aa3923a1f426df12a97e441f8dccd969d827f34830b03040e272ef",
     "ranking_fcp3.csv": "041597766436d8d49efd6846bf66b8da56eb8dda76f16438097321ef62849478",
     "ranking_fcp5.csv": "9870cee5c1ae8c581145da89a75c7ac182e9dd958c8c76a6862590bb430caa9e",
-    "ranking_ic3.csv": "4a7751eb037b746b91955f30030dba4f055afedaa4bfaac7a6b6fe670f0bd411",
-    "ranking_ic5.csv": "52fe6f260285eb54c352f74905ebe3c0cfdd5c3d8f8d5a662e1dab082b30c38c",
+    "ranking_ic3.csv": "cc41a064204bd15d4c27cc222545f75b6a951ce8699721ce6b37dd089cfda097",
+    "ranking_ic5.csv": "2c32c905d5a53f3ec28518699fe38e7341246c56bed7d0555631de9b6ac70f83",
     "ranking_icp3.csv": "9824775a9d7469e7aa771749cb66a5bda87d4a52919cdbf2d7c7b01dd7dfe0da",
     "ranking_icp5.csv": "6d0f6a3dc4a4b59707e5114aa91118623bd310acddb9036b5981a2564434e5a7",
-    "ranking_p.csv": "55424912eff211243df86e32f07fac45d87a246803c76d18322fbbc9a984aa2a",
+    "ranking_p.csv": "a57a63908b24a7c92143504c7defc7721881fd017a4b687479744e4e5fcb93aa",
 }
 
 # (argv with fixture names for input files, frozen digests of covered files)
@@ -40,14 +40,19 @@ CASES = {
          "--window", "2005:2007", "--window", "2005:2009", "--min-pubs", "2"],
         {
             "aggregates.csv": "1dc832d22d25492875c666f56513c7a79a7a0cd845fa5fd535032d8d9ff6236f",
-            "correlations.csv": "4aece12cc110630e9bbfb502df53fdee9349cbe448338a96a27768e936fc90a8",
+            "correlations.csv": "9ab5d42e2bdca7a3822078f8f09cd58d2cd0c18803341396e589dd47a082a227",
             "manifest.txt": "dd470e038f24fe6faff0bd5be73aaffaa884d2892fadaf4ce477fe44ff9aa058",
-            "rank_changes_ic_to_fc_2005-2009.csv": "f6e03fdbf9b28a99df92c8b67d4527b2eaa6a895b318f7c7ed1cf1937de58bfd",
-            "rank_changes_icp_to_fcp_2005-2009.csv": "924ddb72f365f2ab3f8b990dbd27391da4a37396c91193d4bdc4585126197f3d",
+            "rank_changes_ic_2005_2009_to_fc_2005_2009.csv": "c7ffc110094e25eb9a668cea7835c62442112392d8d680964007440b65e72475",
+            "rank_changes_icp_2005_2009_to_fcp_2005_2009.csv": "404648d7cf500b6ac41ab40595f1997acfc9e21d1a77a0f7c77a7e2cc379ed50",
+            "ranking_fc_2005_2007.csv": "457a7764df3261fad086f8e24eb140520b4c7236e3eea6860919dda3631b1f85",
             "ranking_fc_2005_2009.csv": "f39c8813e222fcaed118a84372e4e96025a59b1c066efd03915501ed711db8b9",
+            "ranking_fcp_2005_2007.csv": "a4f3d71940994d5ac39d06575a08d57eb3699016d07c3e77defa986bda1d2229",
             "ranking_fcp_2005_2009.csv": "952ff3c66a282f303d25d6c378e8c0e3f5c6cc8e1bcc984ce3e208880fcbb798",
-            "ranking_ic_2005_2009.csv": "14f036785322831586f195a4bd1be40730c0acadc1a99bd269ba179656347869",
+            "ranking_ic_2005_2007.csv": "c8565a7cf9b781d20d9991a0f868a1850c4609afe0d6f59c8646a252e13a8272",
+            "ranking_ic_2005_2009.csv": "48c73053dfb934a29122d5e9191b207083b49f6f242f1e76fcf91939e8bd5312",
+            "ranking_icp_2005_2007.csv": "3147e39fe4330f5ac7e39fb69442db427f566a929ed904c451060394e3a268f0",
             "ranking_icp_2005_2009.csv": "d95c167a7231181b79a5f69940db1edf26d9d26bd7b33715771aa590f52eaf0a",
+            "ranking_p.csv": "9b6dce4e8ea4c8c8ce681a5a08b55269b279544f68e791b6412a3692710295e8",
             "scores.csv": "73bce53e504b4f410e7157c09f1c06de13c490b4f5dd7b455d8bfcf9506d11ee",
         },
     ),
