@@ -192,9 +192,9 @@ _READ_BYTES = 1 << 20
 def _decoded(path: Path, file, sha) -> Iterator[str]:
     """The text of the binary `file`, decoded as Path.read_text decodes
     (UTF-8, universal newlines), one read at a time; each read goes into
-    the hash `sha` as it passes. At a byte that is not UTF-8, the text
-    before it comes first, so that a fault earlier in the file is the one
-    its loader reports."""
+    the hash `sha`, if any, as it passes. At a byte that is not UTF-8, the
+    text before it comes first, so that a fault earlier in the file is the
+    one its loader reports."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8")(), translate=True
     )
@@ -203,7 +203,8 @@ def _decoded(path: Path, file, sha) -> Iterator[str]:
     while not final:
         data = file.read(_READ_BYTES)
         final = not data
-        sha.update(data)
+        if sha is not None:
+            sha.update(data)
         held, flag = decoder.getstate()  # held: bytes of a character begun before
         try:
             text = decoder.decode(data, final)
@@ -225,10 +226,10 @@ def _decoded(path: Path, file, sha) -> Iterator[str]:
 def _read(path: Path, load, digests: list[tuple[Path, str]] | None = None):
     """Apply `load` to the text blocks of the input file at `path`, read
     once. What `load` leaves unread (a tagged export ends at EF) is read
-    after it returns, so that every byte is checked to be UTF-8, and the
-    sha256 of them all goes into `digests` when given. An error that names
+    after it returns, so that every byte is checked to be UTF-8; only when
+    `digests` is given is their sha256 taken, into it. An error that names
     a line is led by the file's name: `units.txt, line 3: ...`."""
-    sha = hashlib.sha256()
+    sha = None if digests is None else hashlib.sha256()
     with path.open("rb") as file:
         blocks = _decoded(path, file, sha)
         try:
@@ -340,7 +341,7 @@ def _sample_value(cells: list[str]) -> float:
 
 def _load_samples_csv(text: str) -> dict[str, list[float]]:
     """Per-paper samples from a scores export (unit, fc_num, fc_den) or
-    from a unit,value table."""
+    from a unit,value table, by unit: its cell stripped of blanks."""
     groups: dict[str, list[float]] = {}
     reader = csv.reader(io.StringIO(text))
     try:
@@ -367,9 +368,9 @@ def _load_samples_csv(text: str) -> dict[str, list[float]]:
                     f"{'/'.join(value_cols)} {'/'.join(cells)!r} is not a finite number",
                     reader.line_num,
                 )
-            if not row[unit_at].strip():
+            if not (unit := row[unit_at].strip()):
                 raise MalformedField("empty unit", reader.line_num)
-            groups.setdefault(row[unit_at], []).append(value)
+            groups.setdefault(unit, []).append(value)
     except csv.Error as exc:  # a field over csv.field_size_limit()
         raise MalformedField(str(exc), reader.line_num) from None
     return groups

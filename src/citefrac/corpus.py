@@ -23,6 +23,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
@@ -184,12 +185,6 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _lines(text: str | Iterable[str]) -> Iterator[str]:
-    """The lines str.splitlines gives of ``text``, split one block at a time."""
-    for block in _blocks(text):
-        yield from block.splitlines()
-
-
 def _record_lines(block: str) -> list[str]:
     """The lines of canonical text. Only "\\n", "\\r\\n" and "\\r" end
     one: a JSON string may hold U+2028, U+0085 and the like raw, where
@@ -237,21 +232,17 @@ def _split_addresses(c1_lines: list[str]) -> list[str]:
     return addresses
 
 
-def _cited_doi(line: str) -> str | None:
-    """The DOI a CR line ends with, or None: the text after a "DOI " that
-    starts a word, holding no whitespace, with one trailing '.' dropped.
+# On a record's CR lines joined by "\n", the DOI of each line that ends with
+# one: the text after a "DOI " that starts a word, holding no whitespace and
+# running to the end of its line but for trailing blanks.
+_cited_dois_of = re.compile(r"DOI (?<!\wDOI )(\S+)[^\S\n]*$", re.MULTILINE).findall
 
-    That text runs to the end of the line, so only the last "DOI " can
-    start it. On a line without newlines this is the first match of the
-    regex ``\\bDOI (\\S+?)\\.?$``, found without running it.
-    """
-    at = line.rfind("DOI ")
-    if at < 0 or (at > 0 and (line[at - 1].isalnum() or line[at - 1] == "_")):
-        return None
-    token = line[at + 4:]
-    if token.split() != [token]:
-        return None
-    return token[:-1] if len(token) > 1 and token[-1] == "." else token
+
+def _cited_dois(cr: list[str]) -> list[str]:
+    """The DOIs of a record's CR lines, in order and interned, each with one
+    trailing '.' dropped when longer than one character."""
+    dois = _cited_dois_of("\n".join(cr))
+    return [intern(d[:-1] if d[-1] == "." and len(d) > 1 else d) for d in dois]
 
 
 def _count_error(year: int, nrefs: int | None) -> str | None:
@@ -270,38 +261,40 @@ def _finish_record(
     cr: list[str],
     start_line: int,
     years: dict[int, int],
+    doctypes: dict[str, str],
 ) -> PublicationRecord | ParseError:
     """The record of one ER-terminated block, or the error that rejects it.
-    Its repeated values are shared, as the module docstring says; `years`
-    holds the year objects of the records before it.
+    Its tag values count stripped of blanks. It shares repeated values, as
+    the module docstring says; `years` and `doctypes` hold those of the
+    records before it, the doctypes by their DT text.
 
     The error is returned, never raised, so it holds no frame of the parse
     (and through it the whole export).
     """
-    rec_id = first.get("UT") or first.get("DI")
+    doi = first.get("DI")
+    doi = None if doi is None else doi.strip()
+    rec_id = first.get("UT", "").strip() or doi
     if not rec_id:
         return MissingId("record has neither UT nor DI", start_line)
-    if "PY" not in first:
+    py = first.get("PY")
+    if py is None:
         return MalformedField("record has no PY field", start_line)
-    numbers: dict[str, int | None] = {}
-    for tag in ("PY", "NR"):
-        raw = first.get(tag)
-        try:
-            numbers[tag] = None if raw is None else int(raw)
-        except ValueError:
-            return MalformedField(f"non-integer {tag} {raw!r}", start_line)
-    if (error := _count_error(numbers["PY"], numbers["NR"])) is not None:
+    nr = first.get("NR")
+    year = None
+    try:  # int() reads a number between blanks as the number
+        year = int(py)
+        nrefs = None if nr is None else int(nr)
+    except ValueError:
+        tag, raw = ("PY", py) if year is None else ("NR", nr)
+        return MalformedField(f"non-integer {tag} {raw.strip()!r}", start_line)
+    if (error := _count_error(year, nrefs)) is not None:
         return MalformedField(error, start_line)
 
-    dois = [intern(doi) for doi in map(_cited_doi, cr) if doi is not None]
+    dt = first.get("DT", "")
+    doctype = doctypes.get(dt) or doctypes.setdefault(dt, intern(normalize_doctype(dt)))
     return PublicationRecord(
-        rec_id,
-        years.setdefault(numbers["PY"], numbers["PY"]),
-        intern(normalize_doctype(first.get("DT") or "")),
-        tuple(_split_addresses(c1)),
-        numbers["NR"],
-        tuple(dict.fromkeys(dois)),
-        first.get("DI"),
+        rec_id, years.setdefault(year, year), doctype, tuple(_split_addresses(c1)), nrefs,
+        tuple(dict.fromkeys(_cited_dois(cr))), doi,
     )
 
 
@@ -319,15 +312,17 @@ def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
     result = TaggedParseResult()
     first_lines: dict[str, int] = {}  # accepted record id -> its start line
     years: dict[int, int] = {}
+    doctypes: dict[str, str] = {}
     first: dict[str, str] = {}
     c1: list[str] = []
     cr: list[str] = []
-    continued: list[str] | None = None  # where an indented line goes
+    # Where an indented line goes, kept whole: the C1 split and CR match ignore blanks.
+    continued: list[str] | None = None
     start_line = 0
     in_record = False
     saw_ef = False
 
-    for lineno, raw in enumerate(_lines(text), start=1):
+    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, _blocks(text))), 1):
         tag = _FIELDS.get(raw[:3])
         if tag is not None and not (
             (tag == "ER" or tag == "EF") and raw.rstrip() == tag
@@ -347,11 +342,11 @@ def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
                 if tag and tag not in first:
                     first[tag] = raw[3:]
         elif raw[:1].isspace():
-            if continued is not None and (value := raw.strip()):
-                continued.append(value)
+            if continued is not None:
+                continued.append(raw)
         elif (marker := raw.rstrip()) == "ER":
             if in_record:
-                rec = _finish_record(first, c1, cr, start_line, years)
+                rec = _finish_record(first, c1, cr, start_line, years, doctypes)
                 if isinstance(rec, ParseError):
                     result.errors.append(rec)
                 elif (seen_at := first_lines.setdefault(rec.id, start_line)) == start_line:
@@ -623,10 +618,10 @@ _AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
 def load_aggregate_table(text: str) -> list[UnitRow]:
     """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
 
-    A unit must be named, once. Every other cell must be a number a float
-    can hold, as the statistics read each column as floats. IC3, FC3, IC5
-    and FC5 are counts, so none may be negative, and IC3 and IC5 must be
-    whole numbers."""
+    A unit must be named, once, by its cell stripped of blanks. Every other
+    cell must be a number a float can hold, as the statistics read each
+    column as floats. IC3, FC3, IC5 and FC5 are counts, so none may be
+    negative, and IC3 and IC5 must be whole numbers."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         return _aggregate_rows(reader)
@@ -691,12 +686,12 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             raise NonNumericCell(f"IC and FC must not be negative in row {raw!r}", lineno)
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)
-        if not raw["unit"].strip():
+        if not (unit := raw["unit"].strip()):
             raise MalformedField("empty unit", lineno)
-        if raw["unit"] in seen:
-            raise DuplicateId(f"duplicate unit {raw['unit']!r}", lineno)
-        seen.add(raw["unit"])
+        if unit in seen:
+            raise DuplicateId(f"duplicate unit {unit!r}", lineno)
+        seen.add(unit)
         rows.append(
-            UnitRow(raw["unit"], p, {"3": int(ic3), "5": int(ic5)}, {"3": fc3, "5": fc5})
+            UnitRow(unit, p, {"3": int(ic3), "5": int(ic5)}, {"3": fc3, "5": fc5})
         )
     return rows

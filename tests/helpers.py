@@ -326,12 +326,12 @@ def reference_levene(groups) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Tagged-file parser oracle: a regex match on every line, a list kept for
-# every tag, and errors raised and caught. Addresses come from the package's
-# own _split_addresses.
+# every tag, every value stripped of surrounding blanks, and errors raised and
+# caught. Addresses come from the package's own _split_addresses.
 # ---------------------------------------------------------------------------
 
 _TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
-_DOI_SUFFIX_RE = re.compile(r"\bDOI (\S+?)\.?$")
+_DOI_SUFFIX_RE = re.compile(r"\bDOI (\S+?)\.?\s*$")
 
 
 def _reference_finish_record(
@@ -421,7 +421,7 @@ def reference_parse_tagged(text: str) -> TaggedParseResult:
             if not in_record:
                 in_record = True
                 start_line = lineno
-            fields.setdefault(tag, []).append(value)
+            fields.setdefault(tag, []).append(value.strip())
             current_tag = tag
         elif raw[:1].isspace() and current_tag is not None:
             fields[current_tag].append(raw.strip())

@@ -517,6 +517,20 @@ class TestStatsSubcommand:
         assert "samples.csv, line 6:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_samples_unit_names_lose_surrounding_blanks(self, tmp_path):
+        # " A" and "A " name unit A, as a units file's names do.
+        trees = []
+        for name, rows in [("plain", "A,1\nA,3\nB,2\nB,4\n"),
+                           ("blanks", "A,1\n A,3\nB ,2\n B ,4\n")]:
+            samples = tmp_path / f"{name}.csv"
+            samples.write_text("unit,value\n" + rows, encoding="utf-8")
+            out = tmp_path / name
+            assert run("stats", "--input", str(samples), "--out", str(out)) == 0
+            trees.append({p.name: p.read_text(encoding="utf-8")
+                          for p in out.iterdir() if p.name != "manifest.txt"})
+        assert trees[0] == trees[1]
+        assert trees[1]["pairwise.csv"].count("\n") == 2  # the header and A-B
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -688,6 +702,17 @@ class TestConfigAndValidation:
         code = run("report", "--input", str(table), "--out", str(tmp_path / "out"))
         assert code == 2
         assert "table.csv, line " in capsys.readouterr().err
+
+    def test_unit_names_differing_by_blanks_are_one_unit(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "unit,P,IC3,FC3,IC5,FC5\nDep A,5,1,1,1,1\nDep A ,6,2,1,3,2\nC,7,3,2,4,3\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run("report", "--input", str(table), "--out", str(out)) == 2
+        assert "table.csv, line 3: duplicate unit 'Dep A'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "lines, message",

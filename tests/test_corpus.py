@@ -16,8 +16,7 @@ from citefrac.corpus import (
     REVIEW,
     PublicationRecord,
     _blocks,
-    _cited_doi,
-    _lines,
+    _cited_dois,
     _record_lines,
     build_corpus,
     load_aggregate_table,
@@ -103,6 +102,25 @@ class TestParseTagged:
         assert len(result.errors) == 1
         assert isinstance(result.errors[0], MissingId)
         assert result.errors[0].line == 6
+
+    def test_tag_values_lose_surrounding_blanks(self):
+        # As a continuation line's value does: the id, the DI fallback, a
+        # message's value and a first CR line's DOI.
+        text = (
+            "PT J\nPY 2005\nUT WOS:1 \nCR A, 2000, J, V1, P1, DOI 10.1/a \nER\n"
+            "PT J\nPY 2005\nUT  \nDI 10.1/d \nER\n"
+            "PT J\nPY 2005\nUT  \nER\n"
+            "PT J\nPY 20x5 \nUT WOS:2\nER\nEF\n"
+        )
+        result = parse_tagged(text)
+        assert [(r.id, r.cited_ids, r.doi) for r in result.records] == [
+            ("WOS:1", ("10.1/a",), None),
+            ("10.1/d", (), "10.1/d"),
+        ]
+        assert _error_keys(result) == [
+            (MissingId, "line 11: record has neither UT nor DI", 11),
+            (MalformedField, "line 15: non-integer PY '20x5'", 15),
+        ]
 
     def test_di_fallback_id(self):
         text = "PT J\nPY 2005\nDT Article\nDI 10.9/x\nER\nEF\n"
@@ -195,10 +213,10 @@ class TestParseTagged:
 
 # Pieces of a tagged export, good and bad, for the differential test.
 _VALUES = {
-    "UT": ["WOS:1", "WOS:2", "WOS:3", "", " WOS:4 "],
-    "DI": ["10.9/one", "10.9/two", ""],
+    "UT": ["WOS:1", "WOS:2", "WOS:3", "", " WOS:4 ", "WOS:5\t", "  "],
+    "DI": ["10.9/one", "10.9/two", "", " 10.9/two "],
     "PY": ["2005", "2006", "0", "-1", "20x5", " 2007 ", "2_005", ""],
-    "NR": ["3", "0", "-2", "many", ""],
+    "NR": ["3", "0", "-2", "many", "", " many "],
     "DT": ["Article", "review", "Proceedings Paper", "Letter", ""],
     "C1": [
         "[Smith, J.] State Univ, Dep Alpha, USA; [Lee, K.] Tech Inst, USA",
@@ -219,6 +237,8 @@ _VALUES = {
         "DOI 10.1/c",
         "ANON, 1999, OLD J, V1, P1",
         "Anon, DOI ",
+        "Anon, DOI 10.1/e. ",
+        "Anon, DOI 10.1/f \u00a0",
     ],
 }
 _OTHER_TAGS = ["PT", "AU", "TI", "SO", "FN", "VR", "ER", "EF", "Z9", "C2"]
@@ -268,6 +288,14 @@ def _error_keys(result):
     return [(type(e), str(e), e.line) for e in result.errors]
 
 
+def _pieces(rng: random.Random, text: str) -> list[str]:
+    """`text` cut into pieces of 1 to 7 characters, as tiny reads give it."""
+    cuts = [0]
+    while cuts[-1] < len(text):
+        cuts.append(cuts[-1] + rng.randint(1, 7))
+    return [text[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def test_parse_tagged_matches_reference_parser():
     rng = random.Random(2010)
     accepted = rejected = 0
@@ -276,6 +304,10 @@ def test_parse_tagged_matches_reference_parser():
         fast, reference = parse_tagged(text), reference_parse_tagged(text)
         assert fast.records == reference.records, text
         assert _error_keys(fast) == _error_keys(reference), text
+        # In tiny pieces, records, markers and CR runs straddle the blocks.
+        pieces = parse_tagged(iter(_pieces(rng, text)))
+        assert pieces.records == reference.records, text
+        assert _error_keys(pieces) == _error_keys(reference), text
         accepted += len(fast.records)
         rejected += len(fast.errors)
     # The inputs reach both outcomes often.
@@ -291,10 +323,11 @@ _CR_PIECES = st.sampled_from(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_CR_PIECES, max_size=8).map("".join))
-def test_cited_doi_matches_regex(line):
-    m = _DOI_SUFFIX_RE.search(line)
-    assert _cited_doi(line) == (m[1] if m else None)
+@given(st.lists(st.lists(_CR_PIECES, max_size=8).map("".join), min_size=1, max_size=4))
+def test_cited_doi_matches_regex(lines):
+    # One match over a record's CR lines finds what the regex finds on each.
+    found = [m[1] for m in map(_DOI_SUFFIX_RE.search, lines) if m]
+    assert _cited_dois(lines) == found
 
 
 @pytest.mark.parametrize(
@@ -309,9 +342,13 @@ def test_cited_doi_matches_regex(line):
         "PT J\nPY 2005\nUT WOS:1\n"
         "CR XDOI 10.1/a\n   DOI 10.1/a.\n   DOI .\n   DOI 10.1/b, DOI 10.1/c\n"
         "   DOI 10.1/d\te\nER\nEF\n",
+        "PT J\nPY 2005\nUT WOS:1 \nER\nEF\n",
+        "PT J\nPY 2005\nUT  \nDI 10.1/d\nER\nPT J\nPY 2005\nUT \t \nER\nEF\n",
+        "PT J\nPY 2005\nUT WOS:1\nCR A, 2000, J, V1, P1, DOI 10.1/a \nER\nEF\n",
     ],
     ids=["crlf", "lone_cr", "u2028_er_field", "prose", "ef_in_record",
-         "unknown_tags_only", "doi_forms"],
+         "unknown_tags_only", "doi_forms", "ut_trailing_blank", "ut_blank",
+         "cr_trailing_blank"],
 )
 def test_parse_tagged_edge_cases_match_reference(text):
     fast, reference = parse_tagged(text), reference_parse_tagged(text)
@@ -585,8 +622,9 @@ _BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
     block=st.integers(1, 6),
 )
 def test_lines_split_blocks_as_splitlines(text, block):
+    # parse_tagged splits each block into lines with str.splitlines.
     with mock.patch.object(corpus_module, "_BLOCK_CHARS", block):
-        assert list(_lines(text)) == text.splitlines()
+        assert [line for b in _blocks(text) for line in b.splitlines()] == text.splitlines()
 
 
 @settings(max_examples=400, deadline=None)
@@ -615,7 +653,7 @@ def _cut(text: str, cuts: list[int]) -> list[str]:
 def test_lines_of_blocks_as_of_the_whole_text(text, cuts):
     # A line or a "\r\n" cut between two blocks is carried into the next.
     blocks = _cut(text, cuts)
-    assert list(_lines(iter(blocks))) == text.splitlines()
+    assert [line for b in _blocks(iter(blocks)) for line in b.splitlines()] == text.splitlines()
     expected = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
     assert [line for b in _blocks(iter(blocks)) for line in _record_lines(b)] == expected
 
