@@ -272,7 +272,7 @@ def _finish_record(
     (and through it the whole export).
     """
     doi = first.get("DI")
-    doi = None if doi is None else doi.strip()
+    doi = None if doi is None else (doi.strip() or None)  # a blank DI is no DOI
     rec_id = first.get("UT", "").strip() or doi
     if not rec_id:
         return MissingId("record has neither UT nor DI", start_line)

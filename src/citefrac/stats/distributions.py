@@ -177,8 +177,8 @@ def studentized_range_quantile(
     checks the root (see `_root_band`). The bisection is then replayed step
     for step, but a point outside the checked band takes its side from the
     band without a CDF call. The result is the same float whatever `near`
-    is; a start near the root (such as the quantile of a nearby df) only
-    saves CDF evaluations: typically 4 to 9 in place of 22.
+    is; a start near the root (such as `posthoc`'s asymptotic start) only
+    saves CDF evaluations: typically 4 or 5 in place of 22.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

@@ -376,7 +376,7 @@ def _reference_finish_record(
         addresses=tuple(_split_addresses(fields.get("C1", []))),
         nrefs=nrefs,
         cited_ids=tuple(cited_ids),
-        doi=first("DI"),
+        doi=first("DI") or None,
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citefrac import corpus as corpus_module
+from citefrac.cli import main
 from citefrac.corpus import (
     ARTICLE,
     PROCEEDINGS_PAPER,
@@ -41,6 +42,9 @@ from helpers import (
     reference_parse_tagged,
     reference_write_canonical,
 )
+
+# Two records whose DI lines hold blanks only.
+_BLANK_DI = "PT J\nPY 2005\nUT WOS:1\nDI \nER\nPT J\nPY 2005\nUT WOS:2\nDI  \nER\nEF\n"
 
 
 def test_record_is_an_unchecked_slotted_value():
@@ -121,6 +125,19 @@ class TestParseTagged:
             (MissingId, "line 11: record has neither UT nor DI", 11),
             (MalformedField, "line 15: non-integer PY '20x5'", 15),
         ]
+
+    def test_blank_di_is_no_doi(self, tmp_path):
+        # A DI line of blanks only gives no DOI, so the two records do not
+        # share a DOI "", and ingest writes null for each.
+        assert [(r.id, r.doi) for r in parse_tagged(_BLANK_DI).records] == [
+            ("WOS:1", None),
+            ("WOS:2", None),
+        ]
+        export = tmp_path / "export.tagged"
+        export.write_text(_BLANK_DI, encoding="utf-8")
+        assert main(["ingest", "--input", str(export), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["doi"] for line in lines] == [None, None]
 
     def test_di_fallback_id(self):
         text = "PT J\nPY 2005\nDT Article\nDI 10.9/x\nER\nEF\n"
@@ -345,10 +362,12 @@ def test_cited_doi_matches_regex(lines):
         "PT J\nPY 2005\nUT WOS:1 \nER\nEF\n",
         "PT J\nPY 2005\nUT  \nDI 10.1/d\nER\nPT J\nPY 2005\nUT \t \nER\nEF\n",
         "PT J\nPY 2005\nUT WOS:1\nCR A, 2000, J, V1, P1, DOI 10.1/a \nER\nEF\n",
+        _BLANK_DI,
+        "PT J\nPY 2005\nDI \t\nER\nEF\n",
     ],
     ids=["crlf", "lone_cr", "u2028_er_field", "prose", "ef_in_record",
          "unknown_tags_only", "doi_forms", "ut_trailing_blank", "ut_blank",
-         "cr_trailing_blank"],
+         "cr_trailing_blank", "di_blank", "di_blank_no_ut"],
 )
 def test_parse_tagged_edge_cases_match_reference(text):
     fast, reference = parse_tagged(text), reference_parse_tagged(text)

@@ -10,6 +10,7 @@ import pytest
 
 from citefrac.errors import ConvergenceFailure, TooFewGroups
 from citefrac.stats import (
+    distributions,
     dunnett_c,
     posthoc,
     studentized_range_cdf,
@@ -160,8 +161,8 @@ class TestDunnettC:
         self, alpha, order, bisection_roots, monkeypatch
     ):
         # The paper's shape: 27 groups with table1's sizes. Each distinct
-        # df is solved once, in ascending order whatever the group order,
-        # and each quantile is the plain bisection's float.
+        # df is solved once, from the largest down whatever the group
+        # order, and each quantile is the plain bisection's float.
         sizes = sorted(TABLE1_SIZES)
         if order == "shuffled":
             random.Random(27).shuffle(sizes)
@@ -179,9 +180,75 @@ class TestDunnettC:
 
         monkeypatch.setattr(posthoc, "studentized_range_quantile", recording)
         dunnett_c(groups, alpha=alpha)
-        assert [df for df, _ in solved] == TABLE1_DFS
+        assert [df for df, _ in solved] == TABLE1_DFS[::-1]
         for df, q in solved:
             assert q == bisection_roots[alpha, df], df
+
+    @pytest.mark.parametrize("alpha", [0.10, 0.001])
+    @pytest.mark.parametrize("k", [2, 60])
+    def test_critical_values_match_oracle_on_extreme_shapes(self, alpha, k):
+        # Starts extrapolated from df = 10**7 down to df = 1 (where q is
+        # far off the asymptote) still give the plain bisection's floats.
+        dfs = {1, 2, 3, 7, 542, 10**7}
+        got = posthoc._critical_values(alpha, k, dfs)
+        assert got == {
+            df: reference_studentized_range_quantile(
+                alpha, k, df, cdf=studentized_range_cdf
+            )
+            for df in dfs
+        }
+
+    def test_start_falls_back_to_the_anchor(self, monkeypatch):
+        # A flat df = inf CDF leaves F' = 0, so c, every line value and
+        # every extrapolated start are NaN: each solve starts at q_inf.
+        flat = lambda w, k: np.full(np.shape(w), 0.5)  # noqa: E731
+        monkeypatch.setattr(posthoc, "_range_cdf", flat)
+        starts = []
+
+        def recording(alpha, k, df, near):
+            starts.append(near)
+            return studentized_range_quantile(alpha, k, df, near=near)
+
+        monkeypatch.setattr(posthoc, "studentized_range_quantile", recording)
+        dfs = {3, 10, 49}
+        got = posthoc._critical_values(0.05, 27, dfs)
+        assert len(starts) == 3 and len(set(starts)) == 1
+        assert math.isfinite(starts[0]) and starts[0] > 0.0
+        assert got == {
+            df: reference_studentized_range_quantile(
+                0.05, 27, df, cdf=studentized_range_cdf
+            )
+            for df in dfs
+        }
+
+    @pytest.mark.parametrize(
+        "sizes,alpha,budget",
+        [
+            (TABLE1_SIZES, 0.05, 115),
+            (TABLE1_SIZES, 0.01, 110),
+            ([50] + [34] * 2 + [24] * 4 + [16] * 8 + [11] * 12, 0.05, 25),
+        ],
+        ids=["table1-0.05", "table1-0.01", "paper27"],
+    )
+    def test_cdf_call_budget(self, sizes, alpha, budget, monkeypatch):
+        # Full studentized-range CDF calls made by one Dunnett's C run at
+        # k = 27: the solves start near their roots (128, 141 and 38 calls
+        # when each solve started from the last two roots in ascending df).
+        calls = []
+        cdf = distributions.studentized_range_cdf
+
+        def counting(q, k, df):
+            calls.append(df)
+            return cdf(q, k, df)
+
+        monkeypatch.setattr(distributions, "studentized_range_cdf", counting)
+        rng = random.Random(7)
+        groups = {
+            f"u{i:02d}": [rng.gauss(0.0, 1.0) for _ in range(n)]
+            for i, n in enumerate(sizes)
+        }
+        dunnett_c(groups, alpha=alpha)
+        assert len(calls) <= budget
 
     def test_identical_groups_not_significant(self):
         decisions = dunnett_c({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]})
