@@ -245,6 +245,17 @@ def _cited_dois(cr: list[str]) -> list[str]:
     return [intern(d[:-1] if d[-1] == "." and len(d) > 1 else d) for d in dois]
 
 
+def _decimal(text: str) -> int:
+    """The integer that `text` writes as an optional sign and ASCII digits,
+    with blanks around them. int() alone would also read '_' separators and
+    non-ASCII digits (``2_005``, ``١٢``); this raises ValueError for them as
+    int() does for any other text."""
+    digits = text.strip()
+    if not digits.isascii() or "_" in digits:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _count_error(year: int, nrefs: int | None) -> str | None:
     """What breaks the record rule for the two numbers counting rests on:
     the year places a citation in a window, nrefs is the k of its 1/k."""
@@ -281,9 +292,9 @@ def _finish_record(
         return MalformedField("record has no PY field", start_line)
     nr = first.get("NR")
     year = None
-    try:  # int() reads a number between blanks as the number
-        year = int(py)
-        nrefs = None if nr is None else int(nr)
+    try:
+        year = _decimal(py)
+        nrefs = None if nr is None else _decimal(nr)
     except ValueError:
         tag, raw = ("PY", py) if year is None else ("NR", nr)
         return MalformedField(f"non-integer {tag} {raw.strip()!r}", start_line)
@@ -386,23 +397,28 @@ _quote = json.encoder.encode_basestring
 
 
 # A line in exactly the shape `write_canonical` writes, whose strings hold no
-# '"', no backslash and no control character, and whose integers have at
-# most 18 digits. JSON reads such a string as its text and such an integer
-# as int() does, so the loader takes a record's values from this one match;
-# it reads any other line as JSON, and checks both alike.
-_TEXT = r'"([^"\\\x00-\x1f]*)"'
-_TEXTS = r'\[((?:"[^"\\\x00-\x1f]*"(?:, "[^"\\\x00-\x1f]*")*)?)\]'
-_INTEGER = r"(-?(?:0|[1-9][0-9]{0,17}))"
+# '"', no backslash and no control character, whose year is positive, whose
+# nrefs is null or not negative, and whose integers have at most 18 digits.
+# JSON reads such a string as its text and such an integer as int() does, and
+# such a record meets `_count_error` by construction, so the loader takes a
+# record's values from this one match. It reads any other line as JSON, where
+# `_count_error` checks the numbers. A list's group holds the text between its
+# first and last quote, and is None for "[]". The ", " between two strings is
+# required: an optional separator would let the match split a string's text in
+# exponentially many ways before it fails.
+_STRING = r'[^"\\\x00-\x1f]*'
+_TEXT = rf'"({_STRING})"'
+_TEXTS = rf'\[(?:"({_STRING}(?:", "{_STRING})*)")?\]'
 _written_line = re.compile(
-    rf'\{{"id": {_TEXT}, "side": "(cited|citing|both)", "year": {_INTEGER}, '
-    rf'"doctype": {_TEXT}, "addresses": {_TEXTS}, "nrefs": (?:{_INTEGER}|null), '
+    rf'\{{"id": {_TEXT}, "side": "(cited|citing|both)", "year": ([1-9][0-9]{{0,17}}), '
+    rf'"doctype": {_TEXT}, "addresses": {_TEXTS}, "nrefs": (?:(0|[1-9][0-9]{{0,17}})|null), '
     rf'"cites": {_TEXTS}, "doi": (?:{_TEXT}|null)\}}'
 ).fullmatch
 
 
-def _texts(items: str) -> tuple[str, ...]:
+def _texts(items: str | None) -> tuple[str, ...]:
     """The strings of a `_TEXTS` match, each interned."""
-    return tuple(map(intern, items[1:-1].split('", "'))) if items else ()
+    return () if items is None else tuple(map(intern, items.split('", "')))
 
 
 def _json_object(line: str, lineno: int) -> dict:
@@ -448,10 +464,10 @@ def _json_fields(
     if year is None:
         raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
     # int() would read 2005.7 as 2005 and true as 1; a numeric string
-    # is read, and int() names a bad one ("invalid literal").
+    # is read, and `_decimal` names a bad one ("invalid literal").
     if type(year) is str:
         try:
-            year = int(year)
+            year = _decimal(year)
         except ValueError as exc:
             raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
     elif type(year) is not int:
@@ -523,24 +539,24 @@ def load_canonical(text: str | Iterable[str]) -> Corpus:
             elif line.strip():
                 obj = _json_object(line, lineno)
                 side, rec_id = obj["side"], obj.get("id")
+                if type(rec_id) is not str and rec_id is not None:
+                    raise MalformedField(f"id must be a string, got {rec_id!r}", lineno)
             else:
                 continue
             if not rec_id:
                 raise MissingId("missing id", lineno)
-            if type(rec_id) is not str:
-                raise MalformedField(f"id must be a string, got {rec_id!r}", lineno)
             if rec_id in seen:
                 raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
             seen.add(rec_id)
             if written is None:
                 year, doctype, addresses, nrefs, cites, doi = _json_fields(obj, rec_id, lineno)
-            else:
+                if (error := _count_error(year, nrefs)) is not None:
+                    raise MalformedField(f"record {rec_id!r}: {error}", lineno)
+            else:  # the match took only numbers that meet _count_error
                 year = int(year)
                 addresses = _texts(addresses)
                 nrefs = None if nrefs is None else int(nrefs)
                 cites = _texts(cites)
-            if (error := _count_error(year, nrefs)) is not None:
-                raise MalformedField(f"record {rec_id!r}: {error}", lineno)
             if len(set(cites)) != len(cites):
                 raise MalformedField(
                     f"record {rec_id!r}: cites contains duplicates", lineno

@@ -3,16 +3,22 @@
 A citing link is worth 1/k, k = reference-list length of the citing
 document, so counting walks the citing records. Per window, each in-window
 record computes k once, and each of its references to an eligible paper
-adds 1 to n[cited paper][k]. Each cited paper then gets ic = Σ nₖ and one
-fc = Fraction(Σ nₖ·(L // k), L), L the lcm of its k values: the same exact
-rational as the per-link sum of 1/k, for any summation order. Conversion
-to floating point happens only at reporting and statistics boundaries.
+appends k to that paper's list of k values. Each cited paper then gets
+ic = the list's length and one fc = Fraction(Σ L // k, L), L the lcm of its
+k values: the same exact rational as the per-link sum of 1/k, for any
+summation order. A unit's fc in a window is likewise one sum over the
+common denominator D of its papers' fcs, Fraction(Σ a·(D // b), D) for
+each fc a/b. Conversion to floating point happens only at reporting and
+statistics boundaries.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv
 from typing import Mapping
 
 from .corpus import Corpus, EVALUATED_DOCTYPES, UnitRow
@@ -79,31 +85,29 @@ def paper_scores(
         if rec.doctype in eligible_doctypes
     }
 
-    # Only integer work per link: tallies[cited id][k] counts in-window
-    # citations from documents with k references.
-    tallies: dict[str, dict[int, int]] = {}
+    # Only integer work per link: ks[cited id] lists the k of each in-window
+    # citation of that paper.
+    ks: defaultdict[str, list[int]] = defaultdict(list)
     skipped: list[str] = []
+    start, end = window.start, window.end
+    eligible = impacts.__contains__
     for rec in corpus.citing.values():
-        if rec.year not in window:
+        if not start <= rec.year <= end:
             continue
         k = rec.reference_count
         if k <= 0:
-            if any(ref in impacts for ref in rec.cited_ids):
+            if any(map(eligible, rec.cited_ids)):
                 skipped.append(rec.id)
             continue
-        for ref in rec.cited_ids:
-            if ref in impacts:
-                by_k = tallies.setdefault(ref, {})
-                by_k[k] = by_k.get(k, 0) + 1
+        for ref in filter(eligible, rec.cited_ids):
+            ks[ref].append(k)
 
-    # Σ nₖ/k = Σ nₖ·(L/k) / L, L = lcm of the k values.
-    for cited_id, by_k in tallies.items():
-        common = math.lcm(*by_k)
+    # Σ 1/k = Σ (L/k) / L, L = lcm of the k values.
+    for cited_id, paper_ks in ks.items():
+        common = math.lcm(*paper_ks)
         impact = impacts[cited_id]
-        impact.ic = sum(by_k.values())
-        impact.fc = Fraction(
-            sum(n * (common // k) for k, n in by_k.items()), common
-        )
+        impact.ic = len(paper_ks)
+        impact.fc = Fraction(sum(map(floordiv, repeat(common), paper_ks)), common)
     return ScoreSet(impacts=impacts, skipped_citing=sorted(skipped))
 
 
@@ -134,11 +138,18 @@ def aggregate_units(
             continue
         ic, fc = {}, {}
         for window, score_set in scores.items():
-            impacts = score_set.impacts
-            ic[window] = sum(impacts[pid].ic for pid in paper_ids)
-            fc[window] = sum((impacts[pid].fc for pid in paper_ids), Fraction(0))
+            impacts = [score_set.impacts[pid] for pid in paper_ids]
+            ic[window] = sum(impact.ic for impact in impacts)
+            fc[window] = _exact_sum([impact.fc for impact in impacts])
         rows.append(UnitRow(unit, p, ic, fc))
     return rows, skipped
+
+
+def _exact_sum(fractions: list[Fraction]) -> Fraction:
+    """Σ a/b as one Fraction(Σ a·(D // b), D), D the lcm of the b: one
+    reduction, where a chain of Fraction additions reduces at every step."""
+    common = math.lcm(*(f.denominator for f in fractions))
+    return Fraction(sum(f.numerator * (common // f.denominator) for f in fractions), common)
 
 
 def per_paper_samples(

@@ -332,6 +332,7 @@ def reference_levene(groups) -> tuple[float, float]:
 
 _TAG_RE = re.compile(r"^([A-Z][A-Z0-9]) (.*)$")
 _DOI_SUFFIX_RE = re.compile(r"\bDOI (\S+?)\.?\s*$")
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _reference_finish_record(
@@ -346,8 +347,11 @@ def _reference_finish_record(
         raise MissingId("record has neither UT nor DI", start_line)
 
     def integer(tag: str) -> int | None:
+        # A sign and ASCII digits only: int() would also read "2_005" and "١٢".
         raw = first(tag)
         try:
+            if raw is not None and not _DECIMAL_RE.fullmatch(raw):
+                raise ValueError(raw)
             return None if raw is None else int(raw)
         except ValueError:
             raise MalformedField(f"non-integer {tag} {raw!r}", start_line) from None

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -124,6 +125,23 @@ class TestParseTagged:
         assert _error_keys(result) == [
             (MissingId, "line 11: record has neither UT nor DI", 11),
             (MalformedField, "line 15: non-integer PY '20x5'", 15),
+        ]
+
+    def test_numbers_are_ascii_decimals(self):
+        # A sign and ASCII digits between blanks: int() alone would also
+        # read '_' separators and non-ASCII digits.
+        text = (
+            "PT J\nPY 2_005\nUT WOS:1\nER\n"
+            "PT J\nPY 2005\nNR \u0661\u0662\nUT WOS:2\nER\n"
+            "PT J\nPY \uff12\uff10\uff10\uff15\nUT WOS:3\nER\n"
+            "PT J\nPY +2005\u00a0\nNR  07 \nUT WOS:4\nER\nEF\n"
+        )
+        result = parse_tagged(text)
+        assert [(r.id, r.year, r.nrefs) for r in result.records] == [("WOS:4", 2005, 7)]
+        assert _error_keys(result) == [
+            (MalformedField, "line 1: non-integer PY '2_005'", 1),
+            (MalformedField, "line 5: non-integer NR '\u0661\u0662'", 5),
+            (MalformedField, "line 10: non-integer PY '\uff12\uff10\uff10\uff15'", 10),
         ]
 
     def test_blank_di_is_no_doi(self, tmp_path):
@@ -364,10 +382,15 @@ def test_cited_doi_matches_regex(lines):
         "PT J\nPY 2005\nUT WOS:1\nCR A, 2000, J, V1, P1, DOI 10.1/a \nER\nEF\n",
         _BLANK_DI,
         "PT J\nPY 2005\nDI \t\nER\nEF\n",
+        "PT J\nPY 2_005\nUT WOS:1\nER\nPT J\nPY 2005\nNR 1_2\nUT WOS:2\nER\nEF\n",
+        "PT J\nPY \u0662\u0660\u0660\u0665\nUT WOS:1\nER\n"
+        "PT J\nPY 2005\nNR \u0661\u0662\nUT WOS:2\nER\nEF\n",
+        "PT J\nPY +2005\u2003\nNR -0\nUT WOS:1\nER\nPT J\nPY 2005\nNR + 3\nUT WOS:2\nER\nEF\n",
     ],
     ids=["crlf", "lone_cr", "u2028_er_field", "prose", "ef_in_record",
          "unknown_tags_only", "doi_forms", "ut_trailing_blank", "ut_blank",
-         "cr_trailing_blank", "di_blank", "di_blank_no_ut"],
+         "cr_trailing_blank", "di_blank", "di_blank_no_ut", "number_underscores",
+         "number_non_ascii_digits", "number_signs_and_blanks"],
 )
 def test_parse_tagged_edge_cases_match_reference(text):
     fast, reference = parse_tagged(text), reference_parse_tagged(text)
@@ -430,6 +453,9 @@ class TestCanonical:
             ('{"id": "Z", "side": "both"}', "has no 'year' field"),
             ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": "x"}', "nrefs must be an integer"),
             ('{"id": "Z", "side": "citing", "year": "x"}', "invalid literal"),
+            ('{"id": "Z", "side": "citing", "year": "2_005"}', "invalid literal"),
+            ('{"id": "Z", "side": "citing", "year": "\u0662\u0660\u0660\u0665"}',
+             "invalid literal"),
             ('{"id": "Z", "side": "cited", "year": 2005, "addresses": "Tsinghua Univ"}',
              "addresses must be a list"),
             ('{"id": "Z", "side": "citing", "year": 2006, "cites": "AB"}', "cites must be a list"),
@@ -439,6 +465,7 @@ class TestCanonical:
         ],
         ids=[
             "year_zero", "missing_year", "nrefs_not_integer", "year_not_integer",
+            "year_underscore", "year_non_ascii_digits",
             "addresses_string", "cites_string", "nrefs_negative", "cites_repeated",
         ],
     )
@@ -446,6 +473,60 @@ class TestCanonical:
         lines = '{"id": "A", "side": "cited", "year": 2005}\n\n' + record + "\n"
         with pytest.raises(MalformedField, match=f"line 3: .*{message}"):
             load_canonical(lines)
+
+    def test_year_string_between_blanks(self):
+        corpus = load_canonical('{"id": "Z", "side": "cited", "year": " +2005\\t"}\n')
+        assert corpus.cited["Z"].year == 2005
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ('"id": 0, ', MalformedField, "id must be a string, got 0"),
+            ('"id": false, ', MalformedField, "id must be a string, got False"),
+            ('"id": [], ', MalformedField, "id must be a string, got []"),
+            ('"id": {"a": 1}, ', MalformedField, "id must be a string, got {'a': 1}"),
+            ("", MissingId, "missing id"),
+            ('"id": null, ', MissingId, "missing id"),
+            ('"id": "", ', MissingId, "missing id"),
+        ],
+        ids=["zero", "false", "list", "object", "absent", "null", "empty"],
+    )
+    def test_id_absent_or_not_a_string(self, fields, error, message):
+        # The empty id takes the written-line match; the others read as JSON.
+        line = (
+            "{" + fields + '"side": "cited", "year": 2005, "doctype": "", '
+            '"addresses": [], "nrefs": null, "cites": [], "doi": null}\n'
+        )
+        with pytest.raises(error) as caught:
+            load_canonical('{"id": "A", "side": "cited", "year": 2005}\n' + line)
+        assert str(caught.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("items", ["[]", '[""]', '["", ""]', '["a", ""]', '["a, b"]'])
+    def test_written_lists_read_as_json(self, items):
+        # Each list is read by the written-line match, as JSON reads it.
+        line = (
+            '{"id": "A", "side": "citing", "year": 2005, "doctype": "", '
+            f'"addresses": {items}, "nrefs": null, "cites": [], "doi": null}}'
+        )
+        assert corpus_module._written_line(line) is not None
+        (rec,) = load_canonical(line + "\n").citing.values()
+        assert rec.addresses == tuple(json.loads(items))
+
+    @pytest.mark.parametrize(
+        "body", ['"' + "a" * (1 << 20), '"a", ' * (1 << 18), '"' + "a, " * (1 << 19)],
+        ids=["one_string", "many_strings", "separators_in_one_string"],
+    )
+    def test_unterminated_list_fails_the_match_fast(self, body):
+        # The list's strings never close, so the match must fail; it backtracks
+        # over the line once, not over every way to split it.
+        line = (
+            '{"id": "A", "side": "cited", "year": 2005, "doctype": "", "addresses": ['
+            + body + ', "nrefs": null, "cites": [], "doi": null}'
+        )
+        assert len(line) > 1_000_000
+        start = time.perf_counter()
+        assert corpus_module._written_line(line) is None
+        assert time.perf_counter() - start < 1.0
 
     def test_round_trip_small(self):
         corpus = build_corpus(

@@ -140,6 +140,46 @@ class TestAggregateUnits:
         assert row.fc == {"_a": Fraction(1, 2), "_b": Fraction(13, 12)}
         assert skipped == [("V", 1)]
 
+    def test_chained_sum_oracle(self):
+        # Each unit's totals equal the plain per-paper sums, in every window:
+        # one with no link, so every FC is 0, among windows that count.
+        rng = random.Random(36)
+        windows = [Window(1990, 1991), Window(2005, 2007), Window(2004, 2011)]
+        mixed = 0  # rows summing FCs of more than one denominator
+        for _ in range(60):
+            corpus = random_corpus(rng, 30)
+            scores = {
+                w.label(): paper_scores(corpus, w, ALL_DOCTYPES) for w in windows
+            }
+            papers = list(corpus.cited)
+            assignment = {
+                f"U{i}": frozenset(rng.sample(papers, rng.randint(0, len(papers))))
+                for i in range(rng.randint(1, 5))
+            }
+            min_pubs = rng.randint(1, 3)
+            rows, skipped = aggregate_units(assignment, scores, min_pubs)
+            assert len(rows) + len(skipped) == len(assignment)
+            for row in rows:
+                members = [p for p in assignment[row.unit] if p in scores["1990-1991"].impacts]
+                assert row.p == len(members) >= min_pubs
+                for name, score_set in scores.items():
+                    impacts = [score_set.impacts[p] for p in members]
+                    assert row.ic[name] == sum(imp.ic for imp in impacts)
+                    assert row.fc[name] == sum((imp.fc for imp in impacts), Fraction(0))
+                    mixed += len({imp.fc.denominator for imp in impacts}) > 1
+                assert row.ic["1990-1991"] == 0 and row.fc["1990-1991"] == 0
+        assert mixed > 50
+
+    def test_unit_of_uncited_papers(self):
+        impacts = {
+            "P1": PaperImpact(), "P2": PaperImpact(), "P3": PaperImpact(ic=1, fc=Fraction(1, 6)),
+        }
+        (row,), _ = aggregate_units(
+            {"U": frozenset({"P1", "P2"})}, {"w": ScoreSet(impacts)}, min_pubs=1
+        )
+        assert row.ic == {"w": 0}
+        assert row.fc == {"w": Fraction(0)} and type(row.fc["w"]) is Fraction
+
     @pytest.mark.parametrize("scores", [
         {},
         {"_a": ScoreSet({"P1": PaperImpact()}), "_b": ScoreSet({})},
