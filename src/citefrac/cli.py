@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import csv
 import hashlib
 import io
-import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -28,13 +25,12 @@ from .corpus import (
     UnitRow,
     load_aggregate_table,
     load_canonical,
+    load_samples_csv,
     parse_tagged,
     write_canonical,
 )
 from .counting import Window, aggregate_units, paper_scores, per_paper_samples
-from .errors import (
-    CitefracError, MalformedField, NonNumericCell, ParseError, QuerySyntaxError,
-)
+from .errors import CitefracError, ParseError, QuerySyntaxError
 from .stats import correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova
 from .unitquery import assign_units, parse_unit_definitions
 
@@ -191,14 +187,16 @@ _READ_BYTES = 1 << 20
 
 def _decoded(path: Path, file, sha) -> Iterator[str]:
     """The text of the binary `file`, decoded as Path.read_text decodes
-    (UTF-8, universal newlines), one read at a time; each read goes into
-    the hash `sha`, if any, as it passes. At a byte that is not UTF-8, the
-    text before it comes first, so that a fault earlier in the file is the
-    one its loader reports."""
+    with encoding="utf-8-sig" (UTF-8, universal newlines, a leading
+    byte-order mark dropped), one read at a time; each read goes into the
+    hash `sha`, if any, as it passes. At a byte that is not UTF-8, the text
+    before it comes first, so that a fault earlier in the file is the one
+    its loader reports; the offset it names counts a byte-order mark."""
     decoder = io.IncrementalNewlineDecoder(
         codecs.getincrementaldecoder("utf-8")(), translate=True
     )
     offset = 0  # of the read's first byte in the file
+    bom = "\ufeff"  # dropped from the first text only, where it is a mark
     final = False
     while not final:
         data = file.read(_READ_BYTES)
@@ -212,7 +210,7 @@ def _decoded(path: Path, file, sha) -> Iterator[str]:
             # The failed decode left the state as it was; exc.start counts
             # from the held bytes.
             decoder.setstate((b"", flag))
-            yield decoder.decode((held + data)[:exc.start], True)
+            yield decoder.decode((held + data)[:exc.start], True).removeprefix(bom)
             raise UsageError(
                 f"{path.name}: not UTF-8 text: {exc.reason} "
                 f"at byte {offset - len(held) + exc.start}"
@@ -220,7 +218,8 @@ def _decoded(path: Path, file, sha) -> Iterator[str]:
         offset += len(data)
         del data  # not held while the loader works on its text
         if text:
-            yield text
+            yield text.removeprefix(bom)
+            bom = ""
 
 
 def _read(path: Path, load, digests: list[tuple[Path, str]] | None = None):
@@ -326,56 +325,6 @@ def cmd_count(config: RunConfig) -> dict[str, str]:
     return tree
 
 
-def _sample_value(cells: list[str]) -> float:
-    """A sample from its value cell, or from a scores export's fc_num and
-    fc_den cells as the float of that exact fraction, which is what
-    `per_paper_samples` gives; nan when the cells hold no such number."""
-    try:
-        if len(cells) == 1:
-            return float(cells[0])
-        num, den = map(int, cells)
-        return float(Fraction(num, den)) if den > 0 else math.nan
-    except (ValueError, OverflowError):  # OverflowError: too large for a float
-        return math.nan
-
-
-def _load_samples_csv(text: str) -> dict[str, list[float]]:
-    """Per-paper samples from a scores export (unit, fc_num, fc_den) or
-    from a unit,value table, by unit: its cell stripped of blanks."""
-    groups: dict[str, list[float]] = {}
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader, [])
-        if "unit" not in header:
-            raise MalformedField("samples header lacks a 'unit' column", 1)
-        for value_cols in (["fc_num", "fc_den"], ["value"]):
-            if all(col in header for col in value_cols):
-                break
-        else:
-            raise MalformedField("samples header lacks a value column", 1)
-        unit_at = header.index("unit")
-        value_at = [header.index(col) for col in value_cols]
-        for row in filter(None, reader):  # a blank line is no row
-            if len(row) != len(header):
-                raise MalformedField(
-                    f"row has {len(row)} cells, the header {len(header)}",
-                    reader.line_num,
-                )
-            cells = [row[i] for i in value_at]
-            value = _sample_value(cells)
-            if not math.isfinite(value):
-                raise NonNumericCell(
-                    f"{'/'.join(value_cols)} {'/'.join(cells)!r} is not a finite number",
-                    reader.line_num,
-                )
-            if not (unit := row[unit_at].strip()):
-                raise MalformedField("empty unit", reader.line_num)
-            groups.setdefault(unit, []).append(value)
-    except csv.Error as exc:  # a field over csv.field_size_limit()
-        raise MalformedField(str(exc), reader.line_num) from None
-    return groups
-
-
 def _stats_battery(
     tree: dict[str, str], groups: dict[str, list[float]], alpha: float
 ) -> None:
@@ -408,7 +357,7 @@ def _battery_skip_reason(groups: dict[str, list[float]]) -> str | None:
 def cmd_stats(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
     digests: list[tuple[Path, str]] = []
-    groups = _read(config.input, _whole(_load_samples_csv), digests)
+    groups = _read(config.input, _whole(load_samples_csv), digests)
     skip = _battery_skip_reason(groups)
     if skip is not None:
         raise UsageError(f"{config.input.name}: {skip}")

@@ -3,7 +3,8 @@
 Holds the publication record type, the corpus (the one place that states
 the reference rule: a reference links iff it names a cited id), the parser
 for tagged flat-file exports, the canonical line-delimited JSON interchange
-format, and the loader for pre-aggregated indicator tables.
+format, and the loaders of the two unit-keyed CSV tables: pre-aggregated
+indicator totals and per-paper samples.
 
 Most of a corpus is its citing side, and it repeats itself: its records
 name the same cited ids, and a department's papers carry the same
@@ -19,13 +20,14 @@ import csv
 import gc
 import io
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from sys import intern
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateId,
@@ -193,6 +195,18 @@ def _record_lines(block: str) -> list[str]:
     return lines if lines[-1] else lines[:-1]
 
 
+def _decimal(text: str) -> int:
+    """The integer that `text` writes as an optional sign and ASCII digits,
+    with blanks around them: the rule for every integer a data file holds
+    as text. int() alone would also read '_' separators and non-ASCII digits
+    (``2_005``, ``١٢``); this raises ValueError for them as int() does for
+    any other text."""
+    digits = text.strip()
+    if not digits.isascii() or "_" in digits:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # Tagged flat-file format (WoS-style export)
 # ---------------------------------------------------------------------------
@@ -243,17 +257,6 @@ def _cited_dois(cr: list[str]) -> list[str]:
     trailing '.' dropped when longer than one character."""
     dois = _cited_dois_of("\n".join(cr))
     return [intern(d[:-1] if d[-1] == "." and len(d) > 1 else d) for d in dois]
-
-
-def _decimal(text: str) -> int:
-    """The integer that `text` writes as an optional sign and ASCII digits,
-    with blanks around them. int() alone would also read '_' separators and
-    non-ASCII digits (``2_005``, ``١٢``); this raises ValueError for them as
-    int() does for any other text."""
-    digits = text.strip()
-    if not digits.isascii() or "_" in digits:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
 
 
 def _count_error(year: int, nrefs: int | None) -> str | None:
@@ -455,30 +458,32 @@ def _strings(obj: dict, key: str, rec_id: str, lineno: int) -> tuple[str, ...]:
     )
 
 
+def _json_integer(obj: dict, key: str, rec_id: str, lineno: int) -> int | None:
+    """The integer under `key`, None when it is missing or null: a JSON
+    integer, or a string that `_decimal` reads. int() would read 2005.7 as
+    2005 and true as 1."""
+    value = obj.get(key)
+    if value is None or type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return _decimal(value)
+        except ValueError:
+            pass
+    raise MalformedField(
+        f"record {rec_id!r}: {key} must be an integer, got {value!r}", lineno
+    )
+
+
 def _json_fields(
     obj: dict, rec_id: str, lineno: int
 ) -> tuple[int, str, tuple[str, ...], int | None, tuple[str, ...], str | None]:
     """A JSON record's year, doctype, addresses, nrefs, cites and doi, each
     of its type."""
-    year = obj.get("year")
+    year = _json_integer(obj, "year", rec_id, lineno)
     if year is None:
         raise MalformedField(f"record {rec_id!r} has no 'year' field", lineno)
-    # int() would read 2005.7 as 2005 and true as 1; a numeric string
-    # is read, and `_decimal` names a bad one ("invalid literal").
-    if type(year) is str:
-        try:
-            year = _decimal(year)
-        except ValueError as exc:
-            raise MalformedField(f"record {rec_id!r}: {exc}", lineno) from None
-    elif type(year) is not int:
-        raise MalformedField(
-            f"record {rec_id!r}: year must be an integer, got {year!r}", lineno
-        )
-    nrefs = obj.get("nrefs")
-    if nrefs is not None and type(nrefs) is not int:
-        raise MalformedField(
-            f"record {rec_id!r}: nrefs must be an integer, got {nrefs!r}", lineno
-        )
+    nrefs = _json_integer(obj, "nrefs", rec_id, lineno)
     doctype = obj.get("doctype")
     if doctype is None:
         doctype = ARTICLE
@@ -609,8 +614,33 @@ def write_canonical(corpus: Corpus) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Pre-aggregated indicator tables
+# Unit-keyed CSV tables: pre-aggregated indicators and per-paper samples
 # ---------------------------------------------------------------------------
+
+def _unit_rows(
+    text: str, columns: Callable[[list[str]], Sequence[int]]
+) -> Iterator[tuple[int, str, list[str]]]:
+    """Each row of a unit-keyed CSV table as its line, its unit (its `unit`
+    cell stripped of blanks) and the cells of the columns that `columns`
+    picks from the header, which raises on a header its table does not
+    take. A row whose cells do not match the header in number, or whose
+    unit is blank, is rejected with its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, [])
+        picked = columns(header)
+        unit_at = header.index("unit")
+        for row in filter(None, reader):  # a blank line is no row
+            if len(row) != len(header):
+                raise MalformedField(
+                    f"row has {len(row)} cells, the header {len(header)}", reader.line_num
+                )
+            if not (unit := row[unit_at].strip()):
+                raise MalformedField("empty unit", reader.line_num)
+            yield reader.line_num, unit, [row[i] for i in picked]
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise MalformedField(str(exc), reader.line_num) from None
+
 
 @dataclass(frozen=True, slots=True)
 class UnitRow:
@@ -631,20 +661,12 @@ class UnitRow:
 _AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
 
 
-def load_aggregate_table(text: str) -> list[UnitRow]:
-    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
-
-    A unit must be named, once, by its cell stripped of blanks. Every other
-    cell must be a number a float can hold, as the statistics read each
-    column as floats. IC3, FC3, IC5 and FC5 are counts, so none may be
-    negative, and IC3 and IC5 must be whole numbers."""
-    reader = csv.DictReader(io.StringIO(text))
-    try:
-        return _aggregate_rows(reader)
-    except csv.Error as exc:  # a field over csv.field_size_limit()
-        # DictReader.line_num is set after a row is read; the csv reader's
-        # counts the line that failed.
-        raise MalformedField(str(exc), reader.reader.line_num) from None
+def _aggregate_columns(header: list[str]) -> range:
+    if tuple(header) != _AGGREGATE_COLUMNS:
+        raise ParseError(
+            f"expected header {','.join(_AGGREGATE_COLUMNS)}, got {header}", 1
+        )
+    return range(len(header))
 
 
 # A float holds magnitudes from about 1e-324 to 1e308. A count whose decimal
@@ -660,32 +682,25 @@ def _exponent_beyond_float(cell: str) -> bool:
     return exponent is not None and abs(int(exponent[1])) > _MAX_EXPONENT
 
 
-def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
-    if reader.fieldnames is None or tuple(reader.fieldnames) != _AGGREGATE_COLUMNS:
-        raise ParseError(
-            f"expected header {','.join(_AGGREGATE_COLUMNS)}, "
-            f"got {reader.fieldnames}",
-            1,
-        )
+def load_aggregate_table(text: str) -> list[UnitRow]:
+    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
+
+    A unit must be named, once. P is an integer by `_decimal`'s rule. Every
+    cell must be a number a float can hold, as the statistics read each
+    column as floats. IC3, FC3, IC5 and FC5 are counts, so none may be
+    negative, and IC3 and IC5 must be whole numbers."""
     rows: list[UnitRow] = []
     seen: set[str] = set()
-    for raw in reader:
-        lineno = reader.line_num
-        if None in raw:
-            raise MalformedField(
-                f"row has {len(_AGGREGATE_COLUMNS) + len(raw[None])} cells, "
-                f"the header {len(_AGGREGATE_COLUMNS)}",
-                lineno,
-            )
+    for lineno, unit, cells in _unit_rows(text, _aggregate_columns):
+        raw = dict(zip(_AGGREGATE_COLUMNS, cells))
         try:
-            p = int(raw["P"])
-            cells = [raw[c] for c in _AGGREGATE_COLUMNS[2:]]
-            if any(map(_exponent_beyond_float, cells)):
+            p = _decimal(cells[1])
+            if any(map(_exponent_beyond_float, cells[2:])):
                 raise NonNumericCell(
                     f"count exponent far beyond a float's range in row {raw!r}", lineno
                 )
-            ic3, fc3, ic5, fc5 = counts = [Fraction(cell) for cell in cells]
-        except (TypeError, ValueError, ZeroDivisionError):
+            ic3, fc3, ic5, fc5 = counts = [Fraction(cell) for cell in cells[2:]]
+        except (ValueError, ZeroDivisionError):
             raise NonNumericCell(
                 f"missing or non-numeric cell in row {raw!r}", lineno
             ) from None
@@ -702,8 +717,6 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             raise NonNumericCell(f"IC and FC must not be negative in row {raw!r}", lineno)
         if p <= 0:
             raise NonPositiveP(f"P must be positive, got {p}", lineno)
-        if not (unit := raw["unit"].strip()):
-            raise MalformedField("empty unit", lineno)
         if unit in seen:
             raise DuplicateId(f"duplicate unit {unit!r}", lineno)
         seen.add(unit)
@@ -711,3 +724,36 @@ def _aggregate_rows(reader: csv.DictReader) -> list[UnitRow]:
             UnitRow(unit, p, {"3": int(ic3), "5": int(ic5)}, {"3": fc3, "5": fc5})
         )
     return rows
+
+
+def _sample_columns(header: list[str]) -> list[int]:
+    if "unit" not in header:
+        raise MalformedField("samples header lacks a 'unit' column", 1)
+    for value_columns in (["fc_num", "fc_den"], ["value"]):
+        if all(column in header for column in value_columns):
+            return [header.index(column) for column in value_columns]
+    raise MalformedField("samples header lacks a value column", 1)
+
+
+def load_samples_csv(text: str) -> dict[str, list[float]]:
+    """Per-paper samples by unit, from a unit,value table or from a scores
+    export (unit, fc_num, fc_den): there a sample is the float of the exact
+    fraction fc_num/fc_den, two integers by `_decimal`'s rule, which is
+    what `counting.per_paper_samples` gives."""
+    groups: dict[str, list[float]] = {}
+    for lineno, unit, cells in _unit_rows(text, _sample_columns):
+        try:
+            if len(cells) == 1:
+                value = float(cells[0])
+            else:
+                num, den = map(_decimal, cells)
+                value = float(Fraction(num, den)) if den > 0 else math.nan
+        except (ValueError, OverflowError):  # OverflowError: too large for a float
+            value = math.nan
+        if not math.isfinite(value):
+            columns = "value" if len(cells) == 1 else "fc_num/fc_den"
+            raise NonNumericCell(
+                f"{columns} {'/'.join(cells)!r} is not a finite number", lineno
+            )
+        groups.setdefault(unit, []).append(value)
+    return groups

@@ -26,7 +26,7 @@ from .errors import UnknownUnit
 from .report import csv_text
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Window:
     """Inclusive range of citing-publication years: 1 <= start <= end, as a
     record's year is positive."""
@@ -39,9 +39,6 @@ class Window:
             raise ValueError(f"window start must be >= 1, got {self.start}")
         if self.start > self.end:
             raise ValueError(f"window start {self.start} > end {self.end}")
-
-    def __contains__(self, year: int) -> bool:
-        return self.start <= year <= self.end
 
     def label(self) -> str:
         return f"{self.start}-{self.end}"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,7 +56,8 @@ def correlation_matrix(
     """Pearson and Spearman correlation of every pair of named columns.
 
     Keys are (earlier label, later label) in column order; each column is
-    ranked once.
+    ranked once. A pair with a constant column raises ConstantInput naming
+    the pair and that column.
     """
     labels = list(columns)
     data = [list(map(float, columns[name])) for name in labels]
@@ -64,8 +66,13 @@ def correlation_matrix(
         if len(col) != n:
             raise LengthMismatch(f"column {name!r} has length {len(col)}, expected {n}")
     ranks = [rankdata(col) for col in data]
-    return {
-        (labels[i], labels[j]): (pearson(data[i], data[j]), pearson(ranks[i], ranks[j]))
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    }
+    pairs = {}
+    for (a, x, rx), (b, y, ry) in combinations(zip(labels, data, ranks), 2):
+        try:
+            pairs[a, b] = (pearson(x, y), pearson(rx, ry))
+        except ConstantInput:
+            constant = a if min(x) == max(x) else b
+            raise ConstantInput(
+                f"correlation of {a} and {b} undefined: {constant} is constant"
+            ) from None
+    return pairs

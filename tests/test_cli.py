@@ -11,10 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import citefrac
-from citefrac.cli import (
-    _SETTINGS, UsageError, _build_config, _load_samples_csv, build_parser, main,
-)
-from citefrac.corpus import load_canonical
+from citefrac.cli import _SETTINGS, UsageError, _build_config, build_parser, main
+from citefrac.corpus import load_canonical, load_samples_csv
 from citefrac.report import unit_columns
 
 
@@ -124,6 +122,23 @@ class TestAssign:
         assert phys == {"A01", "A02", "A07", "A12"}
         chem = {r.split(",")[1] for r in rows[1:] if r.startswith("Dep Chem,")}
         assert chem == {"A03", "A07", "A11"}
+
+    def test_units_file_with_byte_order_mark(self, data_dir, tmp_path):
+        # As a text editor saves "UTF-8 with BOM": the mark is not part of
+        # the first unit's name.
+        units = tmp_path / "units.txt"
+        units.write_bytes(b"\xef\xbb\xbf" + (data_dir / "toy_units.txt").read_bytes())
+        trees = []
+        for name, path in (("plain", data_dir / "toy_units.txt"), ("bom", units)):
+            out = tmp_path / name
+            code = run(
+                "assign", "--input", str(data_dir / "toy_corpus.jsonl"),
+                "--units", str(path), "--out", str(out),
+            )
+            assert code == 0
+            trees.append((out / "assignment.csv").read_text(encoding="utf-8"))
+        assert trees[0] == trees[1]
+        assert "\nUnit Alpha," in trees[1]
 
     def test_units_required(self, data_dir, tmp_path, capsys):
         code = run(
@@ -321,6 +336,18 @@ class TestAggregateTableMode:
         changes = (out / "rank_changes_icp5_to_fcp5.csv").read_text(encoding="utf-8")
         assert "Dep Chinese Language & Literature,+17" in changes.replace('"', "")
 
+    def test_table_with_byte_order_mark(self, data_dir, tmp_path):
+        # As Excel saves "CSV UTF-8": the mark is not part of the header.
+        table = tmp_path / "table1.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + (data_dir / "table1.csv").read_bytes())
+        trees = []
+        for name, path in (("plain", data_dir / "table1.csv"), ("bom", table)):
+            out = tmp_path / name
+            assert run("report", "--input", str(path), "--out", str(out)) == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "manifest.txt"})
+        assert trees[0] == trees[1]
+
     @pytest.mark.parametrize("command", ["evaluate", "count", "assign"])
     def test_corpus_commands_refuse_unit_table(self, command, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -451,7 +478,7 @@ class TestStatsSubcommand:
 
     def test_scores_export_read_exactly(self):
         text = "unit,fc_num,fc_den,fc_decimal\nA,1,3,0.333333333333\n"
-        assert _load_samples_csv(text) == {"A": [1 / 3]}
+        assert load_samples_csv(text) == {"A": [1 / 3]}
 
     def test_decimal_column_alone_is_no_value_column(self, tmp_path, capsys):
         # Every scores export has fc_num and fc_den beside fc_decimal.
@@ -490,8 +517,10 @@ class TestStatsSubcommand:
 
     @pytest.mark.parametrize(
         "row",
-        ["A,1.5,3,0.5", "A,1,x,0", "A,1,0,0", "A,1,-3,0", "A,1" + "0" * 400 + ",1,0"],
-        ids=["fractional_num", "non_numeric_den", "zero_den", "negative_den", "beyond_float"],
+        ["A,1.5,3,0.5", "A,1,x,0", "A,1,0,0", "A,1,-3,0", "A,1" + "0" * 400 + ",1,0",
+         "A,1_0,3,0", "A,\u0661,3,0", "A,1,1_0,0", "A,1,\u0661,0"],
+        ids=["fractional_num", "non_numeric_den", "zero_den", "negative_den", "beyond_float",
+             "underscore_num", "non_ascii_num", "underscore_den", "non_ascii_den"],
     )
     def test_bad_exact_scores_usage_exit(self, tmp_path, capsys, row):
         samples = tmp_path / "scores.csv"
@@ -560,7 +589,9 @@ class TestFailedRunWritesNothing:
         out = tmp_path / "out"
         code = run("report", "--input", str(table), "--out", str(out))
         assert code == 2
-        assert "constant input" in capsys.readouterr().err
+        assert "error: correlation of p and fc3 undefined: fc3 is constant\n" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_evaluate_window_without_citations(self, data_dir, tmp_path, capsys):
@@ -571,7 +602,10 @@ class TestFailedRunWritesNothing:
             "--window", "1990:1991", "--min-pubs", "2", "--out", str(out),
         )
         assert code == 2
-        assert "constant input" in capsys.readouterr().err
+        assert (
+            "error: correlation of p and ic_1990_1991 undefined: ic_1990_1991 is constant\n"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_out_naming_a_file_usage_exit(self, data_dir, tmp_path, capsys):

@@ -23,6 +23,7 @@ from citefrac.corpus import (
     build_corpus,
     load_aggregate_table,
     load_canonical,
+    load_samples_csv,
     parse_tagged,
     write_canonical,
 )
@@ -452,21 +453,33 @@ class TestCanonical:
             ('{"id": "Z", "side": "cited", "year": 0}', "year must be positive"),
             ('{"id": "Z", "side": "both"}', "has no 'year' field"),
             ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": "x"}', "nrefs must be an integer"),
-            ('{"id": "Z", "side": "citing", "year": "x"}', "invalid literal"),
-            ('{"id": "Z", "side": "citing", "year": "2_005"}', "invalid literal"),
+            ('{"id": "Z", "side": "citing", "year": "x"}', "year must be an integer, got 'x'"),
+            ('{"id": "Z", "side": "citing", "year": "2_005"}', "year must be an integer, got '2_005'"),
             ('{"id": "Z", "side": "citing", "year": "\u0662\u0660\u0660\u0665"}',
-             "invalid literal"),
+             "year must be an integer, got '\u0662\u0660\u0660\u0665'"),
             ('{"id": "Z", "side": "cited", "year": 2005, "addresses": "Tsinghua Univ"}',
              "addresses must be a list"),
             ('{"id": "Z", "side": "citing", "year": 2006, "cites": "AB"}', "cites must be a list"),
             ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": -1}', "nrefs must be >= 0, got -1"),
             ('{"id": "Z", "side": "citing", "year": 2006, "cites": ["A", "A"]}',
              "cites contains duplicates"),
+            ('{"id": "Z", "side": "citing", "year": true}', "year must be an integer, got True"),
+            ('{"id": "Z", "side": "citing", "year": 2.5}', "year must be an integer, got 2.5"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": "2_005"}',
+             "nrefs must be an integer, got '2_005'"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": "\u0661\u0662"}',
+             "nrefs must be an integer, got '\u0661\u0662'"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": true}',
+             "nrefs must be an integer, got True"),
+            ('{"id": "Z", "side": "citing", "year": 2006, "nrefs": 2.5}',
+             "nrefs must be an integer, got 2.5"),
         ],
         ids=[
             "year_zero", "missing_year", "nrefs_not_integer", "year_not_integer",
             "year_underscore", "year_non_ascii_digits",
             "addresses_string", "cites_string", "nrefs_negative", "cites_repeated",
+            "year_true", "year_float", "nrefs_underscore", "nrefs_non_ascii_digits",
+            "nrefs_true", "nrefs_float",
         ],
     )
     def test_bad_record_carries_line(self, record, message):
@@ -477,6 +490,12 @@ class TestCanonical:
     def test_year_string_between_blanks(self):
         corpus = load_canonical('{"id": "Z", "side": "cited", "year": " +2005\\t"}\n')
         assert corpus.cited["Z"].year == 2005
+
+    def test_nrefs_string_between_blanks(self):
+        # Read by the rule of a string year, and written back as an integer.
+        corpus = load_canonical('{"id": "Z", "side": "citing", "year": 2005, "nrefs": " 3 "}\n')
+        assert corpus.citing["Z"].nrefs == 3
+        assert '"nrefs": 3, ' in write_canonical(corpus)
 
     @pytest.mark.parametrize(
         "fields, error, message",
@@ -940,7 +959,13 @@ class TestAggregateTable:
 
     def test_missing_cells(self):
         text = "unit,P,IC3,FC3,IC5,FC5\nDep Y,5,1,1,1,1\nDep X,5,1,1\n"
-        with pytest.raises(NonNumericCell, match="line 3"):
+        with pytest.raises(MalformedField, match="line 3: row has 4 cells, the header 6"):
+            load_aggregate_table(text)
+
+    @pytest.mark.parametrize("p", ["1_0", "\u0661"], ids=["underscore", "non_ascii_digit"])
+    def test_p_is_an_ascii_decimal(self, p):
+        text = f"unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,{p},2,1,2,1\n"
+        with pytest.raises(NonNumericCell, match="line 3: missing or non-numeric cell"):
             load_aggregate_table(text)
 
     def test_extra_cell(self):
@@ -995,3 +1020,33 @@ class TestAggregateTable:
         for i, p in enumerate(c["p"]):
             assert c["icp5"][i] - c["ic5"][i] / p == 0
             assert c["fcp3"][i] - c["fc3"][i] / p == 0
+
+
+# Both unit-keyed tables are read by one row reader. A row: its unit, then
+# a 1 in every other cell of the header.
+_UNIT_TABLES = [
+    pytest.param(load_aggregate_table, "unit,P,IC3,FC3,IC5,FC5", id="aggregate"),
+    pytest.param(load_samples_csv, "unit,value", id="samples"),
+]
+
+
+def _table_row(unit: str, cells: int) -> str:
+    return ",".join([unit] + ["1"] * (cells - 1))
+
+
+@pytest.mark.parametrize("load, header", _UNIT_TABLES)
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_unit_table_row_width_names_its_line(load, header, extra):
+    width = header.count(",") + 1
+    text = f"{header}\n{_table_row('A', width)}\n{_table_row('B', width + extra)}\n"
+    with pytest.raises(
+        MalformedField, match=f"line 3: row has {width + extra} cells, the header {width}"
+    ):
+        load(text)
+
+
+@pytest.mark.parametrize("load, header", _UNIT_TABLES)
+def test_unit_table_blank_lines_are_no_rows(load, header):
+    width = header.count(",") + 1
+    text = f"{header}\n\n{_table_row('A', width)}\n\n{_table_row('B', width)}\n"
+    assert len(load(text)) == 2

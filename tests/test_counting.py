@@ -232,7 +232,7 @@ class TestCountingProperties:
             credit: dict[str, Fraction] = {}
             for citing_id, cited_id in corpus.links:
                 rec = corpus.citing[citing_id]
-                if rec.year not in window or rec.reference_count <= 0:
+                if not window.start <= rec.year <= window.end or rec.reference_count <= 0:
                     continue
                 if cited_id in scores.impacts:
                     credit[citing_id] = credit.get(citing_id, Fraction(0)) + Fraction(
@@ -321,13 +321,14 @@ class TestCountingProperties:
         # per-link contributions in any permutation gives identical totals.
         rng = random.Random(35)
         corpus = random_corpus(rng, 40)
-        scores = paper_scores(corpus, Window(2005, 2009), ALL_DOCTYPES)
+        window = Window(2005, 2009)
+        scores = paper_scores(corpus, window, ALL_DOCTYPES)
         contributions: dict[str, list[Fraction]] = {
             pid: [] for pid in scores.impacts
         }
         for citing_id, cited_id in corpus.links:
             rec = corpus.citing[citing_id]
-            if cited_id in contributions and rec.year in Window(2005, 2009):
+            if cited_id in contributions and window.start <= rec.year <= window.end:
                 if rec.reference_count > 0:
                     contributions[cited_id].append(Fraction(1, rec.reference_count))
         for pid, parts in contributions.items():

@@ -1,7 +1,10 @@
 """The CI workflow's installed-entry-point step runs as written: each of its
-`citefrac ...` commands, in order, exits 0 through `cli.main`."""
+lines, in order, succeeds, a `citefrac ...` command through `cli.main` and
+any other line (one that writes an input file) through bash."""
+import os
 import re
 import shlex
+import subprocess
 from pathlib import Path
 
 from citefrac.cli import main
@@ -10,24 +13,25 @@ ROOT = Path(__file__).parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
-def entry_point_commands(out: Path) -> list[list[str]]:
-    """Each `citefrac ...` line of the step, `\\` continuations joined and
-    `$out` replaced by `out`."""
+def entry_point_lines() -> list[str]:
+    """Each line of the step's script, `\\` continuations joined."""
     step = WORKFLOW.read_text(encoding="utf-8").split("- name: Installed entry point\n", 1)[1]
     script = step.split("run: |\n", 1)[1].split("- name:", 1)[0]
     script = re.sub(r"\\\n\s*", " ", script)
-    return [
-        [arg.replace("$out", str(out)) for arg in shlex.split(line)]
-        for line in map(str.strip, script.splitlines())
-        if line.startswith("citefrac ")
-    ]
+    return [line for line in map(str.strip, script.splitlines()) if line]
 
 
 def test_entry_point_step_runs(tmp_path, monkeypatch):
-    commands = entry_point_commands(tmp_path)
-    assert sorted(argv[1] for argv in commands) == sorted(
-        ["ingest", "assign", "count", "stats", "report", "evaluate"]
-    )
+    lines = entry_point_lines()
+    commands = [shlex.split(line) for line in lines if line.startswith("citefrac ")]
+    assert {argv[1] for argv in commands} == {
+        "ingest", "assign", "count", "stats", "report", "evaluate"
+    }
     monkeypatch.chdir(ROOT)  # the step reads tests/data/ from the checkout
-    for argv in commands:
-        assert main(argv[1:]) == 0, " ".join(argv)
+    for line in lines:
+        if line.startswith("citefrac "):
+            argv = [arg.replace("$out", str(tmp_path)) for arg in shlex.split(line)]
+            assert main(argv[1:]) == 0, line
+        else:
+            env = {**os.environ, "out": str(tmp_path)}
+            subprocess.run(["bash", "-c", line], env=env, check=True)
