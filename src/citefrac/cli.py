@@ -23,6 +23,8 @@ from . import corpus, counting, report
 from .corpus import (
     Corpus,
     UnitRow,
+    _decimal,
+    _lines,
     load_aggregate_table,
     load_canonical,
     load_samples_csv,
@@ -55,10 +57,11 @@ class RunConfig:
     read: tuple[str, ...] = ()  # the keys of the settings its subcommand reads
 
 
-def _checked(convert: Callable[[str], object], rule: str, ok) -> Callable:
-    """A parser: `convert` the text, then require `ok` of the value."""
+def _checked(number: type, rule: str, ok) -> Callable:
+    """A parser: the `number` the text writes by `corpus._decimal`'s rule,
+    of which it requires `ok`."""
     def parse(text: str):
-        value = convert(text)
+        value = _decimal(text, number)
         if not ok(value):
             raise ValueError(f"must {rule}, got {value}")
         return value
@@ -71,7 +74,7 @@ def _parse_windows(text: str) -> list[Window]:
     windows: list[Window] = []
     for part in filter(str.strip, text.split(",")):
         try:
-            start, end = map(int, part.split(":"))
+            start, end = map(_decimal, part.split(":"))
         except ValueError:
             raise ValueError(f"invalid window {part!r}, expected START:END") from None
         window = Window(start, end)
@@ -121,8 +124,7 @@ def _read_config_file(path: Path, keys: tuple[str, ...]) -> dict[str, tuple[str,
     first non-blank character is '#' is a comment."""
     values: dict[str, tuple[str, str]] = {}
     first: dict[str, int] = {}  # key -> the line that gave it
-    lines = _read(path, "".join).splitlines()
-    for number, raw in enumerate(lines, start=1):
+    for number, raw in enumerate(_lines(_read(path, "".join)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -344,13 +346,16 @@ def _stats_battery(
 
 def _battery_skip_reason(groups: dict[str, list[float]]) -> str | None:
     """Why the statistics battery cannot run on these per-unit samples, or
-    None: it compares at least 2 units, each of at least 2 papers."""
+    None: it compares at least 2 units, each of at least 2 papers, not all
+    of one value."""
     if len(groups) < 2:
         kept = f"only unit {next(iter(groups))!r}" if groups else "no unit"
         return f"{kept} kept, the tests need at least 2 units"
     for unit, sample in groups.items():
         if len(sample) < 2:
             return f"unit {unit!r} has {len(sample)} paper(s), the tests need at least 2"
+    if len(values := set().union(*groups.values())) == 1:
+        return f"every paper has the value {values.pop():g}, the tests need 2 distinct values"
     return None
 
 

@@ -145,11 +145,10 @@ def _blocks(text: str | Iterable[str]) -> Iterator[str]:
     blocks of about `_BLOCK_CHARS` characters that each end just after a
     "\\n", the last one excepted.
 
-    A "\\n" ends a line for str.splitlines and `_record_lines` alike, and
-    it is the last character of a "\\r\\n", so no line and no line break
-    is cut between blocks. A line cut between pieces is carried into the
-    next piece's first block; only that line is joined, so each piece is
-    copied once.
+    A "\\n" ends a line for `_lines`, and it is the last character of a
+    "\\r\\n", so no line and no line break is cut between blocks. A line
+    cut between pieces is carried into the next piece's first block; only
+    that line is joined, so each piece is copied once.
     """
     carry: list[str] = []  # the parts of a line begun in earlier pieces
     for piece in (text,) if isinstance(text, str) else text:
@@ -187,24 +186,27 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _record_lines(block: str) -> list[str]:
-    """The lines of canonical text. Only "\\n", "\\r\\n" and "\\r" end
-    one: a JSON string may hold U+2028, U+0085 and the like raw, where
-    str.splitlines would cut the record."""
-    lines = block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+def _lines(block: str) -> list[str]:
+    """The lines of a text, for every input format. Only "\\n", "\\r\\n"
+    and "\\r" end one, as universal newlines read it: a tagged field, a
+    JSON string, a query or a config value may hold U+2028, U+0085, "\\x0c"
+    and the like, where a split at every Unicode line break would cut it."""
+    if "\r" in block:
+        block = block.replace("\r\n", "\n").replace("\r", "\n")
+    lines = block.split("\n")
     return lines if lines[-1] else lines[:-1]
 
 
-def _decimal(text: str) -> int:
-    """The integer that `text` writes as an optional sign and ASCII digits,
-    with blanks around them: the rule for every integer a data file holds
-    as text. int() alone would also read '_' separators and non-ASCII digits
-    (``2_005``, ``١٢``); this raises ValueError for them as int() does for
-    any other text."""
+def _decimal(text: str, number: type = int):
+    """The `number` (int, Fraction or float) that `text` writes in ASCII,
+    with blanks around it: the rule for every number an input holds as
+    text. Each of those types alone would also read '_' separators and
+    non-ASCII digits (``2_005``, ``١٢``, ``٠.٠٥``); this raises ValueError
+    for them as the type does for any other text."""
     digits = text.strip()
     if not digits.isascii() or "_" in digits:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
+        raise ValueError(f"invalid literal for {number.__name__}(): {text!r}")
+    return number(text)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +338,7 @@ def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
     in_record = False
     saw_ef = False
 
-    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, _blocks(text))), 1):
+    for lineno, raw in enumerate(chain.from_iterable(map(_lines, _blocks(text))), 1):
         tag = _FIELDS.get(raw[:3])
         if tag is not None and not (
             (tag == "ER" or tag == "EF") and raw.rstrip() == tag
@@ -536,7 +538,7 @@ def load_canonical(text: str | Iterable[str]) -> Corpus:
         # UTF-8 cannot encode; a block with neither skips the per-record
         # check. An escape never straddles two blocks, as each ends at "\n".
         surrogates = "\\ud" in block or "\\uD" in block or not _utf8_encodable(block)
-        for line in _record_lines(block):
+        for line in _lines(block):
             lineno += 1
             written = _written_line(line)
             if written is not None:
@@ -685,10 +687,10 @@ def _exponent_beyond_float(cell: str) -> bool:
 def load_aggregate_table(text: str) -> list[UnitRow]:
     """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
 
-    A unit must be named, once. P is an integer by `_decimal`'s rule. Every
-    cell must be a number a float can hold, as the statistics read each
-    column as floats. IC3, FC3, IC5 and FC5 are counts, so none may be
-    negative, and IC3 and IC5 must be whole numbers."""
+    A unit must be named, once. Every cell is a number by `_decimal`'s
+    rule, P an integer and the others fractions, that a float can hold, as
+    the statistics read each column as floats. IC3, FC3, IC5 and FC5 are
+    counts, so none may be negative, and IC3 and IC5 must be whole numbers."""
     rows: list[UnitRow] = []
     seen: set[str] = set()
     for lineno, unit, cells in _unit_rows(text, _aggregate_columns):
@@ -699,7 +701,7 @@ def load_aggregate_table(text: str) -> list[UnitRow]:
                 raise NonNumericCell(
                     f"count exponent far beyond a float's range in row {raw!r}", lineno
                 )
-            ic3, fc3, ic5, fc5 = counts = [Fraction(cell) for cell in cells[2:]]
+            ic3, fc3, ic5, fc5 = counts = [_decimal(cell, Fraction) for cell in cells[2:]]
         except (ValueError, ZeroDivisionError):
             raise NonNumericCell(
                 f"missing or non-numeric cell in row {raw!r}", lineno
@@ -738,13 +740,13 @@ def _sample_columns(header: list[str]) -> list[int]:
 def load_samples_csv(text: str) -> dict[str, list[float]]:
     """Per-paper samples by unit, from a unit,value table or from a scores
     export (unit, fc_num, fc_den): there a sample is the float of the exact
-    fraction fc_num/fc_den, two integers by `_decimal`'s rule, which is
-    what `counting.per_paper_samples` gives."""
+    fraction fc_num/fc_den, which is what `counting.per_paper_samples`
+    gives. Each number is read by `_decimal`'s rule."""
     groups: dict[str, list[float]] = {}
     for lineno, unit, cells in _unit_rows(text, _sample_columns):
         try:
             if len(cells) == 1:
-                value = float(cells[0])
+                value = _decimal(cells[0], float)
             else:
                 num, den = map(_decimal, cells)
                 value = float(Fraction(num, den)) if den > 0 else math.nan

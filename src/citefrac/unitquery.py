@@ -38,7 +38,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import Corpus, PublicationRecord
+from .corpus import Corpus, PublicationRecord, _decimal, _lines
 from .errors import CyclicMinus, MinusError, QuerySyntaxError, UnknownUnitInMinus
 
 # ---------------------------------------------------------------------------
@@ -215,10 +215,10 @@ class _Parser:
 
     def _parse_year(self, tok: tuple[str, str, int]) -> YearEquals:
         _, value, pos = tok
-        if value.isdecimal():
+        if value.isdigit():  # no sign
             try:
-                return YearEquals(int(value))
-            except ValueError:  # more digits than int() converts
+                return YearEquals(_decimal(value))
+            except ValueError:  # not ASCII, or more digits than int() converts
                 pass
         raise QuerySyntaxError(f"expected a year, got {value!r}", pos)
 
@@ -375,7 +375,7 @@ def parse_unit_definitions(text: str) -> list[UnitDefinition]:
     defs: list[UnitDefinition] = []
     # Unit name -> its line and the column where its `minus` starts.
     minus_at: dict[str, tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

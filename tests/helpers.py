@@ -5,6 +5,7 @@ per-record JSON-encoder canonical writer oracle, textbook omnibus-test
 and loop mid-rank oracles."""
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -385,7 +386,8 @@ def _reference_finish_record(
 
 
 def reference_parse_tagged(text: str) -> TaggedParseResult:
-    lines = text.splitlines()
+    # Universal newlines: only "\n", "\r\n" and "\r" end a line.
+    lines = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
 
     result = TaggedParseResult()
     first_lines: dict[str, int] = {}  # accepted record id -> its start line

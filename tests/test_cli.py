@@ -290,6 +290,30 @@ class TestCountAndEvaluate:
         assert "statistics skipped: unit 'B' has 1 paper(s), the tests need at least 2\n" in err
         assert (out / "scores.csv").is_file() and not (out / "tests.csv").exists()
 
+    def test_statistics_skipped_for_tied_papers(self, tmp_path, capsys):
+        # No paper is cited in the window: every FC is 0.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                f'{{"id": "{pid}", "side": "cited", "year": 2005, '
+                f'"addresses": ["Univ, Dep {pid[0]}"]}}\n'
+                for pid in ("A1", "A2", "B1", "B2")
+            )
+            + '{"id": "X", "side": "citing", "year": 2012, "nrefs": 2, "cites": ["A1", "B1"]}\n',
+            encoding="utf-8",
+        )
+        units = tmp_path / "units.txt"
+        units.write_text("A := ad=(dep a)\nB := ad=(dep b)\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--input", str(corpus), "--units", str(units),
+            "--window", "2005:2009", "--min-pubs", "2", "--out", str(out),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "statistics skipped: every paper has the value 0, the tests need 2 distinct" in err
+        assert (out / "scores.csv").is_file() and not (out / "tests.csv").exists()
+
     def test_levene_on_zero_deviation_spread(self, tmp_path):
         # FC {1/2, 0} and {3/2, 0}: each unit's absolute deviations are
         # equal (1/4 and 3/4), so Levene's W is inf with p = 0, as ANOVA's F.
@@ -497,8 +521,10 @@ class TestStatsSubcommand:
             ("unit,value\nA,1\nA,2\nB,3\n",
              "unit 'B' has 1 paper(s), the tests need at least 2"),
             ("unit,value\nA,1\nA,2\n", "only unit 'A' kept, the tests need at least 2 units"),
+            ("unit,value\nA,0\nA,0\nB,0\nB,0\n",
+             "every paper has the value 0, the tests need 2 distinct values"),
         ],
-        ids=["one_value_unit", "one_unit"],
+        ids=["one_value_unit", "one_unit", "tied_values"],
     )
     def test_too_few_samples_name_the_unit(self, tmp_path, capsys, text, reason):
         samples = tmp_path / "samples.csv"
@@ -535,8 +561,11 @@ class TestStatsSubcommand:
         assert "internal error" not in err
 
     @pytest.mark.parametrize(
-        "row", ["A,x", "A,nan", "A,inf", "A", ",5", "A," + "1" * 200_000],
-        ids=["non_numeric", "nan", "inf", "missing_value", "empty_unit", "field_over_limit"],
+        "row",
+        ["A,x", "A,nan", "A,inf", "A", ",5", "A," + "1" * 200_000,
+         "A,1_0", "A,\u0661", "A,\u0660.\u0660\u0665"],
+        ids=["non_numeric", "nan", "inf", "missing_value", "empty_unit", "field_over_limit",
+             "underscore", "non_ascii_digit", "non_ascii_decimal"],
     )
     def test_bad_samples_usage_exit(self, tmp_path, capsys, row):
         samples = tmp_path / "samples.csv"
@@ -724,10 +753,14 @@ class TestConfigAndValidation:
             "A,1" + "0" * 400 + ",1,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
             "A,5,12.5,1,7,2\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
             "A,5,1,1,1,1\n  ,6,2,1,3,2\nC,7,3,2,4,3\n",
+            "A,5,1_0,1,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
+            "A,5,1,\u0661,1,1\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
+            "A,5,1,1,1,\u0660.\u0660\u0665\nB,6,2,1,3,2\nC,7,3,2,4,3\n",
         ],
         ids=[
             "missing_cells", "duplicate_unit", "extra_cell", "field_over_csv_limit",
             "count_beyond_float", "p_beyond_float", "non_integral_ic", "blank_unit",
+            "ic_underscore", "fc_non_ascii_digit", "fc_non_ascii_decimal",
         ],
     )
     def test_bad_aggregate_table_usage_exit(self, tmp_path, capsys, rows):
@@ -793,6 +826,10 @@ class TestConfigAndValidation:
             ("Good := ad=(x)\nBad := ad=(x) minus\n", "line 2, column 15: minus names no unit"),
             ("Good := ad=(x)\nA := ad=(univ) and py=²\n",
              "line 2, column 23: expected a year, got '²'"),
+            ("Good := ad=(x)\nA := py=\u0661\n",
+             "line 2, column 9: expected a year, got '\u0661'"),
+            ("Good := ad=(tsinghua\u2028univ)  # lab\x0c\nA := ad=(x and)\n",
+             "line 2, column 15: unexpected ')'"),
             ("Good := ad=(x)\nA := py=" + "9" * 5000 + "\n",
              "line 2, column 9: expected a year, got '999"),
             ("Good := ad=(x)\nA := " + "(" * 400 + "ad=(univ)" + ")" * 400 + "\n",
@@ -812,7 +849,8 @@ class TestConfigAndValidation:
         ],
         ids=[
             "query", "missing_assign", "empty_name", "duplicate_name", "bare_minus",
-            "superscript_year", "year_beyond_int_digits", "deep_parens",
+            "superscript_year", "non_ascii_year", "separators_in_a_line",
+            "year_beyond_int_digits", "deep_parens",
             "deep_parens_in_ad", "long_or_chain", "undefined_minus", "cyclic_minus",
             "year_missing", "unclosed_paren", "operator_as_phrase", "trailing_paren",
         ],
@@ -895,10 +933,18 @@ class TestConfigAndValidation:
             ("evaluate", "alpha = 2",
              "run.cfg, line 3: invalid alpha value '2': must lie in (0, 1), got 2.0"),
             ("count", "format = canonical", "run.cfg, line 3: unknown setting 'format'"),
+            ("count", "min-pubs = 1_0", "run.cfg, line 3: invalid min-pubs value '1_0'"),
+            ("count", "min-pubs = \u0661", "run.cfg, line 3: invalid min-pubs value '\u0661'"),
+            ("evaluate", "alpha = \u0660.\u0660\u0665",
+             "run.cfg, line 3: invalid alpha value '\u0660.\u0660\u0665'"),
+            # "\x0c" and U+2028 inside a line do not end it.
+            ("count", "# page one\x0c# page two\u2028\nmin-pubs = x\x0c",
+             "run.cfg, line 4: invalid min-pubs value 'x'"),
         ],
         ids=[
             "unknown_key", "no_equals", "strict_not_boolean", "min_pubs_not_integer",
-            "min_pubs_zero", "alpha_out_of_range", "format_unknown",
+            "min_pubs_zero", "alpha_out_of_range", "format_unknown", "min_pubs_underscore",
+            "min_pubs_non_ascii_digit", "alpha_non_ascii_decimal", "separators_in_a_line",
         ],
     )
     def test_bad_config_usage_exit(self, data_dir, tmp_path, capsys, command, line, message):
@@ -1029,11 +1075,17 @@ class TestSettingsDeclaredOnce:
             default = _build_config(build_parser().parse_args(self.base_argv(data_dir, key)))
             assert getattr(from_flags, field) != getattr(default, field)
 
-    @pytest.mark.parametrize(
-        "key", sorted(key for key, (_, bad) in SETTING_SAMPLES.items() if bad)
-    )
-    def test_flag_and_config_fail_alike(self, key, data_dir, tmp_path):
-        bad = SETTING_SAMPLES[key][1]
+    @pytest.mark.parametrize("key, bad", [
+        *(pytest.param(key, bad, id=key) for key, (_, bad) in sorted(SETTING_SAMPLES.items())
+          if bad),
+        # Numbers that each number type alone would read.
+        pytest.param("min_pubs", "1_0", id="min_pubs_underscore"),
+        pytest.param("min_pubs", "\u0661", id="min_pubs_non_ascii_digit"),
+        pytest.param("alpha", "\u0660.\u0660\u0665", id="alpha_non_ascii_decimal"),
+        pytest.param("window", "2005:2_009", id="window_underscore"),
+        pytest.param("window", "\u0661:2009", id="window_non_ascii_digit"),
+    ])
+    def test_flag_and_config_fail_alike(self, key, bad, data_dir, tmp_path):
         with pytest.raises(UsageError) as from_flags:
             self.from_flags(data_dir, key, bad)
         with pytest.raises(UsageError) as from_config:

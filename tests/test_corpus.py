@@ -19,7 +19,7 @@ from citefrac.corpus import (
     PublicationRecord,
     _blocks,
     _cited_dois,
-    _record_lines,
+    _lines,
     build_corpus,
     load_aggregate_table,
     load_canonical,
@@ -260,9 +260,11 @@ _VALUES = {
         "Plain Univ, City",
         "[Open bracket; Univ X, City",
         " ; ;Univ Y ; ",
+        "[Ito, H.] Kyoto Univ\x85 Dep Beta\u2028Lab\x0c, Kyoto",
     ],
     "CR": [
         "Anon, 2001, J X, V1, P1, DOI 10.1/a",
+        "Anon\x85 2001\u2028J X\x0c, DOI 10.1/g",
         "Anon, 2001, J X, XDOI 10.1/a",
         "Anon, DOI 10.1/a.",
         "Anon, DOI .",
@@ -283,7 +285,9 @@ _NOISE = [
     "ER", "ER  ", "ER\t", "EF", "EF ", "ER x", "EF x",
 ]
 _INDENTS = ["   ", " ", "\t", "\u3000"]
-_BREAKS = ["\n"] * 6 + ["\r\n", "\r", "\u2028"]
+# The line breaks of a tagged export; U+0085, U+2028 and "\x0c" are text
+# inside its values.
+_TAGGED_BREAKS = ["\n"] * 6 + ["\r\n", "\r"]
 
 
 def _random_field(rng: random.Random) -> list[str]:
@@ -317,7 +321,7 @@ def _random_tagged(rng: random.Random) -> str:
         block.append(rng.choice(["ER"] * 6 + ["ER ", "ER\t", "EF", "ER x", ""]))
         lines += block
     lines += rng.choice([["EF"], ["EF  "], [], ["EF", "PT J", "UT WOS:9", "ER"]])
-    return "".join(line + rng.choice(_BREAKS) for line in lines)
+    return "".join(line + rng.choice(_TAGGED_BREAKS) for line in lines)
 
 
 def _error_keys(result):
@@ -730,20 +734,10 @@ def test_loaders_pause_the_collector_and_restore_it(load, enabled):
     assert collecting == [False, False]
 
 
-# Every line break str.splitlines accepts.
+# Every line break str.splitlines accepts; only "\n", "\r\n" and "\r" end
+# a line of an input.
 _BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
            "\u2028", "\u2029"]
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    text=st.lists(st.sampled_from(["a", "bc", " ", *_BREAKS])).map("".join),
-    block=st.integers(1, 6),
-)
-def test_lines_split_blocks_as_splitlines(text, block):
-    # parse_tagged splits each block into lines with str.splitlines.
-    with mock.patch.object(corpus_module, "_BLOCK_CHARS", block):
-        assert [line for b in _blocks(text) for line in b.splitlines()] == text.splitlines()
 
 
 @settings(max_examples=400, deadline=None)
@@ -755,7 +749,7 @@ def test_canonical_lines_end_only_at_newlines(text, block):
     # Universal newlines: only "\n", "\r\n" and "\r" end a line.
     expected = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
     with mock.patch.object(corpus_module, "_BLOCK_CHARS", block):
-        assert [line for b in _blocks(text) for line in _record_lines(b)] == expected
+        assert [line for b in _blocks(text) for line in _lines(b)] == expected
 
 
 def _cut(text: str, cuts: list[int]) -> list[str]:
@@ -772,9 +766,8 @@ def _cut(text: str, cuts: list[int]) -> list[str]:
 def test_lines_of_blocks_as_of_the_whole_text(text, cuts):
     # A line or a "\r\n" cut between two blocks is carried into the next.
     blocks = _cut(text, cuts)
-    assert [line for b in _blocks(iter(blocks)) for line in b.splitlines()] == text.splitlines()
     expected = [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
-    assert [line for b in _blocks(iter(blocks)) for line in _record_lines(b)] == expected
+    assert [line for b in _blocks(iter(blocks)) for line in _lines(b)] == expected
 
 
 def test_loaders_take_blocks():
@@ -832,6 +825,27 @@ def test_canonical_separators_stay_in_strings(block):
         assert load_canonical(write_canonical(corpus)) == corpus
         with pytest.raises(MalformedField, match="line 7: record 'Z' has no 'year'"):
             load_canonical(records + "\r\n\n" + '{"id": "Z", "side": "cited"}\n')
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 64, 1 << 20])
+def test_tagged_separators_stay_in_values(block):
+    # U+0085, U+2028 and "\x0c" inside a CR line do not cut its DOI off, nor
+    # inside a C1 line the rest of its address, and an error after them
+    # names its line for any block size.
+    record = (
+        "PT J\r\nUT WOS:{}\r\nPY 2005\r\n"
+        "C1 [Li, W] Tsinghua\x85Univ\u2028Dep\x0cPhys; Peking Univ\r\n"
+        "CR Anon\x85 2001\u2028J X\x0c, DOI 10.1/a\r\nER\r\n"
+    )
+    text = "".join(map(record.format, range(5)))
+    with mock.patch.object(corpus_module, "_BLOCK_CHARS", block):
+        result = parse_tagged(text + "EF\r\n")
+        assert [r.cited_ids for r in result.records] == [("10.1/a",)] * 5
+        assert result.records[3].addresses == (
+            "Tsinghua\x85Univ\u2028Dep\x0cPhys", "Peking Univ",
+        )
+        (error,) = parse_tagged(text + "PT J\r\nUT WOS:9\r\nER\r\nEF\r\n").errors
+        assert str(error) == "line 31: record has no PY field"
 
 
 def _transient_bytes(load, text):

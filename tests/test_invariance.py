@@ -149,3 +149,17 @@ def test_tagged_records_reversed(data_dir, tmp_path):
         assert main(["ingest", "--input", str(export), "--out", str(out)]) == 0
         corpora.append((out / "corpus.jsonl").read_bytes())
     assert corpora[0] == corpora[1]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_tagged_line_ends(data_dir, tmp_path, newline):
+    export = data_dir / "toy_good.tagged"
+    copy = tmp_path / "copy.tagged"
+    copy.write_text(export.read_text(encoding="utf-8"), encoding="utf-8", newline=newline)
+    assert copy.read_bytes().count(newline.encode()) == export.read_bytes().count(b"\n")
+    corpora = []
+    for path in (export, copy):
+        out = tmp_path / path.stem
+        assert main(["ingest", "--input", str(path), "--out", str(out)]) == 0
+        corpora.append((out / "corpus.jsonl").read_bytes())
+    assert corpora[0] == corpora[1]

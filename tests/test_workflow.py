@@ -1,12 +1,15 @@
 """The CI workflow's installed-entry-point step runs as written: each of its
 lines, in order, succeeds, a `citefrac ...` command through `cli.main` and
-any other line (one that writes an input file) through bash."""
+any other line (one that writes an input file or checks an outcome) through
+bash, where `citefrac` runs `python -m citefrac.cli`."""
 import os
 import re
 import shlex
 import subprocess
+import sys
 from pathlib import Path
 
+import citefrac
 from citefrac.cli import main
 
 ROOT = Path(__file__).parents[1]
@@ -28,10 +31,13 @@ def test_entry_point_step_runs(tmp_path, monkeypatch):
         "ingest", "assign", "count", "stats", "report", "evaluate"
     }
     monkeypatch.chdir(ROOT)  # the step reads tests/data/ from the checkout
+    path = [str(Path(citefrac.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "out": str(tmp_path), "PYTHON": sys.executable,
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    shim = 'citefrac() { "$PYTHON" -m citefrac.cli "$@"; }; '
     for line in lines:
         if line.startswith("citefrac "):
             argv = [arg.replace("$out", str(tmp_path)) for arg in shlex.split(line)]
             assert main(argv[1:]) == 0, line
         else:
-            env = {**os.environ, "out": str(tmp_path)}
-            subprocess.run(["bash", "-c", line], env=env, check=True)
+            subprocess.run(["bash", "-c", shim + line], env=env, check=True)
