@@ -17,14 +17,14 @@ import io
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import corpus, counting, report
 from .corpus import (
     Corpus,
     UnitRow,
     _decimal,
-    _lines,
+    _text_lines,
     load_aggregate_table,
     load_canonical,
     load_samples_csv,
@@ -32,7 +32,7 @@ from .corpus import (
     write_canonical,
 )
 from .counting import Window, aggregate_units, paper_scores, per_paper_samples
-from .errors import CitefracError, ParseError, QuerySyntaxError
+from .errors import CitefracError, ConstantInput, ParseError, QuerySyntaxError
 from .stats import correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova
 from .unitquery import assign_units, parse_unit_definitions
 
@@ -124,7 +124,8 @@ def _read_config_file(path: Path, keys: tuple[str, ...]) -> dict[str, tuple[str,
     first non-blank character is '#' is a comment."""
     values: dict[str, tuple[str, str]] = {}
     first: dict[str, int] = {}  # key -> the line that gave it
-    for number, raw in enumerate(_lines(_read(path, "".join)), start=1):
+    lines = _read(path, lambda text: list(_text_lines(text)))
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -246,11 +247,6 @@ def _read(path: Path, load, digests: list[tuple[Path, str]] | None = None):
     return result
 
 
-def _whole(load: Callable[[str], object]) -> Callable[[Iterable[str]], object]:
-    """`load` of a small input's text, its blocks joined."""
-    return lambda blocks: load("".join(blocks))
-
-
 def _manifest(config: RunConfig, fmt: str, digests: list[tuple[Path, str]]) -> str:
     """The run's inputs, by the digests taken as they were read, the format
     of its --input, and those of min_pubs, alpha and windows it read."""
@@ -292,7 +288,7 @@ def cmd_ingest(config: RunConfig) -> dict[str, str]:
 
 
 def cmd_assign(config: RunConfig) -> dict[str, str]:
-    defs = _read(config.units, _whole(parse_unit_definitions))
+    defs = _read(config.units, parse_unit_definitions)
     assignment = assign_units(_read(config.input, load_canonical), defs)
     rows = ([u, pid] for u in sorted(assignment) for pid in sorted(assignment[u]))
     return {"assignment.csv": report.csv_text(["unit", "paper_id"], rows)}
@@ -303,7 +299,7 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list):
     tree: one row per kept unit with its totals per window, each window
     named by the suffix of its columns and files (_2005_2009). The units
     file is parsed before the corpus is read."""
-    defs = _read(config.units, _whole(parse_unit_definitions), digests)
+    defs = _read(config.units, parse_unit_definitions, digests)
     loaded = _read(config.input, load_canonical, digests)
     assignment = assign_units(loaded, defs)
     scores = {}
@@ -362,7 +358,7 @@ def _battery_skip_reason(groups: dict[str, list[float]]) -> str | None:
 def cmd_stats(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
     digests: list[tuple[Path, str]] = []
-    groups = _read(config.input, _whole(load_samples_csv), digests)
+    groups = _read(config.input, load_samples_csv, digests)
     skip = _battery_skip_reason(groups)
     if skip is not None:
         raise UsageError(f"{config.input.name}: {skip}")
@@ -376,7 +372,8 @@ def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str])
     each named by its column key: every column of `report.unit_columns`
     but ``unit`` is ranked and correlated, in that order, and the last
     window's IC -> FC and IC/P -> FC/P rank changes are written. Fewer than
-    three units give no correlations."""
+    three units give no correlations, and so does a constant column: the
+    run prints why and writes the rest of the tree."""
     columns = report.unit_columns(rows, windows)
     keys = [key for key in columns if key != "unit"]
     rankings = {key: report.rank_units(columns, key) for key in keys}
@@ -387,14 +384,18 @@ def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str])
         deltas = report.rank_change(rankings[a], rankings[b])
         tree[f"rank_changes_{a}_to_{b}.csv"] = report.format_rank_changes_csv(deltas, a, b)
     if len(rows) >= 3:
-        pairs = correlation_matrix({key: [float(v) for v in columns[key]] for key in keys})
-        tree["correlations.csv"] = report.format_correlation_csv(pairs)
+        try:
+            pairs = correlation_matrix({key: [float(v) for v in columns[key]] for key in keys})
+        except ConstantInput as exc:
+            print(f"correlations skipped: {exc}", file=sys.stderr)
+        else:
+            tree["correlations.csv"] = report.format_correlation_csv(pairs)
 
 
 def cmd_report(config: RunConfig) -> dict[str, str]:
     """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
     digests: list[tuple[Path, str]] = []
-    rows = _read(config.input, _whole(load_aggregate_table), digests)
+    rows = _read(config.input, load_aggregate_table, digests)
     tree = {"aggregates.csv": report.format_aggregates_csv(rows, ["3", "5"])}
     _unit_reports(tree, rows, ["3", "5"])
     tree["manifest.txt"] = _manifest(config, "aggregate", digests)

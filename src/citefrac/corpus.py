@@ -6,6 +6,10 @@ for tagged flat-file exports, the canonical line-delimited JSON interchange
 format, and the loaders of the two unit-keyed CSV tables: pre-aggregated
 indicator totals and per-paper samples.
 
+Every loader here and in `unitquery`, and the config reader, takes its text
+as one str or as pieces (a file as it is read) and gets its lines from
+`_text_lines` alone: only "\n", "\r\n" and "\r" end a line.
+
 Most of a corpus is its citing side, and it repeats itself: its records
 name the same cited ids, and a department's papers carry the same
 addresses. So both corpus loaders keep one object per distinct value across
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import io
 import json
 import math
 import re
@@ -197,6 +200,12 @@ def _lines(block: str) -> list[str]:
     return lines if lines[-1] else lines[:-1]
 
 
+def _text_lines(text: str | Iterable[str]) -> Iterator[str]:
+    """The lines of a text given as one str or as pieces (see `_blocks`),
+    split by `_lines` one block at a time: the lines of every loader."""
+    return chain.from_iterable(map(_lines, _blocks(text)))
+
+
 def _decimal(text: str, number: type = int):
     """The `number` (int, Fraction or float) that `text` writes in ASCII,
     with blanks around it: the rule for every number an input holds as
@@ -316,8 +325,8 @@ def _finish_record(
 
 @_collector_paused()
 def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
-    """Parse a tagged flat file, given as one str or as an iterable of
-    blocks (see `_blocks`), into publication records.
+    """Parse a tagged flat file, given as one str or as pieces (see
+    `_text_lines`), into publication records.
 
     Records are delimited by ``ER`` lines; each field starts with a
     two-letter tag in column 1 and may continue on indented lines. The file
@@ -338,7 +347,7 @@ def parse_tagged(text: str | Iterable[str]) -> TaggedParseResult:
     in_record = False
     saw_ef = False
 
-    for lineno, raw in enumerate(chain.from_iterable(map(_lines, _blocks(text))), 1):
+    for lineno, raw in enumerate(_text_lines(text), 1):
         tag = _FIELDS.get(raw[:3])
         if tag is not None and not (
             (tag == "ER" or tag == "EF") and raw.rstrip() == tag
@@ -402,16 +411,17 @@ _quote = json.encoder.encode_basestring
 
 
 # A line in exactly the shape `write_canonical` writes, whose strings hold no
-# '"', no backslash and no control character, whose year is positive, whose
-# nrefs is null or not negative, and whose integers have at most 18 digits.
-# JSON reads such a string as its text and such an integer as int() does, and
-# such a record meets `_count_error` by construction, so the loader takes a
-# record's values from this one match. It reads any other line as JSON, where
-# `_count_error` checks the numbers. A list's group holds the text between its
-# first and last quote, and is None for "[]". The ", " between two strings is
-# required: an optional separator would let the match split a string's text in
-# exponentially many ways before it fails.
-_STRING = r'[^"\\\x00-\x1f]*'
+# '"', no backslash, no control character and no surrogate, whose year is
+# positive, whose nrefs is null or not negative, and whose integers have at
+# most 18 digits. JSON reads such a string as its text and such an integer as
+# int() does, and such a record meets `_count_error` by construction, so the
+# loader takes a record's values from this one match. It reads any other line
+# as JSON, where `_count_error` checks the numbers and an encode the strings.
+# A list's group holds the text between its first and last quote, and is None
+# for "[]". The ", " between two strings is required: an optional separator
+# would let the match split a string's text in exponentially many ways before
+# it fails.
+_STRING = r'[^"\\\x00-\x1f\ud800-\udfff]*'
 _TEXT = rf'"({_STRING})"'
 _TEXTS = rf'\[(?:"({_STRING}(?:", "{_STRING})*)")?\]'
 _written_line = re.compile(
@@ -503,20 +513,10 @@ def _json_fields(
     return year, doctype, addresses, nrefs, cites, doi
 
 
-def _utf8_encodable(text: str) -> bool:
-    if text.isascii():  # as a corpus mostly is; encoding it would copy it
-        return True
-    try:
-        text.encode()
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 @_collector_paused()
 def load_canonical(text: str | Iterable[str]) -> Corpus:
     """Load a corpus from the canonical one-JSON-object-per-line format,
-    given as one str or as an iterable of blocks (see `_blocks`).
+    given as one str or as pieces (see `_text_lines`).
 
     Unknown fields are ignored. References to ids outside the cited set do
     not become links (but still count toward k via ``cites`` length). A
@@ -525,64 +525,57 @@ def load_canonical(text: str | Iterable[str]) -> Corpus:
     whose strings hold a lone surrogate, raw or escaped (``"\\ud800"``), is
     rejected, as no output file could encode it. Records share repeated
     values, as the module docstring says. A line in the shape
-    `write_canonical` writes is read by one regex match, any other as JSON;
-    both pass the same checks.
+    `write_canonical` writes, its strings free of surrogates, is read by one
+    regex match; any other line is read as JSON, whose strings are checked
+    for lone surrogates. Both pass the same checks.
     """
     cited: list[PublicationRecord] = []
     citing: list[PublicationRecord] = []
     seen: set[str] = set()
     years: dict[int, int] = {}  # one int object per distinct year
-    lineno = 0
-    for block in _blocks(text):
-        # A lone surrogate is a \ud800-\udfff escape or a raw character
-        # UTF-8 cannot encode; a block with neither skips the per-record
-        # check. An escape never straddles two blocks, as each ends at "\n".
-        surrogates = "\\ud" in block or "\\uD" in block or not _utf8_encodable(block)
-        for line in _lines(block):
-            lineno += 1
-            written = _written_line(line)
-            if written is not None:
-                rec_id, side, year, doctype, addresses, nrefs, cites, doi = written.groups()
-            elif line.strip():
-                obj = _json_object(line, lineno)
-                side, rec_id = obj["side"], obj.get("id")
-                if type(rec_id) is not str and rec_id is not None:
-                    raise MalformedField(f"id must be a string, got {rec_id!r}", lineno)
-            else:
-                continue
-            if not rec_id:
-                raise MissingId("missing id", lineno)
-            if rec_id in seen:
-                raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
-            seen.add(rec_id)
-            if written is None:
-                year, doctype, addresses, nrefs, cites, doi = _json_fields(obj, rec_id, lineno)
-                if (error := _count_error(year, nrefs)) is not None:
-                    raise MalformedField(f"record {rec_id!r}: {error}", lineno)
-            else:  # the match took only numbers that meet _count_error
-                year = int(year)
-                addresses = _texts(addresses)
-                nrefs = None if nrefs is None else int(nrefs)
-                cites = _texts(cites)
-            if len(set(cites)) != len(cites):
+    for lineno, line in enumerate(_text_lines(text), 1):
+        written = _written_line(line)
+        if written is not None:
+            rec_id, side, year, doctype, addresses, nrefs, cites, doi = written.groups()
+        elif line.strip():
+            obj = _json_object(line, lineno)
+            side, rec_id = obj["side"], obj.get("id")
+            if type(rec_id) is not str and rec_id is not None:
+                raise MalformedField(f"id must be a string, got {rec_id!r}", lineno)
+        else:
+            continue
+        if not rec_id:
+            raise MissingId("missing id", lineno)
+        if rec_id in seen:
+            raise DuplicateId(f"duplicate id {rec_id!r}", lineno)
+        seen.add(rec_id)
+        if written is None:
+            year, doctype, addresses, nrefs, cites, doi = _json_fields(obj, rec_id, lineno)
+            if (error := _count_error(year, nrefs)) is not None:
+                raise MalformedField(f"record {rec_id!r}: {error}", lineno)
+            try:
+                "".join((rec_id, doctype, doi or "", *addresses, *cites)).encode()
+            except UnicodeEncodeError:
                 raise MalformedField(
-                    f"record {rec_id!r}: cites contains duplicates", lineno
-                )
-            rec = PublicationRecord(
-                rec_id, years.setdefault(year, year), intern(doctype), addresses, nrefs,
-                cites, doi,
+                    f"record {rec_id!r}: a string holds a lone surrogate", lineno
+                ) from None
+        else:  # the match took only numbers that meet _count_error
+            year = int(year)
+            addresses = _texts(addresses)
+            nrefs = None if nrefs is None else int(nrefs)
+            cites = _texts(cites)
+        if len(set(cites)) != len(cites):
+            raise MalformedField(
+                f"record {rec_id!r}: cites contains duplicates", lineno
             )
-            if surrogates:
-                try:
-                    "".join((rec_id, doctype, doi or "", *addresses, *cites)).encode()
-                except UnicodeEncodeError:
-                    raise MalformedField(
-                        f"record {rec_id!r}: a string holds a lone surrogate", lineno
-                    ) from None
-            if side in ("cited", "both"):
-                cited.append(rec)
-            if side in ("citing", "both"):
-                citing.append(rec)
+        rec = PublicationRecord(
+            rec_id, years.setdefault(year, year), intern(doctype), addresses, nrefs,
+            cites, doi,
+        )
+        if side in ("cited", "both"):
+            cited.append(rec)
+        if side in ("citing", "both"):
+            citing.append(rec)
     return build_corpus(cited, citing)
 
 
@@ -620,14 +613,15 @@ def write_canonical(corpus: Corpus) -> str:
 # ---------------------------------------------------------------------------
 
 def _unit_rows(
-    text: str, columns: Callable[[list[str]], Sequence[int]]
+    text: str | Iterable[str], columns: Callable[[list[str]], Sequence[int]]
 ) -> Iterator[tuple[int, str, list[str]]]:
     """Each row of a unit-keyed CSV table as its line, its unit (its `unit`
     cell stripped of blanks) and the cells of the columns that `columns`
     picks from the header, which raises on a header its table does not
     take. A row whose cells do not match the header in number, or whose
-    unit is blank, is rejected with its line."""
-    reader = csv.reader(io.StringIO(text))
+    unit is blank, is rejected with its line. The csv reader gets each line
+    ended by "\n", so a quoted cell holding a line break reads back whole."""
+    reader = csv.reader(line + "\n" for line in _text_lines(text))
     try:
         header = next(reader, [])
         picked = columns(header)
@@ -684,8 +678,9 @@ def _exponent_beyond_float(cell: str) -> bool:
     return exponent is not None and abs(int(exponent[1])) > _MAX_EXPONENT
 
 
-def load_aggregate_table(text: str) -> list[UnitRow]:
-    """Load a unit,P,IC3,FC3,IC5,FC5 CSV into unit rows of windows 3 and 5.
+def load_aggregate_table(text: str | Iterable[str]) -> list[UnitRow]:
+    """Load a unit,P,IC3,FC3,IC5,FC5 CSV, given as one str or as pieces
+    (see `_text_lines`), into unit rows of windows 3 and 5.
 
     A unit must be named, once. Every cell is a number by `_decimal`'s
     rule, P an integer and the others fractions, that a float can hold, as
@@ -737,11 +732,12 @@ def _sample_columns(header: list[str]) -> list[int]:
     raise MalformedField("samples header lacks a value column", 1)
 
 
-def load_samples_csv(text: str) -> dict[str, list[float]]:
+def load_samples_csv(text: str | Iterable[str]) -> dict[str, list[float]]:
     """Per-paper samples by unit, from a unit,value table or from a scores
-    export (unit, fc_num, fc_den): there a sample is the float of the exact
-    fraction fc_num/fc_den, which is what `counting.per_paper_samples`
-    gives. Each number is read by `_decimal`'s rule."""
+    export (unit, fc_num, fc_den), given as one str or as pieces: there a
+    sample is the float of the exact fraction fc_num/fc_den, which is what
+    `counting.per_paper_samples` gives. Each number is read by `_decimal`'s
+    rule."""
     groups: dict[str, list[float]] = {}
     for lineno, unit, cells in _unit_rows(text, _sample_columns):
         try:

@@ -11,9 +11,10 @@ left-associative; parentheses override. NOT is binary set difference
 meaningful inside an ``ad=(...)`` scope and requires both operands to hold
 within one and the same address string. Phrases match as consecutive token
 runs against normalized address strings (lowercased, punctuation stripped,
-whitespace collapsed), so a phrase may cross comma boundaries. A query
-opens at most ``MAX_NESTING`` parentheses at once and holds at most
-``MAX_DEPTH`` binary operators on one path of its tree.
+whitespace collapsed), so a phrase may cross comma boundaries; a phrase's
+words are normalized by the same rule. A query opens at most
+``MAX_NESTING`` parentheses at once and holds at most ``MAX_DEPTH`` binary
+operators on one path of its tree.
 
 Queries are evaluated as set algebra over a positional inverted index of
 the records' addresses (token -> (address, position) postings), built once
@@ -38,7 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import Corpus, PublicationRecord, _decimal, _lines
+from .corpus import Corpus, PublicationRecord, _decimal, _text_lines
 from .errors import CyclicMinus, MinusError, QuerySyntaxError, UnknownUnitInMinus
 
 # ---------------------------------------------------------------------------
@@ -223,12 +224,21 @@ class _Parser:
         raise QuerySyntaxError(f"expected a year, got {value!r}", pos)
 
     def _parse_phrase(self) -> Phrase:
-        words: list[str] = []
+        """A maximal run of non-keyword words, each normalized as an address
+        is: `dept.` reads as `dept`, `a.b` as `a b`, and `,` as nothing. A
+        word that normalizes to hold a keyword (`and,`) is refused, as the
+        phrase's text would read back as that operator."""
+        pos = self.peek()[2]
+        tokens: list[str] = []
         while (tok := self.peek())[0] == "word" and tok[1] not in _KEYWORDS:
-            words.append(self.next()[1])
-        if not words:
-            raise QuerySyntaxError("expected a phrase", self.peek()[2])
-        return Phrase(tuple(words))
+            _, word, at = self.next()
+            words = normalize_address(word)
+            if not _KEYWORDS.isdisjoint(words):
+                raise QuerySyntaxError(f"{word!r} in a phrase reads as an operator", at)
+            tokens += words
+        if not tokens:
+            raise QuerySyntaxError("expected a phrase", pos)
+        return Phrase(tuple(tokens))
 
 
 def parse_query(text: str) -> Node:
@@ -367,15 +377,16 @@ def _split_minus(rhs: str) -> tuple[str, list[str]]:
     return rhs, []
 
 
-def parse_unit_definitions(text: str) -> list[UnitDefinition]:
-    """Parse a unit-definitions file: one `name := query [minus a,b]` per
-    line, `#` comments, blank lines ignored. A `minus` may name a unit
-    defined further down, but every name must be defined and no chain may
-    lead back to a unit on it."""
+def parse_unit_definitions(text: str | Iterable[str]) -> list[UnitDefinition]:
+    """Parse a unit-definitions file, given as one str or as pieces (see
+    `corpus._text_lines`): one `name := query [minus a,b]` per line, `#`
+    comments, blank lines ignored. A `minus` may name a unit defined
+    further down, but every name must be defined and no chain may lead back
+    to a unit on it."""
     defs: list[UnitDefinition] = []
     # Unit name -> its line and the column where its `minus` starts.
     minus_at: dict[str, tuple[int, int]] = {}
-    for lineno, raw in enumerate(_lines(text), start=1):
+    for lineno, raw in enumerate(_text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

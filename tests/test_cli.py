@@ -314,6 +314,29 @@ class TestCountAndEvaluate:
         assert "statistics skipped: every paper has the value 0, the tests need 2 distinct" in err
         assert (out / "scores.csv").is_file() and not (out / "tests.csv").exists()
 
+    def test_evaluate_window_without_citations(self, data_dir, tmp_path, capsys):
+        # Every unit's IC is 0: the correlations are skipped and so are the
+        # statistics, each saying why, and the rest of the tree is written.
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "1990:1991", "--min-pubs", "2", "--out", str(out),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert (
+            "correlations skipped: correlation of p and ic_1990_1991 undefined: "
+            "ic_1990_1991 is constant\n" in err
+        )
+        assert "statistics skipped: every paper has the value 0, the tests need 2 distinct" in err
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "aggregates.csv", "manifest.txt", "ranking_p.csv", "scores.csv",
+            *(f"ranking_{kind}_1990_1991.csv" for kind in ("ic", "icp", "fc", "fcp")),
+            "rank_changes_ic_1990_1991_to_fc_1990_1991.csv",
+            "rank_changes_icp_1990_1991_to_fcp_1990_1991.csv",
+        ])
+
     def test_levene_on_zero_deviation_spread(self, tmp_path):
         # FC {1/2, 0} and {3/2, 0}: each unit's absolute deviations are
         # equal (1/4 and 3/4), so Levene's W is inf with p = 0, as ANOVA's F.
@@ -371,6 +394,27 @@ class TestAggregateTableMode:
             trees.append({p.name: p.read_bytes() for p in out.iterdir()
                           if p.name != "manifest.txt"})
         assert trees[0] == trees[1]
+
+    def test_report_constant_column(self, tmp_path, capsys):
+        # FC3 is 1 for every unit: no correlations, the rest of the tree.
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nC,6,3,1,3,1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = run("report", "--input", str(table), "--out", str(out))
+        assert code == 0
+        assert "correlations skipped: correlation of p and fc3 undefined: fc3 is constant\n" in (
+            capsys.readouterr().err
+        )
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "aggregates.csv", "manifest.txt", "ranking_p.csv",
+            *(f"ranking_{kind}{w}.csv" for w in "35" for kind in ("ic", "icp", "fc", "fcp")),
+            "rank_changes_ic5_to_fc5.csv", "rank_changes_icp5_to_fcp5.csv",
+        ])
+        ranking = (out / "ranking_ic3.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[1] for row in ranking[1:]] == ["C", "B", "A"]
 
     @pytest.mark.parametrize("command", ["evaluate", "count", "assign"])
     def test_corpus_commands_refuse_unit_table(self, command, data_dir, tmp_path, capsys):
@@ -609,34 +653,6 @@ class TestStatsSubcommand:
 
 
 class TestFailedRunWritesNothing:
-    def test_report_constant_column(self, tmp_path, capsys):
-        table = tmp_path / "table.csv"
-        table.write_text(
-            "unit,P,IC3,FC3,IC5,FC5\nA,5,1,1,1,1\nB,5,2,1,2,1\nC,6,3,1,3,1\n",
-            encoding="utf-8",
-        )
-        out = tmp_path / "out"
-        code = run("report", "--input", str(table), "--out", str(out))
-        assert code == 2
-        assert "error: correlation of p and fc3 undefined: fc3 is constant\n" in (
-            capsys.readouterr().err
-        )
-        assert not out.exists()
-
-    def test_evaluate_window_without_citations(self, data_dir, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = run(
-            "evaluate", "--input", str(data_dir / "toy_corpus.jsonl"),
-            "--units", str(data_dir / "toy_units.txt"),
-            "--window", "1990:1991", "--min-pubs", "2", "--out", str(out),
-        )
-        assert code == 2
-        assert (
-            "error: correlation of p and ic_1990_1991 undefined: ic_1990_1991 is constant\n"
-            in capsys.readouterr().err
-        )
-        assert not out.exists()
-
     def test_out_naming_a_file_usage_exit(self, data_dir, tmp_path, capsys):
         out = tmp_path / "results"
         out.write_bytes(b"keep me\n")

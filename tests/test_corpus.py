@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import json
 import random
 import time
@@ -37,6 +38,7 @@ from citefrac.errors import (
     UnterminatedRecord,
 )
 from citefrac.report import unit_columns
+from citefrac.unitquery import parse_unit_definitions
 from helpers import (
     _DOI_SUFFIX_RE,
     random_corpus,
@@ -780,6 +782,47 @@ def test_loaders_take_blocks():
     text = _tagged_export(40)
     blocks = _cut(text, list(range(7, len(text), 97)))
     assert parse_tagged(iter(blocks)) == parse_tagged(text)
+
+
+_SAMPLES = 'unit,fc_num,fc_den\nA,1,2\n"Dep B, Phys",3,1\n\nA,0,1\n"Dep B, Phys",1,3\n'
+
+
+@pytest.mark.parametrize(
+    "load, source",
+    [(parse_tagged, "toy_good.tagged"), (load_canonical, "toy_corpus.jsonl"),
+     (parse_unit_definitions, "toy_units.txt"), (load_aggregate_table, "table1.csv"),
+     (load_samples_csv, _SAMPLES)],
+    ids=["tagged", "canonical", "units", "aggregate_table", "samples"],
+)
+def test_every_loader_reads_one_line_rule(data_dir, load, source):
+    # "\n", "\r\n" and a lone "\r" end a line alike, whether the text comes
+    # whole or in pieces of 1 to 7 characters, as a file is read.
+    text = source if "\n" in source else (data_dir / source).read_text(encoding="utf-8")
+    rng = random.Random(4)
+    expected = load(text)
+    assert expected
+    for end in ("\n", "\r\n", "\r"):
+        variant = text.replace("\n", end)
+        cuts = list(itertools.accumulate(rng.randint(1, 7) for _ in range(len(variant))))
+        assert load(variant) == expected, repr(end)
+        assert load(iter(_cut(variant, cuts))) == expected, repr(end)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_quoted_unit_holding_a_line_break_reads_whole(end):
+    samples = f'unit,value{end}"Dep{end}Phys",1{end}B,2{end}"Dep{end}Phys",3{end}'
+    table = f'unit,P,IC3,FC3,IC5,FC5{end}"Dep{end}Phys",5,1,1,2,2{end}B,6,1,1,1,1{end}'
+    for size in (1, 2, 3, 7):
+        pieces = [samples[i:i + size] for i in range(0, len(samples), size)]
+        assert load_samples_csv(iter(pieces)) == {"Dep\nPhys": [1.0, 3.0], "B": [2.0]}
+        pieces = [table[i:i + size] for i in range(0, len(table), size)]
+        assert [row.unit for row in load_aggregate_table(iter(pieces))] == ["Dep\nPhys", "B"]
+
+
+def test_line_after_a_quoted_line_break_is_counted():
+    # Each line of a quoted cell counts, as a text editor numbers them.
+    with pytest.raises(NonNumericCell, match="line 4: value 'x'"):
+        load_samples_csv('unit,value\r"Dep\rPhys",1\rB,x\r')
 
 
 class TestSharedValues:

@@ -170,6 +170,40 @@ class TestMatch:
         ast = parse_query("ad=(umea univ)")
         assert index_match_record(ast, rec("Umea Univ., (Dept. 5), Sweden"))
 
+    @pytest.mark.parametrize(
+        "punctuated, plain",
+        [("ad=(tsinghua univ, dept. phys)", "ad=(tsinghua univ dept phys)"),
+         ("ad=(dept. phys)", "ad=(dept phys)"),
+         ("ad=(univ.dept ; phys)", "ad=(univ dept phys)")],
+        ids=["comma_and_stop", "stop", "inner_stop_and_lone_mark"],
+    )
+    def test_punctuated_phrase_assigns_as_plain(self, punctuated, plain):
+        # A phrase's words are normalized as the addresses are.
+        records = [
+            PublicationRecord("R1", 2005, addresses=("Tsinghua Univ, Dept. Phys, Beijing",)),
+            PublicationRecord("R2", 2005, addresses=("Peking Univ, Dept. Chem",)),
+        ]
+        corpus = build_corpus(records, [])
+        assert parse_query(punctuated) == parse_query(plain)
+        assignments = [
+            assign_units(corpus, [UnitDefinition("U", parse_query(q))])
+            for q in (punctuated, plain)
+        ]
+        assert assignments[0] == assignments[1] == {"U": frozenset({"R1"})}
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [("ad=(x and, y)", "'and,' in a phrase reads as an operator", 6),
+         ("ad=(x not.y)", "'not.y' in a phrase reads as an operator", 6),
+         ("ad=(, .)", "expected a phrase", 4),
+         ("ad=(x or ;)", "expected a phrase", 9)],
+        ids=["keyword_with_comma", "keyword_inside_word", "only_marks", "only_marks_after_or"],
+    )
+    def test_phrase_words_that_normalize_badly(self, text, message, position):
+        with pytest.raises(QuerySyntaxError, match=message) as info:
+            parse_query(text)
+        assert info.value.position == position
+
     def test_not_is_set_difference_property(self):
         rng = random.Random(5)
         for _ in range(300):
