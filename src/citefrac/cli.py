@@ -32,7 +32,7 @@ from .corpus import (
     write_canonical,
 )
 from .counting import Window, aggregate_units, paper_scores, per_paper_samples
-from .errors import CitefracError, ConstantInput, ParseError, QuerySyntaxError
+from .errors import CitefracError, ParseError, QuerySyntaxError, StatsError
 from .stats import correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova
 from .unitquery import assign_units, parse_unit_definitions
 
@@ -272,9 +272,9 @@ def _ingested(config: RunConfig) -> Corpus:
     result = _read(config.input, parse_tagged)
     if not result.records and not result.errors:
         raise UsageError(f"{config.input.name}: no tagged record found")
+    for err in result.errors:
+        print(f"rejected: {config.input.name}, {err}", file=sys.stderr)
     if result.errors and config.strict:
-        for err in result.errors:
-            print(f"error: {config.input.name}, {err}", file=sys.stderr)
         raise UsageError(f"{len(result.errors)} record(s) rejected under --strict")
     print(f"ingested {len(result.records)} record(s), rejected {len(result.errors)}",
           file=sys.stderr)
@@ -326,6 +326,11 @@ def cmd_count(config: RunConfig) -> dict[str, str]:
 def _stats_battery(
     tree: dict[str, str], groups: dict[str, list[float]], alpha: float
 ) -> None:
+    """Add tests.csv, pairwise.csv and homogeneity.dot of the per-unit
+    samples. A test that cannot run raises the kernel's StatsError, which
+    says why; Dunnett's C runs first, as its reasons name the unit. The
+    tree gets no file unless all four tests return."""
+    decisions = dunnett_c(groups, alpha=alpha)
     ordered = [groups[name] for name in sorted(groups)]
     kw, lv, av = kruskal_wallis(ordered), levene(ordered), one_way_anova(ordered)
     tree["tests.csv"] = report.csv_text(["method", "statistic", "df", "p_value"], [
@@ -333,36 +338,19 @@ def _stats_battery(
         ["levene", f"{lv.statistic:.6f}", f"{lv.df[0]}:{lv.df[1]}", f"{lv.p_value:.6g}"],
         ["anova", f"{av.statistic:.6f}", f"{av.df[0]}:{av.df[1]}", f"{av.p_value:.6g}"],
     ])
-
-    decisions = dunnett_c(groups, alpha=alpha)
     tree["pairwise.csv"] = report.format_decisions_csv(decisions)
     graph = report.build_homogeneity_graph(decisions)
     tree["homogeneity.dot"] = report.emit_graph_dot(graph)
-
-
-def _battery_skip_reason(groups: dict[str, list[float]]) -> str | None:
-    """Why the statistics battery cannot run on these per-unit samples, or
-    None: it compares at least 2 units, each of at least 2 papers, not all
-    of one value."""
-    if len(groups) < 2:
-        kept = f"only unit {next(iter(groups))!r}" if groups else "no unit"
-        return f"{kept} kept, the tests need at least 2 units"
-    for unit, sample in groups.items():
-        if len(sample) < 2:
-            return f"unit {unit!r} has {len(sample)} paper(s), the tests need at least 2"
-    if len(values := set().union(*groups.values())) == 1:
-        return f"every paper has the value {values.pop():g}, the tests need 2 distinct values"
-    return None
 
 
 def cmd_stats(config: RunConfig) -> dict[str, str]:
     tree: dict[str, str] = {}
     digests: list[tuple[Path, str]] = []
     groups = _read(config.input, load_samples_csv, digests)
-    skip = _battery_skip_reason(groups)
-    if skip is not None:
-        raise UsageError(f"{config.input.name}: {skip}")
-    _stats_battery(tree, groups, config.alpha)
+    try:
+        _stats_battery(tree, groups, config.alpha)
+    except StatsError as exc:
+        raise UsageError(f"{config.input.name}: {exc}") from exc
     tree["manifest.txt"] = _manifest(config, "samples", digests)
     return tree
 
@@ -371,9 +359,10 @@ def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str])
     """Add the rankings, rank changes and correlations of one unit table,
     each named by its column key: every column of `report.unit_columns`
     but ``unit`` is ranked and correlated, in that order, and the last
-    window's IC -> FC and IC/P -> FC/P rank changes are written. Fewer than
-    three units give no correlations, and so does a constant column: the
-    run prints why and writes the rest of the tree."""
+    window's IC -> FC and IC/P -> FC/P rank changes are written. Where the
+    kernel cannot correlate the columns (fewer than three units, a constant
+    column, a value too large), the run prints why and writes the rest of
+    the tree."""
     columns = report.unit_columns(rows, windows)
     keys = [key for key in columns if key != "unit"]
     rankings = {key: report.rank_units(columns, key) for key in keys}
@@ -383,13 +372,12 @@ def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str])
         a, b = a + windows[-1], b + windows[-1]
         deltas = report.rank_change(rankings[a], rankings[b])
         tree[f"rank_changes_{a}_to_{b}.csv"] = report.format_rank_changes_csv(deltas, a, b)
-    if len(rows) >= 3:
-        try:
-            pairs = correlation_matrix({key: [float(v) for v in columns[key]] for key in keys})
-        except ConstantInput as exc:
-            print(f"correlations skipped: {exc}", file=sys.stderr)
-        else:
-            tree["correlations.csv"] = report.format_correlation_csv(pairs)
+    try:
+        pairs = correlation_matrix({key: [float(v) for v in columns[key]] for key in keys})
+    except StatsError as exc:
+        print(f"correlations skipped: {exc}", file=sys.stderr)
+    else:
+        tree["correlations.csv"] = report.format_correlation_csv(pairs)
 
 
 def cmd_report(config: RunConfig) -> dict[str, str]:
@@ -413,11 +401,10 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
     groups = {
         row.unit: per_paper_samples(assignment, scores[last], row.unit) for row in rows
     }
-    skip = _battery_skip_reason(groups)
-    if skip is None:
+    try:
         _stats_battery(tree, groups, config.alpha)
-    else:
-        print(f"statistics skipped: {skip}", file=sys.stderr)
+    except StatsError as exc:
+        print(f"statistics skipped: {exc}", file=sys.stderr)
     tree["scores.csv"] = counting.export_scores_csv(scores[last], assignment)
     tree["manifest.txt"] = _manifest(config, "canonical", digests)
     return tree

@@ -108,6 +108,10 @@ class AllValuesTied(StatsError):
     pass
 
 
+class ValueTooLarge(StatsError):
+    """A value beyond the magnitude the tests take (``MAX_MAGNITUDE``)."""
+
+
 class ConvergenceFailure(StatsError):
     """Root finding failed. The package raises it only when the
     studentized-range quantile cannot be bracketed."""

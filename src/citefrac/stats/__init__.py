@@ -1,4 +1,9 @@
-"""Statistics kernel: correlations, omnibus tests, post-hoc comparisons."""
+"""Statistics kernel: correlations, omnibus tests, post-hoc comparisons.
+
+Each entry point checks its own preconditions and raises a StatsError whose
+message says why it cannot run: too few groups or observations, values all
+tied or a constant column, or a value beyond `results.MAX_MAGNITUDE`.
+"""
 from .correlation import correlation_matrix, pearson, rankdata, spearman
 from .distributions import (
     chi2_sf,

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import ConstantInput, LengthMismatch
 from .distributions import t_two_tailed
-from .results import TestResult
+from .results import TestResult, check_magnitude
 
 
 def rankdata(values: Sequence[float]) -> np.ndarray:
@@ -29,15 +29,19 @@ def _corr_p(r: float, n: int) -> float:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
-    """Pearson product-moment correlation with a two-tailed t p-value."""
+    """Pearson product-moment correlation with a two-tailed t p-value; a
+    value beyond `MAX_MAGNITUDE` raises ValueTooLarge."""
     if len(x) != len(y):
         raise LengthMismatch(f"lengths differ: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 3:
         raise LengthMismatch(f"need at least 3 observations, got {n}")
+    check_magnitude("x", x)
+    check_magnitude("y", y)
     a = np.asarray(x, dtype=float) - np.mean(x)
     b = np.asarray(y, dtype=float) - np.mean(y)
-    denom = math.sqrt(float(np.sum(a * a)) * float(np.sum(b * b)))
+    # Each root apart, so that the product stays finite up to MAX_MAGNITUDE.
+    denom = math.sqrt(float(np.sum(a * a))) * math.sqrt(float(np.sum(b * b)))
     if denom == 0.0:
         raise ConstantInput("correlation undefined for constant input")
     r = float(np.sum(a * b)) / denom
@@ -57,7 +61,8 @@ def correlation_matrix(
 
     Keys are (earlier label, later label) in column order; each column is
     ranked once. A pair with a constant column raises ConstantInput naming
-    the pair and that column.
+    the pair and that column, and a column with a value beyond
+    `MAX_MAGNITUDE` raises ValueTooLarge naming the column.
     """
     labels = list(columns)
     data = [list(map(float, columns[name])) for name in labels]
@@ -65,6 +70,7 @@ def correlation_matrix(
     for name, col in zip(labels, data):
         if len(col) != n:
             raise LengthMismatch(f"column {name!r} has length {len(col)}, expected {n}")
+        check_magnitude(f"column {name!r}", col)
     ranks = [rankdata(col) for col in data]
     pairs = {}
     for (a, x, rx), (b, y, ry) in combinations(zip(labels, data, ranks), 2):

@@ -10,12 +10,14 @@ import numpy as np
 from ..errors import AllValuesTied, TooFewGroups
 from .correlation import rankdata
 from .distributions import chi2_sf, f_sf
-from .results import TestResult
+from .results import TestResult, check_magnitude
 
 Groups = Sequence[Sequence[float]]
 
 
 def _check_groups(groups: Groups, min_group_size: int = 1) -> None:
+    """Raise TooFewGroups for fewer than 2 groups or a group smaller than
+    `min_group_size`, and ValueTooLarge for a value beyond `MAX_MAGNITUDE`."""
     if len(groups) < 2:
         raise TooFewGroups(f"need at least 2 groups, got {len(groups)}")
     for i, g in enumerate(groups):
@@ -23,6 +25,7 @@ def _check_groups(groups: Groups, min_group_size: int = 1) -> None:
             raise TooFewGroups(
                 f"group {i} has {len(g)} values, need at least {min_group_size}"
             )
+        check_magnitude(f"group {i}", g)
 
 
 def _sums_of_squares(groups: Groups) -> tuple[float, float]:
@@ -41,7 +44,8 @@ def kruskal_wallis(groups: Groups) -> TestResult:
     H = (N - 1)·SSB/(SSB + SSW) of the pooled sample's mid-ranks, which
     equals the classic 12/(N(N+1))·Σ Rᵢ²/nᵢ - 3(N+1) divided by the tie
     correction 1 - Σ(t³ - t)/(N³ - N); df = k - 1; p from the chi-square
-    survival function.
+    survival function. Values that are all one raise AllValuesTied, which
+    names that value.
     """
     _check_groups(groups)
     sizes = [len(g) for g in groups]
@@ -51,7 +55,9 @@ def kruskal_wallis(groups: Groups) -> TestResult:
     ranks = rankdata([v for g in groups for v in g])
     ssb, ssw = _sums_of_squares(np.split(ranks, np.cumsum(sizes)[:-1]))
     if ssb + ssw == 0.0:
-        raise AllValuesTied("all pooled values are identical")
+        raise AllValuesTied(
+            f"every paper has the value {groups[0][0]:g}, the tests need 2 distinct values"
+        )
     h = (n_total - 1) * ssb / (ssb + ssw)
     df = len(groups) - 1
     return TestResult(statistic=h, df=df, p_value=chi2_sf(h, df))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import TooFewGroups
 from .distributions import _range_cdf, studentized_range_quantile
-from .results import PairwiseDecision
+from .results import PairwiseDecision, check_magnitude
 
 # Newton steps on the df = inf CDF, and the relative step that ends them.
 _ASYMPTOTE_STEPS = 30
@@ -96,16 +96,24 @@ def _critical_values(alpha: float, k: int, dfs: set[int]) -> dict[int, float]:
 def dunnett_c(
     groups: Mapping[str, Sequence[float]], alpha: float = 0.05
 ) -> list[PairwiseDecision]:
-    """All-pairs comparisons; output ordered by sorted (name_i, name_j)."""
+    """All-pairs comparisons of the units `groups` holds, each a sample of
+    per-paper values; output ordered by sorted (name_i, name_j).
+
+    Raises TooFewGroups unless there are at least 2 units, each of at least
+    2 papers, and ValueTooLarge for a value beyond `MAX_MAGNITUDE`; either
+    names the unit at fault.
+    """
     if len(groups) < 2:
-        raise TooFewGroups(f"need at least 2 groups, got {len(groups)}")
+        kept = f"only unit {next(iter(groups))!r}" if groups else "no unit"
+        raise TooFewGroups(f"{kept} kept, the tests need at least 2 units")
     for name, g in groups.items():
         if len(g) < 2:
-            raise TooFewGroups(f"group {name!r} has {len(g)} values, need >= 2")
+            raise TooFewGroups(f"unit {name!r} has {len(g)} paper(s), the tests need at least 2")
     k = len(groups)
     stats = {}
     for name, g in groups.items():
         a = np.asarray(g, dtype=float)
+        check_magnitude(f"unit {name!r}", a)
         stats[name] = (float(a.mean()), float(a.var(ddof=1)) / len(a), len(a))
     # A quantile is needed unless every variance is zero (then no pair has one).
     q = {}

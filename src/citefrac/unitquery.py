@@ -33,6 +33,7 @@ levels:
 """
 from __future__ import annotations
 
+import graphlib
 import operator
 import re
 from collections import defaultdict
@@ -382,7 +383,7 @@ def parse_unit_definitions(text: str | Iterable[str]) -> list[UnitDefinition]:
     `corpus._text_lines`): one `name := query [minus a,b]` per line, `#`
     comments, blank lines ignored. A `minus` may name a unit defined
     further down, but every name must be defined and no chain may lead back
-    to a unit on it."""
+    to a unit on it (see `_minus_order`)."""
     defs: list[UnitDefinition] = []
     # Unit name -> its line and the column where its `minus` starts.
     minus_at: dict[str, tuple[int, int]] = {}
@@ -418,35 +419,26 @@ def parse_unit_definitions(text: str | Iterable[str]) -> list[UnitDefinition]:
 def _minus_order(defs: Iterable[UnitDefinition]) -> list[UnitDefinition]:
     """The definitions, each after every unit its `minus` names.
 
-    Depth first with a stack of the units waiting on others, so that a long
-    minus chain does not recurse. Raises UnknownUnitInMinus for a name no
-    definition has and CyclicMinus for a chain that leads back to a unit on
-    it, each naming the unit whose `minus` holds that name.
+    First UnknownUnitInMinus is raised for the first name no definition
+    has, in definition order; then graphlib's topological sort, which does
+    not recurse, orders the rest or finds a chain that leads back to a unit
+    on it (CyclicMinus). Each error names the unit whose `minus` holds the
+    name at fault.
     """
     by_name: Mapping[str, UnitDefinition] = {d.name: d for d in defs}
-    order: list[UnitDefinition] = []
-    placed: set[str] = set()
     for d in by_name.values():
-        waiting = [] if d.name in placed else [d]
-        on_stack = {d.name}
-        while waiting:
-            top = waiting[-1]
-            other = next((o for o in top.minus if o not in placed), None)
-            if other is None:
-                order.append(top)
-                placed.add(top.name)
-                on_stack.discard(top.name)
-                waiting.pop()
-            elif other not in by_name:
+        for other in d.minus:
+            if other not in by_name:
                 raise UnknownUnitInMinus(
-                    f"unit {top.name!r} subtracts undefined unit {other!r}", top.name
+                    f"unit {d.name!r} subtracts undefined unit {other!r}", d.name
                 )
-            elif other in on_stack:
-                raise CyclicMinus(f"cyclic minus chain through {other!r}", top.name)
-            else:
-                waiting.append(by_name[other])
-                on_stack.add(other)
-    return order
+    sorter = graphlib.TopologicalSorter({d.name: d.minus for d in by_name.values()})
+    try:
+        return [by_name[name] for name in sorter.static_order()]
+    except graphlib.CycleError as exc:
+        # In the cycle graphlib reports, each unit's `minus` names the unit before it.
+        cycle = exc.args[1]
+        raise CyclicMinus(f"cyclic minus chain through {cycle[0]!r}", cycle[1]) from None
 
 
 def assign_units(

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -61,7 +62,15 @@ class TestIngest:
             "--out", str(tmp_path / "out"), "--strict",
         )
         assert code == 2
-        assert "error: toy_onebad.tagged, line " in capsys.readouterr().err
+        assert "rejected: toy_onebad.tagged, line " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+    def test_every_rejected_record_is_printed(self, data_dir, tmp_path, capsys, strict):
+        run("ingest", "--input", str(data_dir / "toy_onebad.tagged"),
+            "--out", str(tmp_path / "out"), *strict)
+        err = capsys.readouterr().err
+        assert "rejected: toy_onebad.tagged, line 8: record has neither UT nor DI\n" in err
+        assert err.count("rejected: ") == 1
 
     def test_missing_input(self, tmp_path, capsys):
         code = run("ingest", "--input", str(tmp_path / "nope.tagged"), "--out", str(tmp_path))
@@ -416,6 +425,30 @@ class TestAggregateTableMode:
         ranking = (out / "ranking_ic3.csv").read_text(encoding="utf-8").splitlines()
         assert [row.split(",")[1] for row in ranking[1:]] == ["C", "B", "A"]
 
+    def test_report_value_beyond_the_bound(self, tmp_path, capsys):
+        # IC3 of 1e300: its Pearson r read 0 (p = 1) where it is -0.5. The
+        # correlations are skipped, with the reason, and nothing warns.
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "unit,P,IC3,FC3,IC5,FC5\nA,1,1e300,1,4,2\nB,2,2e300,3,5,1\nC,3,5,2,9,7\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("report", "--input", str(table), "--out", str(out)) == 0
+        assert capsys.readouterr().err == (
+            "correlations skipped: column 'ic3' has the value 1e+300, "
+            "the tests need |value| <= 1e+100\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "aggregates.csv", "manifest.txt", "ranking_p.csv",
+            *(f"ranking_{kind}{w}.csv" for w in "35" for kind in ("ic", "icp", "fc", "fcp")),
+            "rank_changes_ic5_to_fc5.csv", "rank_changes_icp5_to_fcp5.csv",
+        ])
+        ranking = (out / "ranking_ic3.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[1] for row in ranking[1:]] == ["B", "A", "C"]
+
     @pytest.mark.parametrize("command", ["evaluate", "count", "assign"])
     def test_corpus_commands_refuse_unit_table(self, command, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -576,6 +609,28 @@ class TestStatsSubcommand:
         out = tmp_path / "out"
         assert run("stats", "--input", str(samples), "--out", str(out)) == 2
         assert f"error: samples.csv: {reason}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("A,1e308\nA,-1e308\nB,0\nB,1\n", "1e+308"),
+            ("A,1e200\nA,-1e200\nB,1e200\nB,-1e200\nC,3\nC,1\n", "1e+200"),
+            ("A,1e154\nA,-1e154\nB,1e154\nB,-1e154\nC,1\nC,3\n", "1e+154"),
+        ],
+        ids=["1e308", "1e200", "1e154"],
+    )
+    def test_values_beyond_the_bound_name_the_unit(self, tmp_path, capsys, text, value):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("unit,value\n" + text, encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("stats", "--input", str(samples), "--out", str(out)) == 2
+        assert (
+            f"error: samples.csv: unit 'A' has the value {value}, "
+            "the tests need |value| <= 1e+100\n"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_levene_on_zero_deviation_spread(self, tmp_path):
@@ -858,6 +913,10 @@ class TestConfigAndValidation:
              "line 2, column 13: unit 'A' subtracts undefined unit 'Ghost'"),
             ("A := ad=(x) minus B\nB := ad=(y) minus A\n",
              "line 2, column 13: cyclic minus chain through 'A'"),
+            ("A := ad=(x) minus C\nB := ad=(y) minus Ghost\nC := ad=(z) minus Ghost2\n",
+             "line 2, column 13: unit 'B' subtracts undefined unit 'Ghost'"),
+            ("A := ad=(x) minus B\nB := ad=(y) minus C\nC := ad=(z) minus A\n",
+             "line 3, column 13: cyclic minus chain through 'A'"),
             ("U := py=\n", "line 1, column 9: unexpected end of query"),
             ("U := (ad=(x)\n", "line 1, column 6: unbalanced parenthesis"),
             ("U := ad=(and)\n", "line 1, column 10: expected a phrase"),
@@ -868,6 +927,7 @@ class TestConfigAndValidation:
             "superscript_year", "non_ascii_year", "separators_in_a_line",
             "year_beyond_int_digits", "deep_parens",
             "deep_parens_in_ad", "long_or_chain", "undefined_minus", "cyclic_minus",
+            "undefined_minus_in_file_order", "cyclic_minus_of_three",
             "year_missing", "unclosed_paren", "operator_as_phrase", "trailing_paren",
         ],
     )

@@ -118,7 +118,7 @@ def test_output_tree_matches_frozen_digests(case, data_dir, tmp_path):
     assert (out / "manifest.txt").read_text(encoding="utf-8") == MANIFESTS[case]
 
 
-def test_report_on_two_units_skips_correlations(tmp_path):
+def test_report_on_two_units_skips_correlations(tmp_path, capsys):
     table = tmp_path / "two.csv"
     table.write_text(
         "unit,P,IC3,FC3,IC5,FC5\nDep A,10,5,1.5,9,2.25\nDep B,4,3,0.5,6,1\n",
@@ -126,6 +126,7 @@ def test_report_on_two_units_skips_correlations(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["report", "--input", str(table), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "correlations skipped: need at least 3 observations, got 2\n"
     ranked = ["ic3", "icp3", "fc3", "fcp3", "ic5", "icp5", "fc5", "fcp5", "p"]
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["aggregates.csv", "manifest.txt",
