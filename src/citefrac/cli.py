@@ -373,7 +373,7 @@ def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str])
         deltas = report.rank_change(rankings[a], rankings[b])
         tree[f"rank_changes_{a}_to_{b}.csv"] = report.format_rank_changes_csv(deltas, a, b)
     try:
-        pairs = correlation_matrix({key: [float(v) for v in columns[key]] for key in keys})
+        pairs = correlation_matrix({key: columns[key] for key in keys})
     except StatsError as exc:
         print(f"correlations skipped: {exc}", file=sys.stderr)
     else:

@@ -50,7 +50,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> TestResult:
-    """Spearman rank correlation: Pearson on average-ranked data."""
+    """Spearman rank correlation: Pearson on average-ranked data. A value
+    beyond `MAX_MAGNITUDE`, or a NaN, raises ValueTooLarge before ranking."""
+    check_magnitude("x", x)
+    check_magnitude("y", y)
     return pearson(rankdata(x), rankdata(y))
 
 

@@ -65,14 +65,13 @@ def _int_power(x: np.ndarray, n: int) -> np.ndarray:
         x = x * x
 
 
-def _range_cdf(w: np.ndarray | float, k: int) -> np.ndarray | float:
-    """P(range of k standard normals <= w), vectorized over w."""
+def _range_cdf(w: np.ndarray | float, k: int) -> np.ndarray:
+    """P(range of k standard normals <= w), an array over w."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     # P = k * int phi(z) * [Phi(z) - Phi(z - w)]^(k-1) dz
     lower = 0.5 * erfc(-(_Z[None, :] - w[:, None]) / math.sqrt(2.0))
     inner = _int_power(np.clip(_CDF_Z[None, :] - lower, 0.0, 1.0), k - 1)
-    out = k * np.sum(_PHI_Z[None, :] * inner * _ZW[None, :], axis=1)
-    return out if out.size > 1 else float(out[0])
+    return k * np.sum(_PHI_Z[None, :] * inner * _ZW[None, :], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +114,7 @@ def studentized_range_cdf(q: float, k: int, df: float) -> float:
     if q <= 0:
         return 0.0
     if math.isinf(df) or df > 1e6:
-        return float(_range_cdf(q, k))
+        return float(_range_cdf(q, k)[0])
     s, w = _chi_scale_grid(float(df))
     inner = _range_cdf(q * s, k)
     return float(min(1.0, max(0.0, np.sum(w * inner))))

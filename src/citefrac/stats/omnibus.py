@@ -15,17 +15,20 @@ from .results import TestResult, check_magnitude
 Groups = Sequence[Sequence[float]]
 
 
-def _check_groups(groups: Groups, min_group_size: int = 1) -> None:
-    """Raise TooFewGroups for fewer than 2 groups or a group smaller than
-    `min_group_size`, and ValueTooLarge for a value beyond `MAX_MAGNITUDE`."""
+def _check_groups(groups: Groups, min_group_size: int = 1) -> float:
+    """max|x| over every value of the groups. Raise TooFewGroups for fewer
+    than 2 groups or a group smaller than `min_group_size`, and
+    ValueTooLarge for a value beyond `MAX_MAGNITUDE`."""
     if len(groups) < 2:
         raise TooFewGroups(f"need at least 2 groups, got {len(groups)}")
+    largest = 0.0
     for i, g in enumerate(groups):
         if len(g) < min_group_size:
             raise TooFewGroups(
                 f"group {i} has {len(g)} values, need at least {min_group_size}"
             )
-        check_magnitude(f"group {i}", g)
+        largest = max(largest, check_magnitude(f"group {i}", g))
+    return largest
 
 
 def _sums_of_squares(groups: Groups) -> tuple[float, float]:
@@ -67,16 +70,15 @@ def levene(groups: Groups) -> TestResult:
     """Levene's homogeneity-of-variance test, classic mean-centered: the
     one-way ANOVA of each value's absolute deviation from its group mean.
     The deviations carry the rounding of the values they come from."""
-    _check_groups(groups, min_group_size=2)
+    magnitude = _check_groups(groups, min_group_size=2)
     arrays = [np.asarray(g, dtype=float) for g in groups]
-    return _f_test([np.abs(a - np.mean(a)) for a in arrays], _magnitude(arrays))
+    return _f_test([np.abs(a - np.mean(a)) for a in arrays], magnitude)
 
 
 def one_way_anova(groups: Groups) -> TestResult:
     """One-way fixed-effects ANOVA F test. With zero within-group spread,
     F is 0 (p = 1) when the group means agree too, else inf (p = 0)."""
-    _check_groups(groups)
-    return _f_test(groups, _magnitude(groups))
+    return _f_test(groups, _check_groups(groups))
 
 
 # A sum of squares over N values is rounding, not spread, when its root mean
@@ -84,11 +86,6 @@ def one_way_anova(groups: Groups) -> TestResult:
 # a mean computed in floating point is off by a few eps·max|x|, where max|x|
 # is the largest magnitude of the values the deviations come from.
 _ROUNDING_EPS = 8
-
-
-def _magnitude(groups: Groups) -> float:
-    """max|x| over every value of the groups."""
-    return max(float(np.max(np.abs(np.asarray(g, dtype=float)))) for g in groups)
 
 
 def _f_test(groups: Groups, magnitude: float) -> TestResult:

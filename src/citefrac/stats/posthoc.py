@@ -75,9 +75,8 @@ def _critical_values(alpha: float, k: int, dfs: set[int]) -> dict[int, float]:
     A solve starts at q_inf + c/df (see `_asymptote`) plus the residual
     q - (q_inf + c/df) of the nearest (up to three) roots already found,
     extrapolated in 1/df by the polynomial through them. A start that is
-    not finite or lies below q_inf/2 falls back to the plain q_inf + c/df,
-    and failing that to q_inf. A start only changes how many CDF
-    evaluations a solve makes, never the quantile.
+    not finite or lies below q_inf/2 falls back to q_inf. A start only
+    changes how many CDF evaluations a solve makes, never the quantile.
     """
     q_inf, c = _asymptote(alpha, k)
     roots: dict[int, float] = {}
@@ -87,7 +86,7 @@ def _critical_values(alpha: float, k: int, dfs: set[int]) -> dict[int, float]:
         line = q_inf + c * x
         near = line + _extrapolate(residuals[-3:], x)
         if not (math.isfinite(near) and near >= 0.5 * q_inf):
-            near = line if math.isfinite(line) and line >= 0.5 * q_inf else q_inf
+            near = q_inf
         roots[df] = studentized_range_quantile(alpha, k, df, near=near)
         residuals.append((x, roots[df] - line))
     return roots
@@ -132,13 +131,8 @@ def dunnett_c(
             )
             continue
         q_i, q_j = q[n_i - 1], q[n_j - 1]
-        critical = (
-            np.sqrt((v_i + v_j) / 2.0) * (q_i * v_i + q_j * v_j) / (v_i + v_j)
-        )
+        critical = math.sqrt((v_i + v_j) / 2.0) * (q_i * v_i + q_j * v_j) / (v_i + v_j)
         decisions.append(
-            PairwiseDecision(
-                name_i, name_j, mean_diff, float(critical),
-                abs(mean_diff) > critical,
-            )
+            PairwiseDecision(name_i, name_j, mean_diff, critical, abs(mean_diff) > critical)
         )
     return decisions

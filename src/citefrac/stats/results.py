@@ -13,14 +13,20 @@ from ..errors import ValueTooLarge
 MAX_MAGNITUDE = 1e100
 
 
-def check_magnitude(name: str, values: Iterable[float]) -> None:
-    """Raise ValueTooLarge, naming `name`, at the first of `values` that is
-    beyond MAX_MAGNITUDE in magnitude or is not a number."""
+def check_magnitude(name: str, values: Iterable[float]) -> float:
+    """The largest magnitude of `values` (0.0 for none). Raise ValueTooLarge,
+    naming `name`, at the first of them that is beyond MAX_MAGNITUDE in
+    magnitude or is not a number."""
+    largest = 0.0
     for value in values:
-        if not abs(value) <= MAX_MAGNITUDE:
+        size = abs(value)
+        if not size <= MAX_MAGNITUDE:
             raise ValueTooLarge(
                 f"{name} has the value {value:g}, the tests need |value| <= {MAX_MAGNITUDE:g}"
             )
+        if size > largest:
+            largest = size
+    return float(largest)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ import pytest
 
 from citefrac.errors import ValueTooLarge
 from citefrac.stats import (
-    correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova, pearson,
+    correlation_matrix, dunnett_c, kruskal_wallis, levene, one_way_anova, pearson, spearman,
 )
-from citefrac.stats.results import MAX_MAGNITUDE
+from citefrac.stats.results import MAX_MAGNITUDE, check_magnitude
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -24,6 +24,7 @@ def _groups(scale: float) -> list[list[float]]:
 # Entry point -> (a call on the values _groups holds, its result as numbers).
 ENTRY_POINTS = {
     "pearson": (lambda g: pearson(g[0] + g[2][:1], g[1]), lambda r: [r.statistic, r.p_value]),
+    "spearman": (lambda g: spearman(g[0] + g[2][:1], g[1]), lambda r: [r.statistic, r.p_value]),
     "correlation_matrix": (
         lambda g: correlation_matrix({"a": g[0] + g[2][:1], "b": g[1]}),
         lambda pairs: [r.statistic for pair in pairs.values() for r in pair],
@@ -58,3 +59,15 @@ def test_value_at_the_bound_computes(entry):
     if entry == "dunnett_c":
         unscaled = [x * MAX_MAGNITUDE if type(x) is float else x for x in unscaled]
     assert at_bound == pytest.approx(unscaled, rel=1e-9)
+
+
+def test_check_magnitude_returns_the_largest():
+    assert check_magnitude("x", [0.5, -3.0, 2, MAX_MAGNITUDE / 2]) == MAX_MAGNITUDE / 2
+    assert check_magnitude("x", [-7, 2.5]) == 7.0
+    assert check_magnitude("x", []) == 0.0
+    assert type(check_magnitude("x", [1, -2])) is float
+
+
+def test_check_magnitude_raises_on_nan_after_a_number():
+    with pytest.raises(ValueTooLarge, match=r"^x has the value nan, the tests need"):
+        check_magnitude("x", [1.0, math.nan])

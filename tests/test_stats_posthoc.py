@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import random
@@ -312,3 +313,15 @@ class TestDunnettC:
         decisions = dunnett_c(groups)
         pairs = [(d.unit_i, d.unit_j) for d in decisions]
         assert pairs == list(combinations(sorted(groups), 2))
+
+    def test_decisions_are_plain_values(self):
+        # Each decision holds a Python float and bool, so that a library
+        # caller can test `significant is True` and write a decision as JSON.
+        # C and D have no variance: their pair takes the other branch.
+        groups = {"A": [1, 2], "B": [3, 5], "C": [4.0, 4.0], "D": [4.0, 4.0]}
+        decisions = dunnett_c(groups)
+        assert len(decisions) == 6
+        for d in decisions:
+            assert type(d.significant) is bool
+            assert type(d.mean_diff) is float and type(d.critical_diff) is float
+            json.dumps(dataclasses.asdict(d))
