@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 internal error, 2 usage or input error. Every
 setting is declared once, in ``_SETTINGS``: its flag, its key in a flat
 ``key = value`` config file and the one parser that checks both. Each
 subcommand takes only the settings it reads, as ``_COMMANDS`` lists them.
-Flags given on the command line override the file. A subcommand computes
-its whole output tree before ``main`` writes any of it, so a failed run
+Flags given on the command line override the file. ``main`` keeps each
+run's books: it gives the subcommand an empty output tree and, where the
+run writes a manifest, a digest list, and it adds ``manifest.txt`` and
+writes the tree only once the subcommand has returned, so a failed run
 writes no file.
 """
 from __future__ import annotations
@@ -54,7 +56,6 @@ class RunConfig:
     alpha: float = 0.05
     out: Path = Path("out")
     strict: bool = False
-    read: tuple[str, ...] = ()  # the keys of the settings its subcommand reads
 
 
 def _checked(number: type, rule: str, ok) -> Callable:
@@ -173,7 +174,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"--{key} is required")
         if isinstance(value, Path) and not value.is_file():
             raise UsageError(f"{key} file not found: {value}")
-    config = RunConfig(read=keys, **settings)
+    config = RunConfig(**settings)
     if config.out.exists() and not config.out.is_dir():
         raise UsageError(f"--out {config.out} exists and is not a directory")
     return config
@@ -247,29 +248,32 @@ def _read(path: Path, load, digests: list[tuple[Path, str]] | None = None):
     return result
 
 
-def _manifest(config: RunConfig, fmt: str, digests: list[tuple[Path, str]]) -> str:
+def _manifest(config: RunConfig, keys: tuple[str, ...], fmt: str,
+              digests: list[tuple[Path, str]]) -> str:
     """The run's inputs, by the digests taken as they were read, the format
-    of its --input, and those of min_pubs, alpha and windows it read."""
+    of its --input, and those of min_pubs, alpha and windows in `keys`, the
+    settings its subcommand reads."""
     lines = [f"input {path.name} sha256={digest}" for path, digest in sorted(digests)]
     lines.append(f"format = {fmt}")
     shown = {"min_pubs": config.min_pubs, "alpha": config.alpha,
              "window": ",".join(w.label() for w in config.windows)}
-    lines += [f"{_SETTINGS[k].field} = {v}" for k, v in shown.items() if k in config.read]
+    lines += [f"{_SETTINGS[k].field} = {v}" for k, v in shown.items() if k in keys]
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each maps the resolved RunConfig to its output tree, a dict of
-# file name -> text. Only main writes the tree, once it is complete. Each
+# Subcommands: each runs its stages on the resolved RunConfig and adds its
+# files to `tree`, a dict of file name -> text, reading every input through
+# `_read` with the run's `digests` (None where the run hashes nothing). Each
 # reads one input format: ingest a tagged export, assign, count and evaluate
 # a canonical corpus, stats a samples CSV and report a unit table.
 # ---------------------------------------------------------------------------
 
 
-def _ingested(config: RunConfig) -> Corpus:
+def _ingested(config: RunConfig, digests: list | None) -> Corpus:
     """The corpus of the tagged export at --input. Only the corpus outlives
     this call, so the parse result is freed before the corpus is written."""
-    result = _read(config.input, parse_tagged)
+    result = _read(config.input, parse_tagged, digests)
     if not result.records and not result.errors:
         raise UsageError(f"{config.input.name}: no tagged record found")
     for err in result.errors:
@@ -283,18 +287,18 @@ def _ingested(config: RunConfig) -> Corpus:
     return corpus.build_corpus(result.records)
 
 
-def cmd_ingest(config: RunConfig) -> dict[str, str]:
-    return {"corpus.jsonl": write_canonical(_ingested(config))}
+def cmd_ingest(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
+    tree["corpus.jsonl"] = write_canonical(_ingested(config, digests))
 
 
-def cmd_assign(config: RunConfig) -> dict[str, str]:
-    defs = _read(config.units, parse_unit_definitions)
-    assignment = assign_units(_read(config.input, load_canonical), defs)
+def cmd_assign(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
+    defs = _read(config.units, parse_unit_definitions, digests)
+    assignment = assign_units(_read(config.input, load_canonical, digests), defs)
     rows = ([u, pid] for u in sorted(assignment) for pid in sorted(assignment[u]))
-    return {"assignment.csv": report.csv_text(["unit", "paper_id"], rows)}
+    tree["assignment.csv"] = report.csv_text(["unit", "paper_id"], rows)
 
 
-def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list):
+def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list | None):
     """Load, assign and count every window, and add aggregates.csv to the
     tree: one row per kept unit with its totals per window, each window
     named by the suffix of its columns and files (_2005_2009). The units
@@ -311,16 +315,12 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list):
     return assignment, scores, rows, skipped
 
 
-def cmd_count(config: RunConfig) -> dict[str, str]:
-    tree: dict[str, str] = {}
-    digests: list[tuple[Path, str]] = []
+def cmd_count(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
     assignment, scores, _, skipped = _count_pipeline(config, tree, digests)
     for name, score_set in scores.items():
         tree[f"scores{name}.csv"] = counting.export_scores_csv(score_set, assignment)
         if skipped:
             tree[f"skipped_units{name}.csv"] = report.csv_text(["unit", "p"], skipped)
-    tree["manifest.txt"] = _manifest(config, "canonical", digests)
-    return tree
 
 
 def _stats_battery(
@@ -343,16 +343,12 @@ def _stats_battery(
     tree["homogeneity.dot"] = report.emit_graph_dot(graph)
 
 
-def cmd_stats(config: RunConfig) -> dict[str, str]:
-    tree: dict[str, str] = {}
-    digests: list[tuple[Path, str]] = []
+def cmd_stats(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
     groups = _read(config.input, load_samples_csv, digests)
     try:
         _stats_battery(tree, groups, config.alpha)
     except StatsError as exc:
         raise UsageError(f"{config.input.name}: {exc}") from exc
-    tree["manifest.txt"] = _manifest(config, "samples", digests)
-    return tree
 
 
 def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str]) -> None:
@@ -380,19 +376,14 @@ def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str])
         tree["correlations.csv"] = report.format_correlation_csv(pairs)
 
 
-def cmd_report(config: RunConfig) -> dict[str, str]:
+def cmd_report(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
     """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
-    digests: list[tuple[Path, str]] = []
     rows = _read(config.input, load_aggregate_table, digests)
-    tree = {"aggregates.csv": report.format_aggregates_csv(rows, ["3", "5"])}
+    tree["aggregates.csv"] = report.format_aggregates_csv(rows, ["3", "5"])
     _unit_reports(tree, rows, ["3", "5"])
-    tree["manifest.txt"] = _manifest(config, "aggregate", digests)
-    return tree
 
 
-def cmd_evaluate(config: RunConfig) -> dict[str, str]:
-    tree: dict[str, str] = {}
-    digests: list[tuple[Path, str]] = []
+def cmd_evaluate(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
     assignment, scores, rows, _ = _count_pipeline(config, tree, digests)
     windows = list(scores)
     last = windows[-1]
@@ -406,8 +397,6 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
     except StatsError as exc:
         print(f"statistics skipped: {exc}", file=sys.stderr)
     tree["scores.csv"] = counting.export_scores_csv(scores[last], assignment)
-    tree["manifest.txt"] = _manifest(config, "canonical", digests)
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +404,18 @@ def cmd_evaluate(config: RunConfig) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-# Subcommand -> (its function, the keys of the settings it reads). These
-# alone are its flags and its config keys; a manifest shows those it reads.
+# Subcommand -> (its function, the keys of the settings it reads, the format
+# of the --input its manifest names). The keys alone are its flags and its
+# config keys, and its manifest shows those it reads; a subcommand without a
+# format writes no manifest and hashes no input.
 _COMMANDS = {
-    "ingest": (cmd_ingest, ("input", "out", "strict")),
-    "assign": (cmd_assign, ("input", "units", "out")),
-    "count": (cmd_count, ("input", "units", "window", "min_pubs", "out")),
-    "stats": (cmd_stats, ("input", "alpha", "out")),
-    "report": (cmd_report, ("input", "out")),
-    "evaluate": (cmd_evaluate, ("input", "units", "window", "min_pubs", "alpha", "out")),
+    "ingest": (cmd_ingest, ("input", "out", "strict"), None),
+    "assign": (cmd_assign, ("input", "units", "out"), None),
+    "count": (cmd_count, ("input", "units", "window", "min_pubs", "out"), "canonical"),
+    "stats": (cmd_stats, ("input", "alpha", "out"), "samples"),
+    "report": (cmd_report, ("input", "out"), "aggregate"),
+    "evaluate": (cmd_evaluate, ("input", "units", "window", "min_pubs", "alpha", "out"),
+                 "canonical"),
 }
 
 
@@ -433,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fractional citation counting and unit impact evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys) in _COMMANDS.items():
+    for name, (_, keys, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         for key in keys:
             setting = _SETTINGS[key]
@@ -451,7 +443,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         config = _build_config(args)
-        tree = _COMMANDS[args.command][0](config)
+        run, keys, fmt = _COMMANDS[args.command]
+        tree: dict[str, str] = {}
+        digests = None if fmt is None else []
+        run(config, tree, digests)
+        if fmt is not None:
+            tree["manifest.txt"] = _manifest(config, keys, fmt, digests)
         # Nothing is written until the whole tree is computed, so a run
         # that fails leaves no files.
         for name, text in tree.items():
