@@ -302,7 +302,8 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list | Non
     """Load, assign and count every window, and add aggregates.csv to the
     tree: one row per kept unit with its totals per window, each window
     named by the suffix of its columns and files (_2005_2009). The units
-    file is parsed before the corpus is read."""
+    file is parsed before the corpus is read. A window that skips citing
+    records of k = 0 says how many on stderr, and names the first."""
     defs = _read(config.units, parse_unit_definitions, digests)
     loaded = _read(config.input, load_canonical, digests)
     assignment = assign_units(loaded, defs)
@@ -310,6 +311,9 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list | Non
     for window in config.windows:
         name = "_" + window.label().replace("-", "_")
         scores[name] = paper_scores(loaded, window)
+        if zero_k := scores[name].skipped_citing:
+            print(f"window {window.label()}: skipped {len(zero_k)} citing record(s) "
+                  f"with k = 0, first {zero_k[0]!r}", file=sys.stderr)
     rows, skipped = aggregate_units(assignment, scores, min_pubs=config.min_pubs)
     tree["aggregates.csv"] = report.format_aggregates_csv(rows, list(scores))
     return assignment, scores, rows, skipped
@@ -384,7 +388,10 @@ def cmd_report(config: RunConfig, tree: dict[str, str], digests: list | None) ->
 
 
 def cmd_evaluate(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
-    assignment, scores, rows, _ = _count_pipeline(config, tree, digests)
+    assignment, scores, rows, skipped = _count_pipeline(config, tree, digests)
+    if skipped:
+        below = ", ".join(f"{unit!r} (P = {p})" for unit, p in skipped)
+        print(f"units below --min-pubs {config.min_pubs}: {below}", file=sys.stderr)
     windows = list(scores)
     last = windows[-1]
     _unit_reports(tree, rows, windows)

@@ -56,7 +56,7 @@ class PaperImpact:
 @dataclass
 class ScoreSet:
     """Per-paper impacts plus the ids of citing documents skipped for
-    having k = 0 (skip-and-warn policy)."""
+    having k = 0 (skip-and-warn policy: the command line says how many)."""
 
     impacts: dict[str, PaperImpact]
     skipped_citing: list[str] = field(default_factory=list)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import citefrac
-from citefrac.cli import _SETTINGS, UsageError, _build_config, build_parser, main
+from citefrac.cli import _SETTINGS, RunConfig, UsageError, _build_config, build_parser, main
 from citefrac.corpus import load_canonical, load_samples_csv
 from citefrac.report import unit_columns
 
@@ -277,6 +278,33 @@ class TestCountAndEvaluate:
         assert code == 0
         assert f"statistics skipped: {reason}\n" in capsys.readouterr().err
         assert not (out / "tests.csv").exists()
+
+    def test_units_below_min_pubs_are_named(self, data_dir, tmp_path, capsys):
+        # count writes them to skipped_units_<window>.csv; evaluate prints them.
+        code = run(
+            "evaluate", "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"),
+            "--window", "2005:2009", "--min-pubs", "6", "--out", str(tmp_path / "six"),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "units below --min-pubs 6: 'Unit Beta' (P = 5), 'Unit Gamma' (P = 4)\n" in err
+        assert self.evaluate_toy(data_dir, tmp_path / "two") == 0
+        assert "units below" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count", "evaluate"])
+    def test_citing_records_of_k_zero_are_named(self, command, data_dir, tmp_path, capsys):
+        # X98 (2006, nrefs 0) cites A00, so 2005-2009 skips it; 2007-2009
+        # skips no record and says nothing.
+        code = run(
+            command, "--input", str(data_dir / "toy_corpus.jsonl"),
+            "--units", str(data_dir / "toy_units.txt"), "--window", "2007:2009",
+            "--window", "2005:2009", "--min-pubs", "1", "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "window 2005-2009: skipped 1 citing record(s) with k = 0, first 'X98'\n" in err
+        assert "window 2007-2009" not in err
 
     def test_statistics_skipped_for_a_one_paper_unit(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -1103,6 +1131,12 @@ SETTING_SAMPLES = {
 
 def test_setting_samples_cover_every_setting():
     assert SETTING_SAMPLES.keys() == _SETTINGS.keys()
+
+
+def test_run_config_holds_only_settings():
+    assert {f.name for f in dataclasses.fields(RunConfig)} == {
+        s.field for s in _SETTINGS.values()
+    }
 
 
 class TestSettingsDeclaredOnce:
