@@ -5,10 +5,10 @@ setting is declared once, in ``_SETTINGS``: its flag, its key in a flat
 ``key = value`` config file and the one parser that checks both. Each
 subcommand takes only the settings it reads, as ``_COMMANDS`` lists them.
 Flags given on the command line override the file. ``main`` keeps each
-run's books: it gives the subcommand an empty output tree and, where the
-run writes a manifest, a digest list, and it adds ``manifest.txt`` and
-writes the tree only once the subcommand has returned, so a failed run
-writes no file.
+run's books: it makes the output tree that the subcommand fills and, for a
+subcommand whose input format ``_COMMANDS`` names, the digest list and
+``manifest.txt``. It writes the tree only once the subcommand has returned,
+so a failed run writes no file.
 """
 from __future__ import annotations
 
