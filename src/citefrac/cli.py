@@ -19,7 +19,7 @@ import io
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import corpus, counting, report
 from .corpus import (
@@ -291,8 +291,15 @@ def cmd_ingest(config: RunConfig, tree: dict[str, str], digests: list | None) ->
     tree["corpus.jsonl"] = write_canonical(_ingested(config, digests))
 
 
+def _units(config: RunConfig, digests: list | None) -> list:
+    """The unit definitions of --units, of which there must be one or more."""
+    if not (defs := _read(config.units, parse_unit_definitions, digests)):
+        raise UsageError(f"{config.units.name}: no unit defined")
+    return defs
+
+
 def cmd_assign(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
-    defs = _read(config.units, parse_unit_definitions, digests)
+    defs = _units(config, digests)
     assignment = assign_units(_read(config.input, load_canonical, digests), defs)
     rows = ([u, pid] for u in sorted(assignment) for pid in sorted(assignment[u]))
     tree["assignment.csv"] = report.csv_text(["unit", "paper_id"], rows)
@@ -304,7 +311,7 @@ def _count_pipeline(config: RunConfig, tree: dict[str, str], digests: list | Non
     named by the suffix of its columns and files (_2005_2009). The units
     file is parsed before the corpus is read. A window that skips citing
     records of k = 0 says how many on stderr, and names the first."""
-    defs = _read(config.units, parse_unit_definitions, digests)
+    defs = _units(config, digests)
     loaded = _read(config.input, load_canonical, digests)
     assignment = assign_units(loaded, defs)
     scores = {}
@@ -327,21 +334,15 @@ def cmd_count(config: RunConfig, tree: dict[str, str], digests: list | None) -> 
             tree[f"skipped_units{name}.csv"] = report.csv_text(["unit", "p"], skipped)
 
 
-def _stats_battery(
-    tree: dict[str, str], groups: dict[str, list[float]], alpha: float
-) -> None:
+def _stats_battery(tree: dict[str, str], groups: dict[str, list[float]], alpha: float) -> None:
     """Add tests.csv, pairwise.csv and homogeneity.dot of the per-unit
     samples. A test that cannot run raises the kernel's StatsError, which
-    says why; Dunnett's C runs first, as its reasons name the unit. The
-    tree gets no file unless all four tests return."""
+    says why; Dunnett's C runs first, as it needs 2 papers a unit and the
+    Kruskal-Wallis test 1. The tree gets no file unless all four return."""
     decisions = dunnett_c(groups, alpha=alpha)
-    ordered = [groups[name] for name in sorted(groups)]
-    kw, lv, av = kruskal_wallis(ordered), levene(ordered), one_way_anova(ordered)
-    tree["tests.csv"] = report.csv_text(["method", "statistic", "df", "p_value"], [
-        ["kruskal-wallis", f"{kw.statistic:.6f}", kw.df, f"{kw.p_value:.6g}"],
-        ["levene", f"{lv.statistic:.6f}", f"{lv.df[0]}:{lv.df[1]}", f"{lv.p_value:.6g}"],
-        ["anova", f"{av.statistic:.6f}", f"{av.df[0]}:{av.df[1]}", f"{av.p_value:.6g}"],
-    ])
+    tree["tests.csv"] = report.format_tests_csv(
+        kruskal_wallis(groups), levene(groups), one_way_anova(groups)
+    )
     tree["pairwise.csv"] = report.format_decisions_csv(decisions)
     graph = report.build_homogeneity_graph(decisions)
     tree["homogeneity.dot"] = report.emit_graph_dot(graph)
@@ -355,7 +356,7 @@ def cmd_stats(config: RunConfig, tree: dict[str, str], digests: list | None) -> 
         raise UsageError(f"{config.input.name}: {exc}") from exc
 
 
-def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str]) -> None:
+def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: Sequence[str]) -> None:
     """Add the rankings, rank changes and correlations of one unit table,
     each named by its column key: every column of `report.unit_columns`
     but ``unit`` is ranked and correlated, in that order, and the last
@@ -383,8 +384,8 @@ def _unit_reports(tree: dict[str, str], rows: list[UnitRow], windows: list[str])
 def cmd_report(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:
     """The unit-table stage on a published unit,P,IC3,FC3,IC5,FC5 table."""
     rows = _read(config.input, load_aggregate_table, digests)
-    tree["aggregates.csv"] = report.format_aggregates_csv(rows, ["3", "5"])
-    _unit_reports(tree, rows, ["3", "5"])
+    tree["aggregates.csv"] = report.format_aggregates_csv(rows, corpus.TABLE_WINDOWS)
+    _unit_reports(tree, rows, corpus.TABLE_WINDOWS)
 
 
 def cmd_evaluate(config: RunConfig, tree: dict[str, str], digests: list | None) -> None:

@@ -654,7 +654,9 @@ class UnitRow:
     fc: dict[str, Fraction]
 
 
-_AGGREGATE_COLUMNS = ("unit", "P", "IC3", "FC3", "IC5", "FC5")
+# The citation windows of a published unit table, named as its IC and FC columns end.
+TABLE_WINDOWS = ("3", "5")
+_AGGREGATE_COLUMNS = ("unit", "P", *(k + w for w in TABLE_WINDOWS for k in ("IC", "FC")))
 
 
 def _aggregate_columns(header: list[str]) -> range:
@@ -680,7 +682,7 @@ def _exponent_beyond_float(cell: str) -> bool:
 
 def load_aggregate_table(text: str | Iterable[str]) -> list[UnitRow]:
     """Load a unit,P,IC3,FC3,IC5,FC5 CSV, given as one str or as pieces
-    (see `_text_lines`), into unit rows of windows 3 and 5.
+    (see `_text_lines`), into unit rows of the `TABLE_WINDOWS` 3 and 5.
 
     A unit must be named, once. Every cell is a number by `_decimal`'s
     rule, P an integer and the others fractions, that a float can hold, as
@@ -696,7 +698,7 @@ def load_aggregate_table(text: str | Iterable[str]) -> list[UnitRow]:
                 raise NonNumericCell(
                     f"count exponent far beyond a float's range in row {raw!r}", lineno
                 )
-            ic3, fc3, ic5, fc5 = counts = [_decimal(cell, Fraction) for cell in cells[2:]]
+            counts = [_decimal(cell, Fraction) for cell in cells[2:]]
         except (ValueError, ZeroDivisionError):
             raise NonNumericCell(
                 f"missing or non-numeric cell in row {raw!r}", lineno
@@ -708,7 +710,7 @@ def load_aggregate_table(text: str | Iterable[str]) -> list[UnitRow]:
             raise NonNumericCell(
                 f"cell too large for a float in row {raw!r}", lineno
             ) from None
-        if ic3.denominator != 1 or ic5.denominator != 1:
+        if any(ic.denominator != 1 for ic in counts[0::2]):
             raise NonNumericCell(f"IC must be a whole number in row {raw!r}", lineno)
         if min(counts) < 0:
             raise NonNumericCell(f"IC and FC must not be negative in row {raw!r}", lineno)
@@ -717,9 +719,8 @@ def load_aggregate_table(text: str | Iterable[str]) -> list[UnitRow]:
         if unit in seen:
             raise DuplicateId(f"duplicate unit {unit!r}", lineno)
         seen.add(unit)
-        rows.append(
-            UnitRow(unit, p, {"3": int(ic3), "5": int(ic5)}, {"3": fc3, "5": fc5})
-        )
+        rows.append(UnitRow(unit, p, dict(zip(TABLE_WINDOWS, map(int, counts[0::2]))),
+                            dict(zip(TABLE_WINDOWS, counts[1::2]))))
     return rows
 
 

@@ -241,6 +241,14 @@ def format_correlation_csv(
     return csv_text(["row", "col", "triangle", "value", "p_value", "stars"], body)
 
 
+def format_tests_csv(kw: TestResult, lv: TestResult, av: TestResult) -> str:
+    return csv_text(["method", "statistic", "df", "p_value"], [
+        ["kruskal-wallis", f"{kw.statistic:.6f}", kw.df, f"{kw.p_value:.6g}"],
+        ["levene", f"{lv.statistic:.6f}", f"{lv.df[0]}:{lv.df[1]}", f"{lv.p_value:.6g}"],
+        ["anova", f"{av.statistic:.6f}", f"{av.df[0]}:{av.df[1]}", f"{av.p_value:.6g}"],
+    ])
+
+
 def format_decisions_csv(decisions: Sequence[PairwiseDecision]) -> str:
     return csv_text(
         ["unit_i", "unit_j", "mean_diff", "critical_diff", "significant"],

@@ -1,8 +1,9 @@
 """Statistics kernel: correlations, omnibus tests, post-hoc comparisons.
 
-Each entry point checks its own preconditions and raises a StatsError whose
-message says why it cannot run: too few groups or observations, values all
-tied or a constant column, or a value beyond `results.MAX_MAGNITUDE`.
+Each test of units takes them by name, as `{unit: values}`. Each entry point
+raises a StatsError that says why it cannot run: too few units or a unit
+too small (`results.check_groups`), values all tied or a constant column,
+or a value beyond `results.MAX_MAGNITUDE`.
 """
 from .correlation import correlation_matrix, pearson, rankdata, spearman
 from .distributions import (

@@ -1,5 +1,6 @@
-"""Omnibus k-sample tests: Kruskal-Wallis, Levene, one-way ANOVA, all
-three on one split of the sum of squares into between and within groups."""
+"""Omnibus k-sample tests of units by name: Kruskal-Wallis, Levene, one-way
+ANOVA, all three on one split of the sum of squares into between and within
+groups, each over the units in sorted-name order."""
 from __future__ import annotations
 
 import math
@@ -10,30 +11,12 @@ import numpy as np
 from ..errors import AllValuesTied, TooFewGroups
 from .correlation import rankdata
 from .distributions import chi2_sf, f_sf
-from .results import TestResult, check_magnitude
-
-Groups = Sequence[Sequence[float]]
+from .results import Groups, TestResult, check_groups
 
 
-def _check_groups(groups: Groups, min_group_size: int = 1) -> float:
-    """max|x| over every value of the groups. Raise TooFewGroups for fewer
-    than 2 groups or a group smaller than `min_group_size`, and
-    ValueTooLarge for a value beyond `MAX_MAGNITUDE`."""
-    if len(groups) < 2:
-        raise TooFewGroups(f"need at least 2 groups, got {len(groups)}")
-    largest = 0.0
-    for i, g in enumerate(groups):
-        if len(g) < min_group_size:
-            raise TooFewGroups(
-                f"group {i} has {len(g)} values, need at least {min_group_size}"
-            )
-        largest = max(largest, check_magnitude(f"group {i}", g))
-    return largest
-
-
-def _sums_of_squares(groups: Groups) -> tuple[float, float]:
+def _sums_of_squares(samples: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Between-group (SSB) and within-group (SSW) sums of squares."""
-    arrays = [np.asarray(g, dtype=float) for g in groups]
+    arrays = [np.asarray(g, dtype=float) for g in samples]
     means = [float(np.mean(a)) for a in arrays]
     grand = float(np.sum([np.sum(a) for a in arrays])) / sum(map(len, arrays))
     ssb = sum(len(a) * (m - grand) ** 2 for a, m in zip(arrays, means))
@@ -50,16 +33,17 @@ def kruskal_wallis(groups: Groups) -> TestResult:
     survival function. Values that are all one raise AllValuesTied, which
     names that value.
     """
-    _check_groups(groups)
-    sizes = [len(g) for g in groups]
+    check_groups(groups, 1)
+    samples = [groups[name] for name in sorted(groups)]
+    sizes = [len(g) for g in samples]
     n_total = sum(sizes)
     if n_total < 3:
         raise TooFewGroups(f"pooled sample must have N >= 3, got {n_total}")
-    ranks = rankdata([v for g in groups for v in g])
+    ranks = rankdata([v for g in samples for v in g])
     ssb, ssw = _sums_of_squares(np.split(ranks, np.cumsum(sizes)[:-1]))
     if ssb + ssw == 0.0:
         raise AllValuesTied(
-            f"every paper has the value {groups[0][0]:g}, the tests need 2 distinct values"
+            f"every paper has the value {samples[0][0]:g}, the tests need 2 distinct values"
         )
     h = (n_total - 1) * ssb / (ssb + ssw)
     df = len(groups) - 1
@@ -68,17 +52,18 @@ def kruskal_wallis(groups: Groups) -> TestResult:
 
 def levene(groups: Groups) -> TestResult:
     """Levene's homogeneity-of-variance test, classic mean-centered: the
-    one-way ANOVA of each value's absolute deviation from its group mean.
-    The deviations carry the rounding of the values they come from."""
-    magnitude = _check_groups(groups, min_group_size=2)
-    arrays = [np.asarray(g, dtype=float) for g in groups]
+    one-way ANOVA of each value's absolute deviation from its unit's mean
+    (each unit needs 2 values), which carries the rounding of that value."""
+    magnitude = check_groups(groups, 2)
+    arrays = [np.asarray(groups[name], dtype=float) for name in sorted(groups)]
     return _f_test([np.abs(a - np.mean(a)) for a in arrays], magnitude)
 
 
 def one_way_anova(groups: Groups) -> TestResult:
     """One-way fixed-effects ANOVA F test. With zero within-group spread,
     F is 0 (p = 1) when the group means agree too, else inf (p = 0)."""
-    return _f_test(groups, _check_groups(groups))
+    magnitude = check_groups(groups, 1)
+    return _f_test([groups[name] for name in sorted(groups)], magnitude)
 
 
 # A sum of squares over N values is rounding, not spread, when its root mean
@@ -88,15 +73,15 @@ def one_way_anova(groups: Groups) -> TestResult:
 _ROUNDING_EPS = 8
 
 
-def _f_test(groups: Groups, magnitude: float) -> TestResult:
-    """The ANOVA F test of the groups, whose values have their rounding
+def _f_test(samples: Sequence[Sequence[float]], magnitude: float) -> TestResult:
+    """The ANOVA F test of the samples, whose values have their rounding
     from values of at most `magnitude`. A sum of squares at rounding level
     counts as zero."""
-    n_total = sum(len(g) for g in groups)
-    k = len(groups)
+    n_total = sum(len(g) for g in samples)
+    k = len(samples)
     if n_total <= k:
         raise TooFewGroups("need N > k observations in total")
-    ssb, ssw = _sums_of_squares(groups)
+    ssb, ssw = _sums_of_squares(samples)
     df = (k - 1, n_total - k)
     rounding = _ROUNDING_EPS * np.finfo(float).eps * magnitude
     if math.sqrt(ssw / n_total) <= rounding:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import TooFewGroups
 from .distributions import _range_cdf, studentized_range_quantile
-from .results import PairwiseDecision, check_magnitude
+from .results import Groups, PairwiseDecision, check_groups
 
 # Newton steps on the df = inf CDF, and the relative step that ends them.
 _ASYMPTOTE_STEPS = 30
@@ -92,32 +91,19 @@ def _critical_values(alpha: float, k: int, dfs: set[int]) -> dict[int, float]:
     return roots
 
 
-def dunnett_c(
-    groups: Mapping[str, Sequence[float]], alpha: float = 0.05
-) -> list[PairwiseDecision]:
+def dunnett_c(groups: Groups, alpha: float = 0.05) -> list[PairwiseDecision]:
     """All-pairs comparisons of the units `groups` holds, each a sample of
-    per-paper values; output ordered by sorted (name_i, name_j).
-
-    Raises TooFewGroups unless there are at least 2 units, each of at least
-    2 papers, and ValueTooLarge for a value beyond `MAX_MAGNITUDE`; either
-    names the unit at fault.
-    """
-    if len(groups) < 2:
-        kept = f"only unit {next(iter(groups))!r}" if groups else "no unit"
-        raise TooFewGroups(f"{kept} kept, the tests need at least 2 units")
-    for name, g in groups.items():
-        if len(g) < 2:
-            raise TooFewGroups(f"unit {name!r} has {len(g)} paper(s), the tests need at least 2")
-    k = len(groups)
+    per-paper values from at least 2 papers (see `check_groups`); output
+    ordered by sorted (name_i, name_j)."""
+    check_groups(groups, 2)
     stats = {}
     for name, g in groups.items():
         a = np.asarray(g, dtype=float)
-        check_magnitude(f"unit {name!r}", a)
         stats[name] = (float(a.mean()), float(a.var(ddof=1)) / len(a), len(a))
     # A quantile is needed unless every variance is zero (then no pair has one).
     q = {}
     if any(v > 0.0 for _, v, _ in stats.values()):
-        q = _critical_values(alpha, k, {n - 1 for _, _, n in stats.values()})
+        q = _critical_values(alpha, len(groups), {n - 1 for _, _, n in stats.values()})
 
     decisions: list[PairwiseDecision] = []
     for name_i, name_j in combinations(sorted(groups), 2):

@@ -1,11 +1,14 @@
-"""Result values of the statistics kernel, and the one bound on the values
-it takes: plain data, no numpy."""
+"""Result values of the statistics kernel, and its checks of the values and
+units it takes: plain data, no numpy."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
-from ..errors import ValueTooLarge
+from ..errors import TooFewGroups, ValueTooLarge
+
+# Units by name, each with its sample of values: what every test of units takes.
+Groups = Mapping[str, Sequence[float]]
 
 # The largest magnitude of a value the tests take. The squares and sums of
 # squares they form of values this large stay finite, so every test either
@@ -27,6 +30,21 @@ def check_magnitude(name: str, values: Iterable[float]) -> float:
         if size > largest:
             largest = size
     return float(largest)
+
+
+def check_groups(groups: Groups, min_size: int) -> float:
+    """max|x| over the units' values, each unit checked by `check_magnitude`
+    once every size is checked, in the mapping's order: raise TooFewGroups,
+    naming the unit, for fewer than 2 units or one of under `min_size` values."""
+    if len(groups) < 2:
+        kept = f"only unit {next(iter(groups))!r}" if groups else "no unit"
+        raise TooFewGroups(f"{kept} kept, the tests need at least 2 units")
+    for name, values in groups.items():
+        if len(values) < min_size:
+            raise TooFewGroups(
+                f"unit {name!r} has {len(values)} paper(s), the tests need at least {min_size}"
+            )
+    return max(check_magnitude(f"unit {name!r}", values) for name, values in groups.items())
 
 
 @dataclass(frozen=True)

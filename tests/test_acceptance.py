@@ -163,9 +163,9 @@ def test_criterion_2_ranking_reproduction(data_dir):
 def test_criterion_3_omnibus_significance():
     failures = []
     rng = random.Random(27)
-    heterogeneous = [
-        [rng.gauss(0.5 * i, 1.0) for _ in range(30)] for i in range(27)
-    ]
+    heterogeneous = {
+        f"u{i:02d}": [rng.gauss(0.5 * i, 1.0) for _ in range(30)] for i in range(27)
+    }
     result = kruskal_wallis(heterogeneous)
     if result.df != 26:
         failures.append(f"df {result.df} != 26")
@@ -175,7 +175,7 @@ def test_criterion_3_omnibus_significance():
     quiet = 0
     for seed in range(100):
         rng = random.Random(1000 + seed)
-        groups = [[rng.gauss(0.0, 1.0) for _ in range(20)] for _ in range(27)]
+        groups = {f"u{i:02d}": [rng.gauss(0.0, 1.0) for _ in range(20)] for i in range(27)}
         if kruskal_wallis(groups).p_value > 0.05:
             quiet += 1
     if quiet < 90:
@@ -243,18 +243,17 @@ def test_criterion_5_statistics_oracles(data_dir):
     cases = json.loads((data_dir / "stats_cases.json").read_text(encoding="utf-8"))
     failures = []
     for i, case in enumerate(cases):
-        groups = case["groups"]
+        named = {f"g{j}": g for j, g in enumerate(case["groups"])}
         for name, func, expected in (
             ("kw", kruskal_wallis, case["kw"]),
             ("levene", levene, case["levene"]),
             ("anova", one_way_anova, case["anova"]),
         ):
-            result = func(groups)
+            result = func(named)
             if abs(result.statistic - expected[0]) > 1e-6:
                 failures.append(f"case {i} {name} stat {result.statistic} vs {expected[0]}")
             if abs(result.p_value - expected[1]) > 1e-6:
                 failures.append(f"case {i} {name} p {result.p_value} vs {expected[1]}")
-        named = {f"g{j}": g for j, g in enumerate(groups)}
         verdicts = {
             f"{d.unit_i}|{d.unit_j}": d.significant for d in dunnett_c(named)
         }

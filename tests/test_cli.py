@@ -260,6 +260,20 @@ class TestCountAndEvaluate:
         assert "units.txt, line 1, column 13: unit 'A' subtracts undefined unit 'Ghost'" in err
         assert "corpus.jsonl" not in err
 
+    @pytest.mark.parametrize("command", ["assign", "count", "evaluate"])
+    def test_units_file_that_defines_no_unit(self, data_dir, tmp_path, capsys, command):
+        # As an export that holds no record: exit 2, and no tree is written.
+        units = tmp_path / "units.txt"
+        units.write_text("# Dep A := ad=(dep a)\n\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--input", str(data_dir / "toy_corpus.jsonl"), "--units", str(units),
+                "--out", str(out)]
+        if command != "assign":
+            argv += ["--window", "2005:2009"]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "error: units.txt: no unit defined\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "min_pubs, reason",
         [

@@ -15,25 +15,27 @@ from citefrac.stats.results import MAX_MAGNITUDE, check_magnitude
 pytestmark = pytest.mark.filterwarnings("error")
 
 
-def _groups(scale: float) -> list[list[float]]:
-    """Three groups whose largest magnitude is `scale`."""
-    base = [[0.1, 0.2, 0.4], [1.0, -1.0, 0.0, 0.25], [0.3, 0.35, 0.5]]
-    return [[scale * v for v in g] for g in base]
+def _groups(scale: float) -> dict[str, list[float]]:
+    """Three units whose largest magnitude is `scale`."""
+    base = {"A": [0.1, 0.2, 0.4], "B": [1.0, -1.0, 0.0, 0.25], "C": [0.3, 0.35, 0.5]}
+    return {name: [scale * v for v in g] for name, g in base.items()}
 
 
 # Entry point -> (a call on the values _groups holds, its result as numbers).
 ENTRY_POINTS = {
-    "pearson": (lambda g: pearson(g[0] + g[2][:1], g[1]), lambda r: [r.statistic, r.p_value]),
-    "spearman": (lambda g: spearman(g[0] + g[2][:1], g[1]), lambda r: [r.statistic, r.p_value]),
+    "pearson": (lambda g: pearson(g["A"] + g["C"][:1], g["B"]), lambda r: [r.statistic, r.p_value]),
+    "spearman": (
+        lambda g: spearman(g["A"] + g["C"][:1], g["B"]), lambda r: [r.statistic, r.p_value]
+    ),
     "correlation_matrix": (
-        lambda g: correlation_matrix({"a": g[0] + g[2][:1], "b": g[1]}),
+        lambda g: correlation_matrix({"a": g["A"] + g["C"][:1], "b": g["B"]}),
         lambda pairs: [r.statistic for pair in pairs.values() for r in pair],
     ),
     "kruskal_wallis": (kruskal_wallis, lambda r: [r.statistic, r.p_value]),
     "levene": (levene, lambda r: [r.statistic, r.p_value]),
     "one_way_anova": (one_way_anova, lambda r: [r.statistic, r.p_value]),
     "dunnett_c": (
-        lambda g: dunnett_c(dict(zip("ABC", g))),
+        dunnett_c,
         lambda ds: [x for d in ds for x in (d.mean_diff, d.critical_diff, d.significant)],
     ),
 }

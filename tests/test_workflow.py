@@ -34,7 +34,8 @@ def test_entry_point_step_runs(tmp_path, monkeypatch):
     path = [str(Path(citefrac.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "out": str(tmp_path), "PYTHON": sys.executable,
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    shim = 'citefrac() { "$PYTHON" -m citefrac.cli "$@"; }; '
+    # As in the step, which runs under `set -e`, every command of a line must succeed.
+    shim = 'set -e; citefrac() { "$PYTHON" -m citefrac.cli "$@"; }; '
     for line in lines:
         if line.startswith("citefrac "):
             argv = [arg.replace("$out", str(tmp_path)) for arg in shlex.split(line)]
